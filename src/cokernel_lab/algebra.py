@@ -17,7 +17,6 @@ __all__ = [
     "LocalRingSpec",
     "RingSpec",
     "RingElem",
-    "poly_mul",
     "poly_divmod",
     "poly_gcd",
     "poly_ext_gcd",
@@ -160,10 +159,6 @@ class Poly:
         return f"Poly(l={self.l}, coeffs={list(self.coeffs)})"
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b."""
     a._check(b)
@@ -274,6 +269,7 @@ def factor_multiplicity(f: Poly, p: Poly) -> int:
         m += 1
 
 
+@lru_cache(maxsize=None)
 def find_irreducible(l: int, d: int) -> Poly:
     """Smallest monic irreducible of degree d over F_l, by coefficient order."""
     if d == 1:

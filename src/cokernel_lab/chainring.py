@@ -2,31 +2,26 @@
 
 Every local ring F_l[X]/(p^e) is, as a ring, a truncated polynomial ring
 F_Q[t]/(t^e) over its residue field of size Q = l^deg(p).  This module
-provides small-field lookup tables, exact arithmetic on truncated
-polynomials, a canonical-form enumeration of submodules, integer-encoded
-local tables for fast cokernel classification, and element-level
-brute-force counters used as independent oracles.
+provides the one digit-coded residue-ring layer F_l[X]/(f) with its lookup
+tables, exact arithmetic on truncated polynomials, a canonical-form
+enumeration of submodules, valuation tables for fast cokernel
+classification, and element-level brute-force counters used as
+independent oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .algebra import (
-    LocalRingSpec,
-    Poly,
-    factor_multiplicity,
-    find_irreducible,
-    poly_ext_gcd,
-    poly_mod,
-)
+from .algebra import LocalRingSpec, Poly, find_irreducible, poly_mod
 
 __all__ = [
-    "FqField",
+    "MAX_RING_SIZE",
+    "ResidueRing",
+    "residue_ring",
     "ChainRing",
     "chain_ring_for",
     "enumerate_submodules_chain",
@@ -39,98 +34,159 @@ __all__ = [
 ]
 
 
-class FqField:
-    """The field F_{l^d} with full lookup tables.
+MAX_RING_SIZE = 13**4
 
-    Elements are encoded as integers in [0, Q): the base-l digits of a code
-    are the coefficients of the residue polynomial modulo a fixed monic
-    irreducible of degree d.  The code 0 is zero and the code 1 is one.
+
+class ResidueRing:
+    """F_l[X]/(f) for a monic f of degree m >= 1, with N = l^m elements.
+
+    An element is coded by the integer sum of digit_i * l^i over the
+    coefficients of its residue polynomial, low degree first; the code 0 is
+    zero and the code 1 is one.  The one product primitive is the digit
+    tensor XE, where XE[i][x] holds the digits of X^i * x, so that a * x has
+    the digits sum_i a_i * XE[i][x] mod l.  The N x N lookup tables are
+    built from it on first use.
     """
 
-    def __init__(self, l: int, d: int = 1):
+    def __init__(self, modulus: Poly):
+        l = modulus.l
+        m = modulus.degree
+        if not modulus.is_monic() or m < 1:
+            raise ValueError(f"modulus {modulus} must be monic of positive degree")
+        if l**m > MAX_RING_SIZE:
+            raise ValueError(
+                f"F_{l}[X]/(f) with deg f = {m} has {l}^{m} = {l**m} elements, "
+                f"above MAX_RING_SIZE = {MAX_RING_SIZE}"
+            )
         self.l = l
-        self.d = d
-        self.Q = l**d
-        self.modulus = find_irreducible(l, d)
-        Q = self.Q
-        polys = [self._decode(c) for c in range(Q)]
-        self.add = [
-            [self._encode(polys[a] + polys[b]) for b in range(Q)] for a in range(Q)
-        ]
-        self.mul = [
-            [self._encode(poly_mod(polys[a] * polys[b], self.modulus)) for b in range(Q)]
-            for a in range(Q)
-        ]
-        self.neg = [self._encode(-polys[a]) for a in range(Q)]
-        inv = [0] * Q
-        for a in range(1, Q):
-            g, s, _ = poly_ext_gcd(polys[a], self.modulus)
-            if g.degree != 0:
-                raise AssertionError("nonzero residue not invertible")
-            inv[a] = self._encode(poly_mod(s, self.modulus))
-        self.inv = inv
+        self.m = m
+        self.N = l**m
+        self.modulus = modulus
+        self.powers = l ** np.arange(m)
+        self.D = np.arange(self.N)[:, None] // self.powers % l
+        mod_row = np.array(modulus.coeffs[:-1], dtype=np.int64)
+        XE = np.empty((m, self.N, m), dtype=np.int64)
+        XE[0] = self.D
+        for i in range(1, m):
+            prev = XE[i - 1]
+            XE[i, :, 0] = 0
+            XE[i, :, 1:] = prev[:, :-1]
+            XE[i] = (XE[i] - np.outer(prev[:, m - 1], mod_row)) % l
+        self.XE = XE
 
-    def _decode(self, code: int) -> Poly:
+    def encode(self, digits):
+        """Codes of the digit rows along the last axis."""
+        return digits @ self.powers
+
+    def encode_poly(self, f: Poly) -> int:
+        return sum(c * self.l**i for i, c in enumerate(poly_mod(f, self.modulus).coeffs))
+
+    @staticmethod
+    def decode(l: int, code: int) -> Poly:
+        """The residue polynomial of a code, for any ring over F_l."""
         digits = []
-        for _ in range(self.d):
-            digits.append(code % self.l)
-            code //= self.l
-        return Poly(self.l, digits)
+        while code:
+            code, digit = divmod(code, l)
+            digits.append(digit)
+        return Poly(l, digits)
 
-    def _encode(self, f: Poly) -> int:
-        code = 0
-        for c in reversed(poly_mod(f, self.modulus).coeffs):
-            code = code * self.l + c
-        return code
+    def products(self, A):
+        """Digits of a * x for every row a of the digit array A (K, m) and
+        every element x: shape (K, N, m)."""
+        return np.tensordot(A, self.XE, axes=(1, 0)) % self.l
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
+    def pointwise(self, A):
+        """Digits of A[x] * x for every element x, with A of shape (N, m)."""
+        return np.einsum("xi,ixm->xm", A, self.XE) % self.l
+
+    def _rows(self, block_digits):
+        """A table as a list of rows, built over row blocks of at most about
+        2^20 digits each, so no N x N x m array is ever held.  All rows share
+        one int object per code instead of holding one per entry."""
+        step = max(1, (1 << 20) // (self.N * self.m))
+        ints = np.arange(self.N).astype(object)
+        rows = []
+        for start in range(0, self.N, step):
+            codes = self.encode(block_digits(self.D[start : start + step]))
+            rows += ints[codes].tolist()
+        return rows
+
+    @cached_property
+    def neg(self) -> list[int]:
+        return self.encode(-self.D % self.l).tolist()
+
+    @cached_property
+    def sub(self) -> list[list[int]]:
+        """sub[a][b] is the code of a - b."""
+        return self._rows(lambda A: (A[:, None, :] - self.D[None, :, :]) % self.l)
+
+    @cached_property
+    def mul(self) -> list[list[int]]:
+        """mul[a][b] is the code of a * b."""
+        return self._rows(self.products)
+
+    @cached_property
+    def inv(self) -> list[int]:
+        """inv[a] is the code of 1/a for a unit a and 0 for a non-unit."""
+        inv = [0] * self.N
+        for a, row in enumerate(self.mul):
+            try:
+                inv[a] = row.index(1)
+            except ValueError:  # a is not a unit
+                pass
+        return inv
+
+    @cached_property
+    def chi(self):
+        """Quadratic character by code: 1 on nonzero squares, -1 on the other
+        nonzero elements, 0 on zero.  Meaningful when f is irreducible."""
+        chi = -np.ones(self.N, dtype=np.int64)
+        chi[self.encode(self.pointwise(self.D))] = 1
+        chi[0] = 0
+        return chi
 
 
 @lru_cache(maxsize=None)
-def _field_cache(l: int, d: int) -> FqField:
-    return FqField(l, d)
+def residue_ring(modulus: Poly) -> ResidueRing:
+    return ResidueRing(modulus)
 
 
 class ChainRing:
     """F_Q[t]/(t^e): elements are length-e tuples of field codes, low first."""
 
-    def __init__(self, field: FqField, e: int):
+    def __init__(self, field: ResidueRing, e: int):
         self.field = field
         self.e = e
         self.zero = (0,) * e
         self.one = (1,) + (0,) * (e - 1)
 
     def elements(self):
-        return [tuple(reversed(t)) for t in product(range(self.field.Q), repeat=self.e)]
+        return [tuple(reversed(t)) for t in product(range(self.field.N), repeat=self.e)]
 
     def add(self, x, y):
-        add = self.field.add
-        return tuple(add[a][b] for a, b in zip(x, y))
+        f = self.field
+        return tuple(f.sub[a][f.neg[b]] for a, b in zip(x, y))
 
     def neg(self, x):
         neg = self.field.neg
         return tuple(neg[a] for a in x)
 
     def sub(self, x, y):
-        f = self.field
-        return tuple(f.add[a][f.neg[b]] for a, b in zip(x, y))
+        sub = self.field.sub
+        return tuple(sub[a][b] for a, b in zip(x, y))
 
     def mul(self, x, y):
         f = self.field
         out = [0] * self.e
         for i, xi in enumerate(x):
             if xi:
-                row = f.mul[xi]
+                # out + xi * y, as out - (-xi) * y
+                row = f.mul[f.neg[xi]]
                 for j in range(self.e - i):
                     yj = y[j]
                     if yj:
-                        out[i + j] = f.add[out[i + j]][row[yj]]
+                        out[i + j] = f.sub[out[i + j]][row[yj]]
         return tuple(out)
-
-    def scalar_mul(self, c: int, x):
-        row = self.field.mul[c]
-        return tuple(row[a] for a in x)
 
     def val(self, x) -> int:
         """t-adic valuation, with val(0) = e."""
@@ -158,17 +214,18 @@ class ChainRing:
         u0 = f.inv[x[0]]
         out = [u0] + [0] * (self.e - 1)
         for k in range(1, self.e):
+            # s = -sum_{i >= 1} x_i * out_{k-i}
             s = 0
             for i in range(1, k + 1):
                 if x[i] and out[k - i]:
-                    s = f.add[s][f.mul[x[i]][out[k - i]]]
-            out[k] = f.neg[f.mul[u0][s]]
+                    s = f.sub[s][f.mul[x[i]][out[k - i]]]
+            out[k] = f.mul[u0][s]
         return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _chain_cache(l: int, d: int, e: int) -> ChainRing:
-    return ChainRing(_field_cache(l, d), e)
+    return ChainRing(residue_ring(find_irreducible(l, d)), e)
 
 
 def chain_ring_for(spec: LocalRingSpec) -> ChainRing:
@@ -290,7 +347,7 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
     k = len(ambient)
     if k == 0:
         return {(): 1}
-    Q = ring.field.Q
+    Q = ring.field.N
     if all(a == 1 for a in ambient):
         return _vector_space_submodule_counts(Q, k)
     counts: dict = {}
@@ -334,12 +391,9 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
 
 
 class LocalTables:
-    """Integer-encoded arithmetic tables for one local ring F_l[X]/(p^e).
-
-    A code in [0, N) holds the base-l digits of the residue polynomial; the
-    tables support the valuation-elimination classification of cokernels
-    without any polynomial arithmetic in the inner loop.
-    """
+    """Valuation tables for the cokernel classification over one local ring
+    F_l[X]/(p^e), on the codes of its residue ring: the p-adic valuation of
+    each code and division by p^v of each multiple of p^v."""
 
     MAX_SIZE = 2048
 
@@ -348,87 +402,29 @@ class LocalTables:
             raise ValueError(
                 f"local ring of size {spec.size} exceeds the table cap {self.MAX_SIZE}"
             )
-        self.spec = spec
-        l = spec.l
-        e = spec.e
-        m = e * spec.residue_degree
-        N = spec.size
-        self.N = N
-        self.e = e
-        mod_coeffs = list(spec.modulus.coeffs[:-1])
-
-        codes = np.arange(N)
-        D = np.zeros((N, m), dtype=np.int64)
-        t = codes.copy()
-        for i in range(m):
-            D[:, i] = t % l
-            t //= l
-        DX = np.zeros((m, N, m), dtype=np.int64)
-        DX[0] = D
-        mod_row = np.array(mod_coeffs, dtype=np.int64)
-        for i in range(1, m):
-            prev = DX[i - 1]
-            shifted = np.zeros_like(prev)
-            shifted[:, 1:] = prev[:, :-1]
-            top = prev[:, m - 1]
-            DX[i] = (shifted - np.outer(top, mod_row)) % l
-
-        prod_digits = np.einsum("ai,ibm->abm", D, DX) % l
-        powers = l ** np.arange(m)
-        self.mul = (prod_digits @ powers).astype(np.int64)
-        sub_digits = (D[:, None, :] - D[None, :, :]) % l
-        self.sub = (sub_digits @ powers).astype(np.int64)
-
-        pcode = self._encode_poly(spec.p)
-        val = np.zeros(N, dtype=np.int64)
-        ideal = codes
-        for vstep in range(1, e + 1):
-            ideal = np.unique(self.mul[pcode, ideal])
-            val[ideal] = vstep
-        self.val = val
-
-        sd = np.zeros((e + 1, N), dtype=np.int64)
+        self.ring = residue_ring(spec.modulus)
+        self.e = e = spec.e
+        codes = np.arange(spec.size)
+        times_p = np.array(self.ring.mul[self.ring.encode_poly(spec.p)])
+        val = np.zeros(spec.size, dtype=np.int64)
+        sd = np.zeros((e + 1, spec.size), dtype=np.int64)
         sd[0] = codes
         image = codes
         for vstep in range(1, e + 1):
-            image = self.mul[pcode, codes] if vstep == 1 else self.mul[pcode, image]
+            image = times_p[image]
+            val[image] = vstep
             sd[vstep][image] = codes
-        self.shiftdown = sd
-
-        inv = np.zeros(N, dtype=np.int64)
-        pairs = np.argwhere(self.mul == 1)
-        inv[pairs[:, 0]] = pairs[:, 1]
-        self.inv = inv
-
-        self.mul_rows = self.mul.tolist()
-        self.sub_rows = self.sub.tolist()
-        self.val_list = val.tolist()
-        self.sd_rows = sd.tolist()
-        self.inv_list = inv.tolist()
-
-    def _encode_poly(self, f: Poly) -> int:
-        r = poly_mod(f, self.spec.modulus)
-        code = 0
-        for c in reversed(r.coeffs):
-            code = code * self.spec.l + c
-        return code
-
-    def decode_poly(self, code: int) -> Poly:
-        digits = []
-        l = self.spec.l
-        while code:
-            digits.append(code % l)
-            code //= l
-        return Poly(l, digits)
+        self.val = val.tolist()
+        self.shiftdown = sd.tolist()
 
     def coker_partition(self, mat, n: int) -> tuple:
         """Partition of coker of the n x n code matrix, parts descending."""
         e = self.e
-        val = self.val_list
-        mul = self.mul_rows
-        sub = self.sub_rows
-        sd = self.sd_rows
-        inv = self.inv_list
+        val = self.val
+        mul = self.ring.mul
+        sub = self.ring.sub
+        sd = self.shiftdown
+        inv = self.ring.inv
         A = [list(row) for row in mat]
         rows = list(range(n))
         cols = list(range(n))
@@ -485,7 +481,7 @@ def _module_elements(ring: ChainRing, ambient: tuple):
         per_coord.append(
             [
                 tuple(reversed(t)) + (0,) * (ring.e - lam)
-                for t in product(range(ring.field.Q), repeat=lam)
+                for t in product(range(ring.field.N), repeat=lam)
             ]
         )
     return [tuple(v) for v in product(*per_coord)]
@@ -531,7 +527,7 @@ def bfs_submodules(ring: ChainRing, ambient: tuple) -> dict:
 
 
 def _set_type(ring: ChainRing, ambient: tuple, span: frozenset) -> tuple:
-    Q = ring.field.Q
+    Q = ring.field.N
     logs = []
     cur = span
     for i in range(ring.e + 1):
@@ -579,7 +575,7 @@ def brute_hom_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
 
 def brute_surj_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
     zero_vec = tuple(ring.zero for _ in lam_a)
-    full_size = ring.field.Q ** sum(lam_a)
+    full_size = ring.field.N ** sum(lam_a)
     image_sets = [_admissible_images(ring, lam_a, mj) for mj in lam_m]
     count = 0
     for images in product(*image_sets):

@@ -131,6 +131,13 @@ def _cmd_eta(args) -> int:
 def _cmd_measure(args) -> int:
     ring = parse_ring_json(args.ring)
     types = json.loads(args.types)
+    if not isinstance(types, list) or not all(
+        isinstance(x, list) and all(type(part) is int for part in x) for x in types
+    ):
+        raise ValueError(
+            f"--types must be a JSON list with one list of integer parts per "
+            f"factor, like [[2, 1]]; got {args.types}"
+        )
     t = ModuleType(ring, tuple(Partition(tuple(x)) for x in types))
     v = mu(t)
     manifest = _manifest("measure", {"ring": ring_json(ring), "types": types})

@@ -4,16 +4,16 @@ frequencies compared against the exact density predictions."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from .algebra import Poly, factor_multiplicity, find_irreducible, is_prime, poly_gcd
+from .chainring import residue_ring
 from .measure import MeasureValue, divisor_density, divisor_density_hypothesis
+from .montecarlo import worker_streams
 
 __all__ = [
     "CurveSample",
@@ -56,65 +56,6 @@ class DensityReport:
     exhaustive: bool
 
 
-class _ExtField:
-    """Vectorized arithmetic for F_{q^d}, q an odd prime: all elements as a
-    base-q digit matrix, with the quadratic character precomputed."""
-
-    def __init__(self, q: int, d: int):
-        self.q = q
-        self.d = d
-        self.N = q**d
-        modulus = find_irreducible(q, d)
-        mod_row = np.array(modulus.coeffs[:-1], dtype=np.int64)
-        codes = np.arange(self.N)
-        E = np.zeros((self.N, d), dtype=np.int64)
-        t = codes.copy()
-        for k in range(d):
-            E[:, k] = t % q
-            t //= q
-        self.E = E
-        red = []
-        cur = (-mod_row) % q
-        for _ in range(d - 1):
-            red.append(cur.copy())
-            nxt = np.zeros(d, dtype=np.int64)
-            nxt[1:] = cur[:-1]
-            top = cur[d - 1]
-            if top:
-                nxt = (nxt + top * ((-mod_row) % q)) % q
-            cur = nxt
-        self.red = np.array(red, dtype=np.int64) if d > 1 else None
-        sq = self.mul(E, E)
-        chi = -np.ones(self.N, dtype=np.int64)
-        chi[self.encode(sq)] = 1
-        chi[0] = 0
-        self.chi = chi
-
-    def mul(self, A, B):
-        q, d = self.q, self.d
-        n = A.shape[0]
-        C = np.zeros((n, 2 * d - 1), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                C[:, i + j] += A[:, i] * B[:, j]
-        C %= q
-        out = C[:, :d].copy()
-        for t in range(d - 1):
-            out += np.outer(C[:, d + t], self.red[t])
-        return out % q
-
-    def encode(self, A):
-        code = np.zeros(A.shape[0], dtype=np.int64)
-        for k in range(self.d - 1, -1, -1):
-            code = code * self.q + A[:, k]
-        return code
-
-
-@lru_cache(maxsize=None)
-def _ext_field(q: int, d: int) -> _ExtField:
-    return _ExtField(q, d)
-
-
 def _validate_q(q: int) -> None:
     if q % 2 == 0 or not is_prime(q):
         raise ValueError("only odd prime base fields are supported")
@@ -126,12 +67,13 @@ def point_counts(f, q: int, g: int) -> list[int]:
     _validate_q(q)
     out = []
     for d in range(1, g + 1):
-        ext = _ext_field(q, d)
-        acc = np.zeros((ext.N, d), dtype=np.int64)
+        field = residue_ring(find_irreducible(q, d))
+        # Horner's rule at every x of F_{q^d} at once
+        acc = np.zeros((field.N, d), dtype=np.int64)
         for c in reversed(f):
-            acc = ext.mul(acc, ext.E)
+            acc = field.pointwise(acc)
             acc[:, 0] = (acc[:, 0] + c) % q
-        out.append(1 + int((ext.chi[ext.encode(acc)] + 1).sum()))
+        out.append(1 + int((field.chi[field.encode(acc)] + 1).sum()))
     return out
 
 
@@ -194,11 +136,6 @@ def all_squarefree_monic(q: int, degree: int):
     return out
 
 
-def _child_seed(seed: int, worker: int) -> int:
-    h = hashlib.sha256(f"cokernel-lab-curves:{seed}:{worker}".encode()).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     """The printed hypotheses, enforced at configuration time with the
     failing condition named: l an odd prime, l coprime to q, l not dividing
@@ -233,12 +170,7 @@ def _iter_curves(q, g, trials, seed, workers, exhaustive):
         for f in all_squarefree_monic(q, 2 * g + 1):
             yield f
         return
-    base = trials // workers
-    sizes = [base] * workers
-    for i in range(trials - base * workers):
-        sizes[i] += 1
-    for worker, count in enumerate(sizes):
-        rng = np.random.default_rng(_child_seed(seed, worker))
+    for rng, count in worker_streams("cokernel-lab-curves", seed, trials, workers):
         for _ in range(count):
             yield sample_curve(q, g, rng)
 

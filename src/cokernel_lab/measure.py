@@ -294,50 +294,61 @@ def divisor_density(l: int, conditions, q: int | None = None) -> MeasureValue:
 
     Given the field size q, a condition that the functional equation ties
     to itself gets its limit at q instead; see _self_paired_density. Such a
-    condition whose limit is not known here raises ValueError.
+    condition whose limit is not known here raises ValueError. Two
+    conditions that are each other's partners at q always divide P_C mod l
+    equally often, so the pair has mass 0 when their multiplicities differ
+    and counts once when they agree.
     """
     conds = _validate_conditions(l, conditions)
     if q is not None and (q < 2 or q % l == 0):
         raise ValueError(f"q = {q} must be a field size coprime to l = {l}")
     out = MeasureValue(Fraction(1))
+    counted = {}
     for p, m in conds:
         # built first: it rejects a reducible p before the reciprocal test
         local = LocalRingSpec(l, p, m + 1)
-        value = None if q is None else _self_paired_density(p, m, q)
-        if value is None:
+        partner = None if q is None or p == Poly.x(l) else _reciprocal(p, q)
+        if partner is not None and partner.coeffs in counted:
+            value = MeasureValue(Fraction(int(counted[partner.coeffs] == m)))
+        elif q is not None and partner in (None, p):
+            value = _self_paired_density(p, m, q)
+        else:
             value = rank_distribution(local, 2 * m * p.degree)
+        counted[p.coeffs] = m
         out = out * value
     return out
 
 
-def _self_paired_density(p: Poly, m: int, q: int) -> MeasureValue | None:
-    """The limit at q of Prob(p^m || P_C mod l) when the functional equation
-    ties p to itself, or None when p has a distinct partner.
+def _reciprocal(p: Poly, q: int) -> Poly:
+    """p^*(X) = X^d p(q/X) / p(0), the partner of p under the pairing
+    t <-> q/t of the roots of P_C; p(0) must be nonzero."""
+    l = p.l
+    d = p.degree
+    c0_inv = pow(p.coeffs[0], -1, l)
+    return Poly(
+        l, tuple(p.coeffs[d - k] * pow(q, d - k, l) * c0_inv for k in range(d + 1))
+    )
+
+
+def _self_paired_density(p: Poly, m: int, q: int) -> MeasureValue:
+    """The limit at q of Prob(p^m || P_C mod l) for p = X or p = p^*.
 
     The Weil pairing puts Frobenius in GSp_2g with multiplier q, so the
-    roots of P_C pair as t <-> q/t and p pairs with its reciprocal
-    p^*(X) = X^d p(q/X) / p(0). X never divides P_C, whose constant term
-    q^g is a unit mod l. For X - a with a^2 = q mod l, Frob/a mod l lies in
-    Sp_2g(F_l), and X - a divides P_C exactly when that matrix has the
-    eigenvalue 1, which has even multiplicity. Multiplicity 0 has the
-    large-g mass prod_{i>=1} (1 - l^(1-2i)) = eta(l)/eta(l^2)
-    (Rudvalis-Shinoda; Fulman) and odd multiplicities have mass 0. Other
-    self-reciprocal conditions, p^* = p of degree >= 2 or X - a with even
-    m >= 2, raise ValueError.
+    roots of P_C pair as t <-> q/t and p pairs with its reciprocal p^*.
+    X never divides P_C, whose constant term q^g is a unit mod l. For
+    X - a with a^2 = q mod l, Frob/a mod l lies in Sp_2g(F_l), and X - a
+    divides P_C exactly when that matrix has the eigenvalue 1, which has
+    even multiplicity. Multiplicity 0 has the large-g mass
+    prod_{i>=1} (1 - l^(1-2i)) = eta(l)/eta(l^2) (Rudvalis-Shinoda; Fulman)
+    and odd multiplicities have mass 0. Other self-reciprocal conditions,
+    p^* = p of degree >= 2 or X - a with even m >= 2, raise ValueError.
     """
     l = p.l
     if p == Poly.x(l):
         return MeasureValue(Fraction(int(m == 0)))
-    d = p.degree
-    c0_inv = pow(p.coeffs[0], -1, l)
-    reciprocal = Poly(
-        l, tuple(p.coeffs[d - k] * pow(q, d - k, l) * c0_inv for k in range(d + 1))
-    )
-    if reciprocal != p:
-        return None
-    if d == 1 and m == 0:
+    if p.degree == 1 and m == 0:
         return MeasureValue(Fraction(1), (l,), (l * l,))
-    if d == 1 and m % 2:
+    if p.degree == 1 and m % 2:
         return MeasureValue(Fraction(0))
     raise ValueError(
         f"condition {p} with multiplicity {m} is self-reciprocal at q = {q}; "

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import RingSpec
-from .chainring import LocalTables, local_tables_for
+from .chainring import LocalTables, ResidueRing, local_tables_for
 from .measure import MeasureValue, c_constant, mu, qbinom
 from .modules import (
     ModuleType,
@@ -69,11 +69,6 @@ class EmpiricalDist:
         return self.counts.get(t, 0) / self.total
 
 
-def _child_seed(seed: int, worker: int) -> int:
-    h = hashlib.sha256(f"cokernel-lab:{seed}:{worker}".encode()).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 class _LocalClassifier:
     """Classifies one local factor's code matrices, via integer tables when
     the ring is small enough and via the polynomial SNF route otherwise."""
@@ -92,30 +87,28 @@ class _LocalClassifier:
             return self.tables.coker_partition(mat, n)
         rows = tuple(
             tuple(
-                RingElem(self.ring, (self._decode(mat[i][j]),)) for j in range(n)
+                RingElem(self.ring, (ResidueRing.decode(self.spec.l, mat[i][j]),))
+                for j in range(n)
             )
             for i in range(n)
         )
         t = coker_type(RingMatrix(self.ring, rows))
         return t.local_types[0].parts
 
-    def _decode(self, code: int):
-        from .algebra import Poly
 
-        digits = []
-        l = self.spec.l
-        while code:
-            digits.append(code % l)
-            code //= l
-        return Poly(l, digits)
-
-
-def _worker_trials(trials: int, workers: int) -> list[int]:
-    base = trials // workers
-    out = [base] * workers
-    for i in range(trials - base * workers):
-        out[i] += 1
-    return out
+def worker_streams(salt: str, seed: int, trials: int, workers: int):
+    """(generator, draw count) per worker in index order: the trials split
+    as evenly as possible, the first workers taking one more, each stream
+    seeded from a hash of the salt, the seed and the worker index."""
+    if trials < 1:
+        raise ValueError(f"random sampling needs trials >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError("worker count must be positive")
+    base, extra = divmod(trials, workers)
+    for worker in range(workers):
+        h = hashlib.sha256(f"{salt}:{seed}:{worker}".encode()).digest()
+        rng = np.random.default_rng(int.from_bytes(h[:8], "big"))
+        yield rng, base + (worker < extra)
 
 
 def _iter_types(cfg: SampleConfig):
@@ -141,8 +134,7 @@ def _iter_types(cfg: SampleConfig):
                 cls.partition(mats[fi], n) for fi, cls in enumerate(classifiers)
             )
         return
-    for worker, count in enumerate(_worker_trials(cfg.trials, cfg.workers)):
-        rng = np.random.default_rng(_child_seed(cfg.seed, worker))
+    for rng, count in worker_streams("cokernel-lab", cfg.seed, cfg.trials, cfg.workers):
         done = 0
         while done < count:
             batch = min(BATCH, count - done)

@@ -170,6 +170,33 @@ def test_invalid_json_exit_code(capsys):
     assert doc is None
 
 
+F3_LOCAL = '{"l": 3, "factors": [{"p": [0, 1], "e": 2}]}'
+CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X-1:0")
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2"), "trials >= 1"),
+        (CURVES, "trials >= 1"),
+        (CURVES + ("--trials", "5", "--workers", "0"), "worker count"),
+        (("measure", "--ring", F3_LOCAL, "--types", "[3]"), "--types must be"),
+        (("measure", "--ring", F3_LOCAL, "--types", '["2"]'), "--types must be"),
+        # F_{13^5}, the first field past the cap, is refused before it is built
+        (
+            ("simulate", "curves", "--l", "3", "--q", "13", "--g", "8",
+             "--cond", "X^2+X+2:0", "--trials", "1"),
+            "above MAX_RING_SIZE",
+        ),
+    ],
+)
+def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc is None
+    assert cause in err
+
+
 def test_unknown_flag_exit_code(capsys):
     code, _, _ = run_cli(capsys, "eta", "--Q", "3", "--bogus")
     assert code == 1

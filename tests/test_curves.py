@@ -158,3 +158,24 @@ def test_independence_stats_shape():
     assert sum(sum(row) for row in stats["table"]) == stats["trials"] == 100
     assert 0 <= stats["joint"] <= 1
     assert stats["gap_std_error"] >= 0
+
+
+def test_reciprocal_partners_divide_equally_in_census():
+    """X - 3 and X - 4 are partners at q = 7, l = 5 (3 * 4 = 7 mod 5), so
+    every curve of the (g, q) = (1, 7) census has them to equal multiplicity,
+    matching the density of 0 for unequal multiplicities."""
+    from cokernel_lab.algebra import factor_multiplicity
+    from cokernel_lab.measure import divisor_density
+
+    a, b = Poly(5, (2, 1)), Poly(5, (1, 1))
+    census = all_squarefree_monic(7, 3)
+    assert len(census) == 294
+    divisible = 0
+    for f in census:
+        reduced = Poly(5, curve_sample_from_f(f, 7, 1).char_poly)
+        m = factor_multiplicity(reduced, a)
+        assert factor_multiplicity(reduced, b) == m, f
+        divisible += m > 0
+    assert divisible == 63
+    assert divisor_density(5, [(a, 1), (b, 0)], q=7).rational == 0
+    assert divisor_density(5, [(a, 1), (b, 1)], q=7) == divisor_density(5, [(a, 1)], q=7)

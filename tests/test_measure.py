@@ -242,6 +242,25 @@ def test_divisor_density_unsettled_self_reciprocal_raises():
         divisor_density(3, [(X_PLUS_1, 0)], q=12)
 
 
+# reciprocal partners at q = 13 (13 = 1 mod 3): X^2 + X + 2 <-> X^2 + 2X + 2
+PARTNER_A = Poly(3, (2, 1, 1))
+PARTNER_B = Poly(3, (2, 2, 1))
+
+
+def test_divisor_density_reciprocal_pair_at_q():
+    assert divisor_density(3, [(PARTNER_A, 1), (PARTNER_B, 0)], q=13).rational == 0
+    assert divisor_density(3, [(PARTNER_B, 2), (PARTNER_A, 1)], q=13).rational == 0
+    for m in (0, 1, 2):
+        single = divisor_density(3, [(PARTNER_A, m)], q=13)
+        assert divisor_density(3, [(PARTNER_A, m), (PARTNER_B, m)], q=13) == single
+    # a third, unpaired condition still multiplies in
+    both = divisor_density(3, [(PARTNER_A, 0), (PARTNER_B, 0), (X_PLUS_1, 0)], q=13)
+    assert both == MeasureValue(Fraction(1), (9, 3), (9,))
+    # without q the pair is treated as independent, as before
+    apart = divisor_density(3, [(PARTNER_A, 1), (PARTNER_B, 0)])
+    assert apart == MeasureValue(Fraction(9, 640), (9, 9))
+
+
 def test_divisor_density_without_q_unchanged():
     assert divisor_density(3, [(X_PLUS_1, 0)]) == MeasureValue(Fraction(1), (3,))
     assert divisor_density(3, [(X_PLUS_1, 1)]) == MeasureValue(Fraction(3, 16), (3,))

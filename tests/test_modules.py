@@ -11,6 +11,7 @@ from cokernel_lab.algebra import (
     poly_mod,
 )
 from cokernel_lab.chainring import (
+    ResidueRing,
     bfs_submodules,
     brute_force_aut_order,
     brute_hom_count,
@@ -257,7 +258,7 @@ def test_fast_table_coker_agrees_with_snf():
         codes = [[rng.randrange(spec.size) for _ in range(n)] for _ in range(n)]
         rows = tuple(
             tuple(
-                RingElem(ring, (tables.decode_poly(codes[i][j]),))
+                RingElem(ring, (ResidueRing.decode(spec.l, codes[i][j]),))
                 for j in range(n)
             )
             for i in range(n)
@@ -277,7 +278,7 @@ def test_fast_table_coker_agrees_quadratic_residue_field():
         codes = [[rng.randrange(spec.size) for _ in range(n)] for _ in range(n)]
         rows = tuple(
             tuple(
-                RingElem(ring, (tables.decode_poly(codes[i][j]),))
+                RingElem(ring, (ResidueRing.decode(spec.l, codes[i][j]),))
                 for j in range(n)
             )
             for i in range(n)
