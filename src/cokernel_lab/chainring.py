@@ -3,10 +3,10 @@
 Every local ring F_l[X]/(p^e) is, as a ring, a truncated polynomial ring
 F_Q[t]/(t^e) over its residue field of size Q = l^deg(p).  This module
 provides the one digit-coded residue-ring layer F_l[X]/(f) with its lookup
-tables, exact arithmetic on truncated polynomials, a canonical-form
-enumeration of submodules, valuation tables for fast cokernel
-classification, and element-level brute-force counters used as
-independent oracles.
+tables, exact arithmetic on truncated polynomials, valuation tables for
+fast cokernel classification, and the independent oracles for the closed
+forms in modules: a canonical-form enumeration of submodules, a BFS
+lattice walk and element-level brute-force counters.
 """
 
 from __future__ import annotations
@@ -587,7 +587,12 @@ def brute_surj_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
     return count
 
 
-def brute_force_aut_order(l: int, lam: tuple, chunk: int = 1 << 18) -> int:
+# endomorphisms whose determinants are expanded in one numpy batch
+_AUT_CHUNK = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def brute_force_aut_order(l: int, lam: tuple) -> int:
     """Count automorphisms of ⊕_j F_l[t]/(t^lam[j]) by enumerating every
     endomorphism and testing invertibility of its matrix on an F_l basis.
 
@@ -617,7 +622,7 @@ def brute_force_aut_order(l: int, lam: tuple, chunk: int = 1 << 18) -> int:
     count = 0
     off = 0
     while off < total:
-        size = min(chunk, total - off)
+        size = min(_AUT_CHUNK, total - off)
         codes = np.arange(off, off + size, dtype=np.int64)
         M = np.zeros((size, m, m), dtype=np.int16)
         for idx, (j, j2, s) in enumerate(slots):

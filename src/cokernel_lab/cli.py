@@ -314,7 +314,10 @@ def _cmd_simulate_curves(args) -> int:
             "workers": args.workers,
         },
         seed=args.seed,
-        hypotheses={"eta_product_gt_half": report.hypothesis_eta_gt_half},
+        hypotheses={
+            "eta_product_gt_half": report.hypothesis_eta_gt_half,
+            "prediction_applies_at_q": report.prediction_applies_at_q,
+        },
     )
     _emit(
         manifest,

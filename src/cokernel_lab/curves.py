@@ -12,7 +12,12 @@ import numpy as np
 
 from .algebra import Poly, factor_multiplicity, find_irreducible, is_prime, poly_gcd
 from .chainring import residue_ring
-from .measure import MeasureValue, divisor_density, divisor_density_hypothesis
+from .measure import (
+    MeasureValue,
+    divisor_density,
+    divisor_density_hypothesis,
+    prediction_applies_at_q,
+)
 from .montecarlo import worker_streams
 
 __all__ = [
@@ -53,6 +58,7 @@ class DensityReport:
     predicted_value: float
     std_error: float
     hypothesis_eta_gt_half: bool
+    prediction_applies_at_q: bool
     exhaustive: bool
 
 
@@ -220,6 +226,7 @@ def divisibility_stats(
         predicted_value=predicted.numeric(),
         std_error=sqrt(emp * (1 - emp) / total),
         hypothesis_eta_gt_half=divisor_density_hypothesis(l, conds),
+        prediction_applies_at_q=prediction_applies_at_q(l, conds, q),
         exhaustive=exhaustive,
     )
 

@@ -17,11 +17,12 @@ from functools import lru_cache
 from .algebra import LocalRingSpec, Poly, RingSpec, find_irreducible, is_prime
 from .modules import (
     ModuleType,
-    Partition,
     aut_order,
     d_invariant,
     enumerate_module_types,
     partitions_of,
+    qbinom,
+    submodule_counts,
 )
 
 __all__ = [
@@ -34,9 +35,9 @@ __all__ = [
     "rank_distribution",
     "rank_distribution_partition_form",
     "moment_rank",
-    "submodule_count",
     "divisor_density",
     "divisor_density_hypothesis",
+    "prediction_applies_at_q",
     "independence_prediction",
     "local_ring_with_residue_size",
 ]
@@ -134,20 +135,6 @@ def eta(Q: int, tol: float = DEFAULT_TOL) -> EtaEval:
     return EtaEval(Q, tol, value, depth)
 
 
-def qbinom(n: int, k: int, Q: int) -> int:
-    """Gaussian binomial: subspaces of dimension k in an n-space over F_Q.
-    Out-of-range k gives 0."""
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(1, k + 1):
-        num *= Q ** (n - k + i) - 1
-        den *= Q**i - 1
-    assert num % den == 0
-    return num // den
-
-
 def c_constant(ring: RingSpec, j) -> MeasureValue:
     """The normalizing constant of the stratum with Tor vector j."""
     j = tuple(j)
@@ -225,44 +212,7 @@ def moment_rank(Q: int, e: int, k: int) -> int:
     module over the chain quotient with exponent e."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    total = 0
-    for lam in partitions_of_at_most(k, e):
-        mu_p = Partition(lam)
-        term = 1
-        for j in range(1, e + 1):
-            a = mu_p.conj_part(j + 1)
-            b = mu_p.conj_part(j)
-            term *= Q ** (a * (k - b)) * qbinom(k - a, b - a, Q)
-        total += term
-    return total
-
-
-def partitions_of_at_most(max_parts: int, max_part: int):
-    """Partitions with at most max_parts parts, each bounded by max_part."""
-    def rec(remaining_parts, bound):
-        yield ()
-        if remaining_parts == 0:
-            return
-        for first in range(bound, 0, -1):
-            for rest in rec(remaining_parts - 1, first):
-                yield (first,) + rest
-
-    yield from rec(max_parts, max_part)
-
-
-def submodule_count(e: int, k: int, mu_p: Partition, Q: int) -> int:
-    """Number of submodules of type mu inside the free module of rank k over
-    the chain quotient with exponent e."""
-    if mu_p.parts and (mu_p.parts[0] > e or len(mu_p) > k):
-        return 0
-    lam = Partition((e,) * k)
-    term = 1
-    for j in range(1, e + 1):
-        a = mu_p.conj_part(j + 1)
-        b = mu_p.conj_part(j)
-        lj = lam.conj_part(j)
-        term *= Q ** (a * (lj - b)) * qbinom(lj - a, b - a, Q)
-    return term
+    return sum(count for _, count in submodule_counts(Q, (e,) * k))
 
 
 def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
@@ -327,6 +277,18 @@ def _reciprocal(p: Poly, q: int) -> Poly:
     c0_inv = pow(p.coeffs[0], -1, l)
     return Poly(
         l, tuple(p.coeffs[d - k] * pow(q, d - k, l) * c0_inv for k in range(d + 1))
+    )
+
+
+def prediction_applies_at_q(l: int, conditions, q: int) -> bool:
+    """Whether the q-free divisor_density(l, conditions) is also the limit
+    at q: false when a condition is X, is its own reciprocal partner at q,
+    or is the partner of another condition, the cases that
+    divisor_density(..., q=q) treats apart."""
+    conds = _validate_conditions(l, conditions)
+    polys = {p.coeffs for p, _ in conds}
+    return not any(
+        p == Poly.x(l) or _reciprocal(p, q).coeffs in polys for p, _ in conds
     )
 
 

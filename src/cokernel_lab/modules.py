@@ -4,9 +4,10 @@ automorphisms, homomorphisms, surjections, and submodules."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .algebra import (
     LocalRingSpec,
@@ -16,18 +17,19 @@ from .algebra import (
     factor_multiplicity,
     poly_divmod,
 )
-from .chainring import _chain_cache, enumerate_submodules_chain
 
 __all__ = [
     "Partition",
     "ModuleType",
     "RingMatrix",
-    "enumeration_cap",
+    "MAX_MODULE_SIZE",
     "snf_invariant_factors",
     "coker_type",
     "d_invariant",
     "aut_order",
     "hom_count",
+    "qbinom",
+    "submodule_counts",
     "surj_count",
     "enumerate_submodules",
     "enumerate_module_types",
@@ -35,18 +37,10 @@ __all__ = [
 ]
 
 
-DEFAULT_CAP = 3**10
-
-
-def enumeration_cap() -> int:
-    """Submodule-lattice size cap, overridable via COKERNEL_LAB_CAP."""
-    raw = os.environ.get("COKERNEL_LAB_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("COKERNEL_LAB_CAP must be positive")
-    return cap
+# Largest module whose submodules are listed or whose surjections are
+# counted: the per-type lists and the surjection recursion both grow with
+# the number of parts.
+MAX_MODULE_SIZE = 3**10
 
 
 @dataclass(frozen=True)
@@ -71,17 +65,11 @@ class Partition:
         return len(self.parts)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        out = []
-        for i in range(1, self.parts[0] + 1):
-            out.append(sum(1 for p in self.parts if p >= i))
-        return Partition(tuple(out))
+        top = self.parts[0] if self.parts else 0
+        return Partition(tuple(self.conj_part(i) for i in range(1, top + 1)))
 
     def conj_part(self, j: int) -> int:
         """Number of parts >= j, with conj_part(0) = number of parts."""
-        if j <= 0:
-            return len(self.parts)
         return sum(1 for p in self.parts if p >= j)
 
 
@@ -288,21 +276,60 @@ def hom_count(m: ModuleType, a: ModuleType) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _local_submodule_counts(l: int, d: int, lam_a: tuple[int, ...]) -> tuple:
-    e = lam_a[0] if lam_a else 1
-    ring = _chain_cache(l, d, e)
-    counts = enumerate_submodules_chain(ring, lam_a)
-    return tuple(sorted(counts.items()))
+def qbinom(n: int, k: int, Q: int) -> int:
+    """Gaussian binomial: subspaces of dimension k in an n-space over F_Q.
+    Out-of-range k gives 0."""
+    if k < 0 or k > n:
+        return 0
+    num = 1
+    den = 1
+    for i in range(1, k + 1):
+        num *= Q ** (n - k + i) - 1
+        den *= Q**i - 1
+    assert num % den == 0
+    return num // den
+
+
+def _subpartitions(lam: tuple[int, ...]):
+    """Partitions nu with nu_i <= lam_i for every i, zero parts dropped."""
+    if not lam:
+        yield ()
+        return
+    for first in range(lam[0], 0, -1):
+        for rest in _subpartitions(tuple(min(x, first) for x in lam[1:])):
+            yield (first,) + rest
+    yield ()
 
 
 @lru_cache(maxsize=None)
-def _local_surj(l: int, d: int, lam_m: tuple[int, ...], lam_a: tuple[int, ...]) -> int:
-    Q = l**d
+def submodule_counts(Q: int, lam: tuple[int, ...]) -> tuple:
+    """Submodules of each type nu in a module of type lam over a chain ring
+    with residue field F_Q, as sorted (nu, count) pairs.
+
+    Birkhoff's formula (Birkhoff 1935; Macdonald, Symmetric Functions and
+    Hall Polynomials, ch. II): with primes for conjugate partitions,
+    prod_{i>=1} Q^{nu'_{i+1} (lam'_i - nu'_i)}
+        * [lam'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_Q.
+    Every nu contained in lam occurs."""
+    lam_c = Partition(lam).conjugate().parts
+    out = []
+    for nu in _subpartitions(lam):
+        nu_p = Partition(nu)
+        count = 1
+        for i, lam_i in enumerate(lam_c, start=1):
+            a = nu_p.conj_part(i + 1)
+            b = nu_p.conj_part(i)
+            count *= Q ** (a * (lam_i - b)) * qbinom(lam_i - a, b - a, Q)
+        out.append((nu, count))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _local_surj(Q: int, lam_m: tuple[int, ...], lam_a: tuple[int, ...]) -> int:
     total = Q ** sum(min(x, y) for x in lam_m for y in lam_a)
-    for sub, cnt in _local_submodule_counts(l, d, lam_a):
+    for sub, cnt in submodule_counts(Q, lam_a):
         if sub != lam_a:
-            total -= cnt * _local_surj(l, d, lam_m, sub)
+            total -= cnt * _local_surj(Q, lam_m, sub)
     return total
 
 
@@ -311,35 +338,29 @@ def surj_count(m: ModuleType, a: ModuleType) -> int:
     over the submodule lattice of A."""
     if m.ring != a.ring:
         raise ValueError("ring mismatch")
-    cap = enumeration_cap()
-    if a.size > cap:
-        raise ValueError(f"target of size {a.size} exceeds the cap {cap}")
+    if a.size > MAX_MODULE_SIZE:
+        raise ValueError(f"target of size {a.size} exceeds the cap {MAX_MODULE_SIZE}")
     out = 1
     for lm, la, f in zip(m.local_types, a.local_types, m.ring.factors):
-        out *= _local_surj(f.l, f.residue_degree, lm.parts, la.parts)
+        out *= _local_surj(f.Q, lm.parts, la.parts)
     return out
 
 
 def enumerate_submodules(a: ModuleType) -> dict:
     """Submodules of a module of the given type, grouped by isomorphism type
     with exact multiplicities (a dict ModuleType -> count)."""
-    cap = enumeration_cap()
-    if a.size > cap:
-        raise ValueError(f"module of size {a.size} exceeds the cap {cap}")
+    if a.size > MAX_MODULE_SIZE:
+        raise ValueError(f"module of size {a.size} exceeds the cap {MAX_MODULE_SIZE}")
     per_factor = [
-        _local_submodule_counts(f.l, f.residue_degree, lam.parts)
+        submodule_counts(f.Q, lam.parts)
         for lam, f in zip(a.local_types, a.ring.factors)
     ]
-    out: dict = {}
-    def rec(idx, acc_types, acc_count):
-        if idx == len(per_factor):
-            t = ModuleType(a.ring, tuple(Partition(x) for x in acc_types))
-            out[t] = out.get(t, 0) + acc_count
-            return
-        for sub, cnt in per_factor[idx]:
-            rec(idx + 1, acc_types + [sub], acc_count * cnt)
-    rec(0, [], 1)
-    return out
+    return {
+        ModuleType(a.ring, tuple(Partition(sub) for sub, _ in combo)): prod(
+            cnt for _, cnt in combo
+        )
+        for combo in product(*per_factor)
+    }
 
 
 def partitions_of(n: int, max_part: int):

@@ -85,8 +85,8 @@ def _suite_exact() -> list[dict]:
         if got != expect:
             ok = False
             worst = f"moment({Q},{e},{k}) = {got} != {expect}"
-    free = ModuleType(RingSpec((_spec(3, 1, 2),)), (Partition((2, 2)),))
-    n_sub = sum(enumerate_submodules(free).values())
+    ring = chain_ring_for(_spec(3, 1, 2))
+    n_sub = sum(enumerate_submodules_chain(ring, (2, 2)).values())
     if n_sub != moment_rank(3, 2, 2):
         ok = False
         worst = f"submodule total {n_sub} != moment {moment_rank(3, 2, 2)}"

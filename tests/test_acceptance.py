@@ -6,7 +6,11 @@ import time
 from fractions import Fraction
 
 from cokernel_lab.algebra import LocalRingSpec, Poly, RingSpec, find_irreducible
-from cokernel_lab.chainring import brute_force_aut_order
+from cokernel_lab.chainring import (
+    brute_force_aut_order,
+    chain_ring_for,
+    enumerate_submodules_chain,
+)
 from cokernel_lab.curves import (
     all_squarefree_monic,
     curve_sample_from_f,
@@ -25,7 +29,6 @@ from cokernel_lab.modules import (
     ModuleType,
     Partition,
     aut_order,
-    enumerate_submodules,
     partitions_of,
     surj_count,
 )
@@ -151,10 +154,11 @@ def test_criterion_4_moment_equals_submodule_census():
             k = 1
             while Q ** (e * k) <= cap:
                 local = local_ring_with_residue_size(Q, e)
-                free = ModuleType(
-                    RingSpec((local,)), (Partition((e,) * k),)
+                census = sum(
+                    enumerate_submodules_chain(
+                        chain_ring_for(local), (e,) * k
+                    ).values()
                 )
-                census = sum(enumerate_submodules(free).values())
                 closed = moment_rank(Q, e, k)
                 checked += 1
                 if census != closed:

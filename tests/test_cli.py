@@ -139,6 +139,8 @@ def test_simulate_curves_subcommand(capsys):
     _assert_valid(doc)
     assert doc["result"]["trials"] == 100
     assert doc["manifest"]["hypotheses"]["eta_product_gt_half"] is True
+    # X - 1 pairs with X - 2 at q = 5, which is not a condition here
+    assert doc["manifest"]["hypotheses"]["prediction_applies_at_q"] is True
 
 
 def test_hypothesis_gate_exit_code(capsys):
@@ -202,8 +204,9 @@ def test_unknown_flag_exit_code(capsys):
     assert code == 1
 
 
-def test_verify_exact_suite(capsys):
-    code, doc, err = run_cli(capsys, "verify", "--suite", "exact")
+@pytest.mark.parametrize("suite", ["exact", "montecarlo", "curves-small"])
+def test_verify_suite_passes(capsys, suite):
+    code, doc, err = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
     _assert_valid(doc)
     assert doc["result"]["passed"] is True

@@ -15,18 +15,24 @@ from cokernel_lab.measure import (
     eta,
     independence_prediction,
     local_ring_with_residue_size,
+    prediction_applies_at_q,
     moment_rank,
     mu,
     qbinom,
     rank_distribution,
     rank_distribution_partition_form,
-    submodule_count,
+)
+from cokernel_lab.chainring import (
+    brute_force_aut_order,
+    chain_ring_for,
+    enumerate_submodules_chain,
 )
 from cokernel_lab.modules import (
     ModuleType,
     Partition,
     enumerate_module_types,
-    enumerate_submodules,
+    partitions_of,
+    submodule_counts,
 )
 
 
@@ -152,19 +158,42 @@ def test_moment_rank_examples():
 def test_moment_rank_matches_enumeration():
     for Q, e, k in [(3, 1, 3), (3, 2, 2), (5, 1, 2), (9, 1, 2), (3, 3, 1)]:
         local = local_ring_with_residue_size(Q, e)
-        ring = RingSpec((local,))
-        free = ModuleType(ring, (Partition((e,) * k),))
-        assert moment_rank(Q, e, k) == sum(enumerate_submodules(free).values())
+        census = enumerate_submodules_chain(chain_ring_for(local), (e,) * k)
+        assert moment_rank(Q, e, k) == sum(census.values())
 
 
 def test_submodule_count_matches_enumeration():
-    local = _spec(3, 1, 2)
-    ring = RingSpec((local,))
-    free = ModuleType(ring, (Partition((2, 2)),))
-    by_type = enumerate_submodules(free)
-    for t, cnt in by_type.items():
-        lam = t.local_types[0]
-        assert submodule_count(2, 2, lam, 3) == cnt
+    """Birkhoff's closed form against the canonical-form enumeration, type
+    by type."""
+    for l, d, lam in [
+        (3, 1, (2, 2)),
+        (3, 1, (2, 1)),
+        (3, 1, (2, 1, 1)),
+        (3, 1, (3, 2, 1)),
+        (3, 1, (4, 2, 1)),
+        (5, 1, (2, 1)),
+        (3, 2, (2, 1)),
+        (3, 2, (3, 1)),
+        (3, 2, (3, 2)),
+        (3, 3, (2, 1)),
+    ]:
+        ring = chain_ring_for(_spec(l, d, lam[0]))
+        census = enumerate_submodules_chain(ring, lam)
+        assert dict(submodule_counts(l**d, lam)) == census, (l, d, lam)
+
+
+def test_rank_distribution_matches_brute_aut_orders():
+    """The rational part of rank_distribution is the sum of 1/|Aut| over
+    types, with |Aut| from the brute-force oracle rather than the run-index
+    product that aut_order and the partition form share."""
+    for l, max_m in [(3, 3), (5, 2)]:
+        for e in (1, 2, 3):
+            for m in range(max_m + 1):
+                brute = sum(
+                    Fraction(1, brute_force_aut_order(l, lam))
+                    for lam in partitions_of(m, e)
+                )
+                assert rank_distribution(_spec(l, 1, e), m).rational == brute
 
 
 def test_normalization_total_mass():
@@ -344,6 +373,15 @@ def test_divisor_density_hypothesis_flag():
     many = [(Poly(3, (c, 1)), 0) for c in range(3)]
     # eta(3)^3 = 0.175 < 1/2
     assert not divisor_density_hypothesis(3, many)
+
+
+def test_prediction_applies_at_q():
+    x2 = (Poly(3, (2, 1, 1)), Poly(3, (2, 2, 1)))  # X^2+X+2 and its partner at 13
+    assert not prediction_applies_at_q(3, [(x2[0], 1), (x2[1], 0)], 13)
+    # X + 1 = X - 2 with 2^2 = 13 mod 3 is its own partner
+    assert not prediction_applies_at_q(3, [(Poly(3, (1, 1)), 0)], 13)
+    assert not prediction_applies_at_q(3, [(Poly.x(3), 0)], 13)
+    assert prediction_applies_at_q(3, [(x2[0], 0)], 13)
 
 
 def test_independence_prediction_factors():

@@ -288,10 +288,10 @@ def test_fast_table_coker_agrees_quadratic_residue_field():
         assert slow == fast
 
 
-def test_enumeration_cap_env(monkeypatch):
-    monkeypatch.setenv("COKERNEL_LAB_CAP", "10")
-    big = _mt(3, 1, 2, (2, 2))
-    with pytest.raises(ValueError):
+def test_module_size_cap():
+    big = _mt(3, 1, 2, (2,) * 6)  # 3^12 elements, above MAX_MODULE_SIZE = 3^10
+    with pytest.raises(ValueError, match="exceeds the cap"):
         enumerate_submodules(big)
-    monkeypatch.delenv("COKERNEL_LAB_CAP")
-    assert sum(enumerate_submodules(big).values()) == 23
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        surj_count(big, big)
+    assert sum(enumerate_submodules(_mt(3, 1, 2, (2, 2))).values()) == 23
