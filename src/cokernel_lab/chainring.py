@@ -3,9 +3,10 @@
 Every local ring F_l[X]/(p^e) is, as a ring, a truncated polynomial ring
 F_Q[t]/(t^e) over its residue field of size Q = l^deg(p).  This module
 provides the one digit-coded residue-ring layer F_l[X]/(f) with its lookup
-tables, exact arithmetic on truncated polynomials, valuation tables for
-fast cokernel classification, and the independent oracles for the closed
-forms in modules: a canonical-form enumeration of submodules, a BFS
+tables, exact arithmetic on truncated polynomials, the cokernel
+classifiers (valuation tables on the residue ring up to 2048 elements, and
+valuation elimination on the chain ring F_Q[t]/(t^e) for any size), and the
+independent oracles for the closed forms in modules: a canonical-form enumeration of submodules, a BFS
 lattice walk and element-level brute-force counters.
 """
 
@@ -16,7 +17,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .algebra import LocalRingSpec, Poly, find_irreducible, poly_mod
+from .algebra import LocalRingSpec, Poly, _pow_mod, find_irreducible, poly_mod
 
 __all__ = [
     "MAX_RING_SIZE",
@@ -27,6 +28,8 @@ __all__ = [
     "enumerate_submodules_chain",
     "LocalTables",
     "local_tables_for",
+    "ChainClassifier",
+    "chain_classifier_for",
     "bfs_submodules",
     "brute_hom_count",
     "brute_surj_count",
@@ -417,6 +420,12 @@ class LocalTables:
         self.val = val.tolist()
         self.shiftdown = sd.tolist()
 
+    def partitions(self, codes):
+        """Partition of coker of each n x n code matrix in the array (B, n, n)."""
+        n = codes.shape[-1]
+        for mat in codes.tolist():
+            yield self.coker_partition(mat, n)
+
     def coker_partition(self, mat, n: int) -> tuple:
         """Partition of coker of the n x n code matrix, parts descending."""
         e = self.e
@@ -473,6 +482,149 @@ class LocalTables:
 @lru_cache(maxsize=None)
 def local_tables_for(spec: LocalRingSpec) -> LocalTables:
     return LocalTables(spec)
+
+
+def _inverse_mod(M, l: int):
+    """Inverse of the invertible square integer matrix M over F_l, by
+    Gauss-Jordan elimination."""
+    m = len(M)
+    A = np.concatenate([np.asarray(M, dtype=np.int64) % l, np.eye(m, dtype=np.int64)], axis=1)
+    for c in range(m):
+        r = c + int(np.flatnonzero(A[c:, c])[0])
+        A[[c, r]] = A[[r, c]]
+        A[c] = A[c] * pow(int(A[c, c]), -1, l) % l
+        factors = A[:, c].copy()
+        factors[c] = 0
+        A = (A - np.outer(factors, A[c])) % l
+    return A[:, m:]
+
+
+class ChainClassifier:
+    """Cokernel classification over any local ring R = F_l[X]/(p^e), on the
+    chain ring F_Q[t]/(t^e) with tables of Q^2 entries rather than N^2.
+
+    The coefficient field is F_l[alpha] with alpha = X^(Q^k) mod p^e and
+    Q^k >= e: p(alpha) = p(X)^(Q^k) = 0 and alpha = X mod p, so
+    sum_i c_i t^i -> sum_i c_i(alpha) p(X)^i is a ring isomorphism onto R,
+    c_i(alpha) standing for the residue polynomial c_i(X) mod p evaluated
+    at alpha.  The chain ring is built on residue_ring(p) itself, because
+    find_irreducible(l, d) may define another copy of F_Q than alpha does.
+    """
+
+    def __init__(self, spec: LocalRingSpec):
+        if spec.Q > LocalTables.MAX_SIZE:
+            raise ValueError(
+                f"residue field of {spec.Q} elements exceeds the table cap "
+                f"{LocalTables.MAX_SIZE}"
+            )
+        l, d, e = spec.l, spec.residue_degree, spec.e
+        self.ring = ChainRing(residue_ring(spec.p), e)
+        self.m = m = d * e
+        modulus = spec.modulus
+        alpha = Poly.x(l)
+        power = 1
+        while power < e:
+            alpha = _pow_mod(alpha, spec.Q, modulus)
+            power *= spec.Q
+        # row i*d + j holds the digits of alpha^j * p^i
+        basis = []
+        p_i = Poly.one(l)
+        for _ in range(e):
+            term = p_i
+            for _ in range(d):
+                coeffs = term.coeffs
+                basis.append(list(coeffs) + [0] * (m - len(coeffs)))
+                term = poly_mod(term * alpha, modulus)
+            p_i = poly_mod(p_i * spec.p, modulus)
+        self.powers = l ** np.arange(m)
+        self.to_chain = _inverse_mod(basis, l)
+
+    def coordinates(self, codes):
+        """Chain coordinates of residue-ring codes: an array of field codes
+        with one more axis, of length e, low order first."""
+        field = self.ring.field
+        digits = codes[..., None] // self.powers % field.l
+        coords = digits @ self.to_chain % field.l
+        return coords.reshape(codes.shape + (self.ring.e, field.m)) @ field.powers
+
+    def partitions(self, codes):
+        """Partition of coker of each n x n code matrix in the array
+        (B, n, n), converted in chunks of about 2^20 digits."""
+        batch, n, _ = codes.shape
+        step = max(1, (1 << 20) // (n * n * self.m))
+        for start in range(0, batch, step):
+            for mat in self.coordinates(codes[start : start + step]).tolist():
+                yield self.coker_partition(mat, n)
+
+    def coker_partition(self, mat, n: int) -> tuple:
+        """Partition of coker of the n x n matrix of chain-ring elements (each
+        a list of e field codes, low order first; the lists are overwritten),
+        parts descending: LocalTables.coker_partition's elimination, with t in
+        place of p."""
+        ring = self.ring
+        e = ring.e
+        field = ring.field
+        fmul = field.mul
+        fsub = field.sub
+
+        def sub_product(out, c, x):
+            # out -= c * x in F_Q[t]/(t^e), in place
+            for k, ck in enumerate(c):
+                if ck:
+                    row = fmul[ck]
+                    for s in range(e - k):
+                        xs = x[s]
+                        if xs:
+                            out[k + s] = fsub[out[k + s]][row[xs]]
+
+        val = ring.val
+        rows = list(range(n))
+        cols = list(range(n))
+        parts = []
+        while cols:
+            bestv = e
+            bi = bj = -1
+            for i in rows:
+                Ai = mat[i]
+                for j in cols:
+                    v = val(Ai[j])
+                    if v < bestv:
+                        bestv = v
+                        bi, bj = i, j
+                        if v == 0:
+                            break
+                if bestv == 0:
+                    break
+            if bi < 0:
+                parts.extend([e] * len(cols))
+                break
+            piv = mat[bi]
+            # scale the pivot row so that its pivot becomes t^bestv
+            unit = piv[bj][bestv:] + [0] * bestv
+            minus_inv = ring.neg(ring.unit_inv(unit))
+            for j in cols:
+                scaled = [0] * e
+                sub_product(scaled, minus_inv, piv[j])
+                piv[j] = scaled
+            for i in rows:
+                if i == bi:
+                    continue
+                Ai = mat[i]
+                c = Ai[bj][bestv:]
+                if any(c):
+                    for j in cols:
+                        sub_product(Ai[j], c, piv[j])
+            parts.append(bestv)
+            rows.remove(bi)
+            cols.remove(bj)
+        out = [p for p in parts if p > 0]
+        out.sort(reverse=True)
+        return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def chain_classifier_for(spec: LocalRingSpec) -> ChainClassifier:
+    return ChainClassifier(spec)
 
 
 def _module_elements(ring: ChainRing, ambient: tuple):

@@ -10,17 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import RingSpec
-from .chainring import LocalTables, ResidueRing, local_tables_for
-from .measure import MeasureValue, c_constant, mu, qbinom
-from .modules import (
-    ModuleType,
-    Partition,
-    RingMatrix,
-    coker_type,
-    enumerate_module_types,
-    surj_count,
-)
-from .algebra import RingElem
+from .chainring import LocalTables, chain_classifier_for, local_tables_for
+from .measure import c_constant, mu, qbinom
+from .modules import ModuleType, Partition, enumerate_module_types, surj_count
 
 __all__ = [
     "SampleConfig",
@@ -33,6 +25,8 @@ __all__ = [
 
 EXHAUSTIVE_CAP = 10**7
 BATCH = 4096
+# a batch holds BATCH * n^2 codes per factor: 2^20 at this cap
+MAX_MATRIX_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -47,6 +41,10 @@ class SampleConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("matrix size must be positive")
+        if self.n > MAX_MATRIX_SIZE:
+            raise ValueError(
+                f"matrix size {self.n} exceeds MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}"
+            )
         if self.mode not in ("random", "exhaustive"):
             raise ValueError("mode must be random or exhaustive")
         if self.workers < 1:
@@ -69,31 +67,13 @@ class EmpiricalDist:
         return self.counts.get(t, 0) / self.total
 
 
-class _LocalClassifier:
-    """Classifies one local factor's code matrices, via integer tables when
-    the ring is small enough and via the polynomial SNF route otherwise."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.N = spec.size
-        if spec.size <= LocalTables.MAX_SIZE:
-            self.tables = local_tables_for(spec)
-        else:
-            self.tables = None
-            self.ring = RingSpec((spec,))
-
-    def partition(self, mat, n: int) -> tuple:
-        if self.tables is not None:
-            return self.tables.coker_partition(mat, n)
-        rows = tuple(
-            tuple(
-                RingElem(self.ring, (ResidueRing.decode(self.spec.l, mat[i][j]),))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        t = coker_type(RingMatrix(self.ring, rows))
-        return t.local_types[0].parts
+def _classifier(spec):
+    """The cokernel classifier of one local factor: N x N integer tables up
+    to LocalTables.MAX_SIZE elements, where they are fastest, and the chain
+    ring F_Q[t]/(t^e), whose tables have Q^2 entries, above that."""
+    if spec.size <= LocalTables.MAX_SIZE:
+        return local_tables_for(spec)
+    return chain_classifier_for(spec)
 
 
 def worker_streams(salt: str, seed: int, trials: int, workers: int):
@@ -111,43 +91,44 @@ def worker_streams(salt: str, seed: int, trials: int, workers: int):
         yield rng, base + (worker < extra)
 
 
-def _iter_types(cfg: SampleConfig):
-    """Yield the cokernel type (one partition tuple per factor) of each draw,
-    in a deterministic order: worker blocks in index order."""
-    ring = cfg.ring
+def _exhaustive_batches(ring: RingSpec, n: int):
+    """Every n x n matrix over the ring, in index order, as one code array
+    (B, n, n) per factor and batch: entry pos of matrix idx is the base-|R|
+    digit pos of idx, split over the factors as mixed-radix digits."""
+    total = ring.size ** (n * n)
+    places = ring.size ** np.arange(n * n, dtype=np.int64)
+    for start in range(0, total, BATCH):
+        idx = np.arange(start, min(start + BATCH, total), dtype=np.int64)
+        entries = idx[:, None] // places % ring.size
+        codes = []
+        for f in ring.factors:
+            entries, code = np.divmod(entries, f.size)
+            codes.append(code.reshape(-1, n, n))
+        yield codes
+
+
+def _random_batches(cfg: SampleConfig):
+    """Haar-random code arrays (B, n, n), one per factor and batch, in
+    worker blocks of index order."""
     n = cfg.n
-    classifiers = [_LocalClassifier(f) for f in ring.factors]
-    if cfg.mode == "exhaustive":
-        sizes = [c.N for c in classifiers]
-        total = ring.size ** (n * n)
-        n_entries = n * n
-        for idx in range(total):
-            mats = [[[0] * n for _ in range(n)] for _ in classifiers]
-            rem = idx
-            for pos in range(n_entries):
-                rem, entry = divmod(rem, ring.size)
-                i, j = divmod(pos, n)
-                for fi, size in enumerate(sizes):
-                    entry, code = divmod(entry, size)
-                    mats[fi][i][j] = code
-            yield tuple(
-                cls.partition(mats[fi], n) for fi, cls in enumerate(classifiers)
-            )
-        return
     for rng, count in worker_streams("cokernel-lab", cfg.seed, cfg.trials, cfg.workers):
         done = 0
         while done < count:
             batch = min(BATCH, count - done)
-            draws = [
-                rng.integers(0, cls.N, size=(batch, n, n)) for cls in classifiers
-            ]
-            lists = [d.tolist() for d in draws]
-            for b in range(batch):
-                yield tuple(
-                    cls.partition(lists[fi][b], n)
-                    for fi, cls in enumerate(classifiers)
-                )
+            yield [rng.integers(0, f.size, size=(batch, n, n)) for f in cfg.ring.factors]
             done += batch
+
+
+def _iter_types(cfg: SampleConfig):
+    """Yield the cokernel type (one partition tuple per factor) of each draw,
+    in a deterministic order: worker blocks in index order."""
+    classifiers = [_classifier(f) for f in cfg.ring.factors]
+    if cfg.mode == "exhaustive":
+        batches = _exhaustive_batches(cfg.ring, cfg.n)
+    else:
+        batches = _random_batches(cfg)
+    for codes in batches:
+        yield from zip(*(cls.partitions(c) for cls, c in zip(classifiers, codes)))
 
 
 def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:

@@ -190,6 +190,14 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
              "--cond", "X^2+X+2:0", "--trials", "1"),
             "above MAX_RING_SIZE",
         ),
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "17", "--trials", "1"),
+         "MAX_MATRIX_SIZE"),
+        # F_3[X]/(X^7+X^2+2): a residue field of 3^7 > 2048 elements, whose
+        # chain-ring tables are refused before any draw
+        (("simulate", "cokernel", "--ring",
+          '{"l": 3, "factors": [{"p": [2, 0, 1, 0, 0, 0, 0, 1], "e": 2}]}',
+          "--n", "2", "--trials", "1"),
+         "exceeds the table cap"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

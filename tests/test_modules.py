@@ -1,5 +1,8 @@
 import random
+from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 
 from cokernel_lab.algebra import (
@@ -11,6 +14,7 @@ from cokernel_lab.algebra import (
     poly_mod,
 )
 from cokernel_lab.chainring import (
+    ChainClassifier,
     ResidueRing,
     bfs_submodules,
     brute_force_aut_order,
@@ -21,6 +25,7 @@ from cokernel_lab.chainring import (
     local_tables_for,
 )
 from cokernel_lab.modules import (
+    MAX_MODULE_SIZE,
     ModuleType,
     Partition,
     RingMatrix,
@@ -32,6 +37,7 @@ from cokernel_lab.modules import (
     snf_invariant_factors,
     surj_count,
 )
+from cokernel_lab.montecarlo import SampleConfig, sample_cokernels
 
 
 def _spec(l, d, e):
@@ -239,6 +245,37 @@ def test_hom_equals_sum_of_surjections():
             assert total == hom_count(m, a)
 
 
+# (l, type) of the perfbench lattice queries
+LATTICE_SHAPES = [
+    (3, (2, 1)), (3, (3, 2)), (3, (2, 2, 1)), (3, (3, 3)), (3, (2, 1, 1, 1)),
+    (3, (5, 2)), (5, (2, 2)), (5, (3, 2)), (7, (2, 2)), (11, (2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "l, d, lam",
+    [
+        (l, d, lam)
+        for d in (1, 2)
+        for l, lam in LATTICE_SHAPES
+        if l ** (d * sum(lam)) <= MAX_MODULE_SIZE
+    ],
+)
+def test_surj_count_from_free_matches_nakayama(l, d, lam):
+    """#Surj(R^k, A) = |A|^k prod_{i<r} (1 - Q^(i-k)) for A with r parts: by
+    Nakayama's lemma a map is onto exactly when the images of the k
+    generators span A/mA = F_Q^r.  Unlike Sum #Sub * #Surj = #Hom, which
+    holds by the recursion that defines surj_count, this can fail.  Every
+    submodule type of the shape is a target too."""
+    e = max(lam)
+    Q = l**d
+    for a in enumerate_submodules(_mt(l, d, e, lam)):
+        r = len(a.local_types[0].parts)
+        for k in range(1, len(lam) + 3):
+            expected = a.size**k * prod(1 - Fraction(Q) ** (i - k) for i in range(r))
+            assert surj_count(_mt(l, d, e, (e,) * k), a) == expected, (a, k)
+
+
 def test_enumerate_module_types_counts():
     ring = RingSpec((_spec(3, 1, 2),))
     types = enumerate_module_types(ring, 3)
@@ -248,44 +285,91 @@ def test_enumerate_module_types_counts():
     assert len(enumerate_module_types(ring2, 4)) == 1
 
 
+def _snf_partition(spec, codes):
+    """The oracle: coker_type's partition of a code matrix, by Smith normal
+    form over Poly."""
+    ring = RingSpec((spec,))
+    rows = tuple(
+        tuple(RingElem(ring, (ResidueRing.decode(spec.l, c),)) for c in row)
+        for row in codes
+    )
+    return coker_type(RingMatrix(ring, rows)).local_types[0].parts
+
+
 def test_fast_table_coker_agrees_with_snf():
     rng = random.Random(3)
     spec = _spec(3, 1, 2)
     tables = local_tables_for(spec)
-    ring = RingSpec((spec,))
     for _ in range(150):
         n = rng.randrange(1, 4)
         codes = [[rng.randrange(spec.size) for _ in range(n)] for _ in range(n)]
-        rows = tuple(
-            tuple(
-                RingElem(ring, (ResidueRing.decode(spec.l, codes[i][j]),))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        slow = coker_type(RingMatrix(ring, rows)).local_types[0].parts
-        fast = tables.coker_partition(codes, n)
-        assert slow == fast
+        assert _snf_partition(spec, codes) == tables.coker_partition(codes, n)
 
 
 def test_fast_table_coker_agrees_quadratic_residue_field():
     rng = random.Random(9)
     spec = _spec(3, 2, 2)
     tables = local_tables_for(spec)
-    ring = RingSpec((spec,))
     for _ in range(50):
         n = rng.randrange(1, 3)
         codes = [[rng.randrange(spec.size) for _ in range(n)] for _ in range(n)]
-        rows = tuple(
-            tuple(
-                RingElem(ring, (ResidueRing.decode(spec.l, codes[i][j]),))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        slow = coker_type(RingMatrix(ring, rows)).local_types[0].parts
-        fast = tables.coker_partition(codes, n)
-        assert slow == fast
+        assert _snf_partition(spec, codes) == tables.coker_partition(codes, n)
+
+
+# (l, p low degree first, e): F_9[t]/(t^4), F_3[X]/(X^8) and F_5[X]/(X^5) lie
+# above the 2048-element table cap; over F_3[X]/((X^2+X+2)^3) the coefficient
+# field's generator alpha = X^9 mod p^3 is not X
+CHAIN_RINGS = [(3, (1, 0, 1), 4), (3, (0, 1), 8), (5, (0, 1), 5), (3, (2, 1, 1), 3)]
+
+
+@pytest.mark.parametrize(
+    "l, p, e",
+    CHAIN_RINGS,
+    ids=["F9[t]/(t^4)", "F3[X]/(X^8)", "F5[X]/(X^5)", "F3[X]/((X^2+X+2)^3)"],
+)
+def test_chain_classifier_agrees_with_snf(l, p, e):
+    spec = LocalRingSpec(l, Poly(l, p), e)
+    classifier = ChainClassifier(spec)
+    if len(p) > 2:
+        # X = alpha + c_1 t + ... with some c_i != 0
+        assert any(classifier.coordinates(np.array(l)).tolist()[1:])
+    rng = random.Random(11)
+    p_powers = [Poly.one(l)]
+    for _ in range(e):
+        p_powers.append(p_powers[-1] * spec.p)
+
+    def entry():
+        # a random element times p^v for a random v, so every valuation occurs
+        x = ResidueRing.decode(l, rng.randrange(spec.size))
+        f = poly_mod(x * p_powers[rng.randrange(e + 1)], spec.modulus)
+        return sum(c * l**i for i, c in enumerate(f.coeffs))
+
+    for n in range(1, 6):
+        mats = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(12)]
+        mats.append([[0] * n for _ in range(n)])
+        mats.append([[int(i == j) for j in range(n)] for i in range(n)])
+        got = list(classifier.partitions(np.array(mats)))
+        assert got[-2:] == [(e,) * n, ()]
+        for mat, parts in zip(mats, got):
+            assert parts == _snf_partition(spec, mat), (n, mat)
+
+
+def test_exhaustive_census_above_table_cap():
+    """All 3125 1 x 1 matrices over F_5[X]/(X^5): (Q-1) Q^(e-v-1) elements of
+    valuation v give coker type (v,), zero gives (e,), units give ()."""
+    Q, e = 5, 5
+    ring = RingSpec((LocalRingSpec(5, Poly(5, (0, 1)), e),))
+    dist = sample_cokernels(SampleConfig(ring, 1, 0, 0, mode="exhaustive"))
+    expected = {(v,): (Q - 1) * Q ** (e - v - 1) for v in range(1, e)}
+    expected[(e,)] = 1
+    expected[()] = (Q - 1) * Q ** (e - 1)
+    assert dist.total == Q**e
+    assert {t.local_types[0].parts: c for t, c in dist.counts.items()} == expected
+
+
+def test_chain_classifier_refuses_large_residue_field():
+    with pytest.raises(ValueError, match="residue field of 2187 elements"):
+        ChainClassifier(_spec(3, 7, 1))
 
 
 def test_module_size_cap():

@@ -6,6 +6,7 @@ from cokernel_lab.algebra import LocalRingSpec, Poly, RingSpec, find_irreducible
 from cokernel_lab.measure import mu
 from cokernel_lab.modules import ModuleType, Partition, surj_count
 from cokernel_lab.montecarlo import (
+    MAX_MATRIX_SIZE,
     SampleConfig,
     empirical_moment,
     finite_n_constant_demo,
@@ -26,6 +27,10 @@ def test_config_validation():
         SampleConfig(ring, 2, 10, 1, mode="weird")
     with pytest.raises(ValueError):
         SampleConfig(ring, 9, 0, 1, mode="exhaustive")
+    # refused before the exhaustive count |R|^(n^2) is even computed
+    for n in (MAX_MATRIX_SIZE + 1, 10**6):
+        with pytest.raises(ValueError, match="MAX_MATRIX_SIZE"):
+            SampleConfig(ring, n, 0, 1, mode="exhaustive")
 
 
 def test_exhaustive_census_f3_2x2():
