@@ -5,9 +5,10 @@ F_Q[t]/(t^e) over its residue field of size Q = l^deg(p).  This module
 provides the one digit-coded residue-ring layer F_l[X]/(f) with its lookup
 tables, exact arithmetic on truncated polynomials, the cokernel
 classifiers (valuation tables on the residue ring up to 2048 elements, and
-valuation elimination on the chain ring F_Q[t]/(t^e) for any size), and the
-independent oracles for the closed forms in modules: a canonical-form enumeration of submodules, a BFS
-lattice walk and element-level brute-force counters.
+valuation elimination on the chain ring F_Q[t]/(t^e), with the residue
+field in Zech-logarithm tables, for any size), and the independent oracles
+for the closed forms in modules: a canonical-form enumeration of
+submodules, a BFS lattice walk and element-level brute-force counters.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "enumerate_submodules_chain",
     "LocalTables",
     "local_tables_for",
+    "ZechField",
     "ChainClassifier",
     "chain_classifier_for",
     "bfs_submodules",
@@ -393,6 +395,43 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
     return counts
 
 
+def _eliminate(A, n: int, e: int, val, clear) -> tuple:
+    """Partition of coker of the n x n matrix A (a list of rows, overwritten)
+    over a chain ring whose maximal ideal has nilpotency index e, parts
+    descending.  Each step takes an entry of least valuation v among the
+    remaining rows and columns as the pivot, drops its row and column, adds
+    the part v and clears the pivot's column from the remaining rows by
+    clear(pivot row, pivot column, v, remaining rows, remaining columns).
+    val(x) is the valuation of an entry, e for zero."""
+    rows = list(range(n))
+    cols = list(range(n))
+    parts = []
+    while cols:
+        bestv = e
+        bi = bj = -1
+        for i in rows:
+            Ai = A[i]
+            for j in cols:
+                v = val(Ai[j])
+                if v < bestv:
+                    bestv = v
+                    bi, bj = i, j
+                    if v == 0:
+                        break
+            if bestv == 0:
+                break
+        if bi < 0:
+            parts.extend([e] * len(cols))
+            break
+        rows.remove(bi)
+        cols.remove(bj)
+        clear(A[bi], bj, bestv, [A[i] for i in rows], cols)
+        parts.append(bestv)
+    out = [p for p in parts if p > 0]
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 class LocalTables:
     """Valuation tables for the cokernel classification over one local ring
     F_l[X]/(p^e), on the codes of its residue ring: the p-adic valuation of
@@ -428,55 +467,24 @@ class LocalTables:
 
     def coker_partition(self, mat, n: int) -> tuple:
         """Partition of coker of the n x n code matrix, parts descending."""
-        e = self.e
-        val = self.val
+        A = [list(row) for row in mat]
+        return _eliminate(A, n, self.e, self.val.__getitem__, self._clear)
+
+    def _clear(self, piv, bj, v, others, cols):
+        """Subtract from each row of others the multiple of the pivot row piv
+        that clears its column bj, on the remaining columns cols; the pivot
+        piv[bj] has valuation v."""
         mul = self.ring.mul
         sub = self.ring.sub
-        sd = self.shiftdown
-        inv = self.ring.inv
-        A = [list(row) for row in mat]
-        rows = list(range(n))
-        cols = list(range(n))
-        parts = []
-        while cols:
-            bestv = e
-            bi = bj = -1
-            for i in rows:
-                Ai = A[i]
+        down = self.shiftdown[v]
+        iu = self.ring.inv[down[piv[bj]]]
+        for Ai in others:
+            b = Ai[bj]
+            if b:
+                # Ai[bj] / piv[bj] = (b / p^v) / (piv[bj] / p^v)
+                crow = mul[mul[down[b]][iu]]
                 for j in cols:
-                    v = val[Ai[j]]
-                    if v < bestv:
-                        bestv = v
-                        bi, bj = i, j
-                        if v == 0:
-                            break
-                if bestv == 0:
-                    break
-            if bi < 0:
-                parts.extend([e] * len(cols))
-                break
-            piv = A[bi]
-            u = sd[bestv][piv[bj]]
-            iu = inv[u]
-            mrow = mul[iu]
-            for j in cols:
-                piv[j] = mrow[piv[j]]
-            for i in rows:
-                if i == bi:
-                    continue
-                Ai = A[i]
-                b = Ai[bj]
-                if b:
-                    c = sd[bestv][b]
-                    crow = mul[c]
-                    for j in cols:
-                        Ai[j] = sub[Ai[j]][crow[piv[j]]]
-            parts.append(bestv)
-            rows.remove(bi)
-            cols.remove(bj)
-        out = [p for p in parts if p > 0]
-        out.sort(reverse=True)
-        return tuple(out)
+                    Ai[j] = sub[Ai[j]][crow[piv[j]]]
 
 
 @lru_cache(maxsize=None)
@@ -499,26 +507,101 @@ def _inverse_mod(M, l: int):
     return A[:, m:]
 
 
+class ZechField:
+    """The field F_Q = F_l[X]/(p), p irreducible, in tables of O(Q) entries.
+
+    With g a primitive element, g^k is coded k + 1 and zero is coded 0, so a
+    product of nonzero codes a, b is prod[a + b] and a sum goes through
+    Zech's logarithm: g^i + g^j = g^i (1 + g^(j - i)).  The truncated power
+    series operations below act on lists of codes, low order first.
+    """
+
+    def __init__(self, p: Poly):
+        field = residue_ring(p)
+        self.l, self.m, self.powers = field.l, field.m, field.powers
+        self.q1 = q1 = field.N - 1
+        for g in range(1, field.N):
+            times_g = field.encode(field.products(field.D[g : g + 1])[0]).tolist()
+            exp = [1]  # exp[k] is the residue-ring code of g^k
+            x = times_g[1]
+            while x != 1:
+                exp.append(x)
+                x = times_g[x]
+            if len(exp) == q1:
+                break
+        exp = np.array(exp)
+        # to_code[x] is the code of the residue-ring element x
+        self.to_code = np.zeros(field.N, dtype=np.int64)
+        self.to_code[exp] = np.arange(1, field.N)
+        # zech[k] is the code of 1 + g^k, for 0 <= k < 2 q1
+        zech = self.to_code[exp - exp % self.l + (exp + 1) % self.l].tolist()
+        self.zech = zech + zech
+        # prod[s] is the code of g^(s - 2), for 2 <= s <= 2 q1
+        self.prod = [0, 0] + (1 + np.arange(2 * q1 - 1) % q1).tolist()
+        elements = np.concatenate([[0], exp])  # by code
+        self.neg = self.to_code[np.array(field.neg)[elements]].tolist()
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        z = self.zech[b - a + self.q1]
+        return self.prod[a + z] if z else 0
+
+    def mul(self, a: int, b: int) -> int:
+        return self.prod[a + b] if a and b else 0
+
+    def add_mul(self, out, c, x) -> None:
+        """out += c * x modulo t^len(out), in place; x is at least as long
+        as out."""
+        zech = self.zech
+        prod = self.prod
+        q1 = self.q1
+        e = len(out)
+        for k, ck in enumerate(c):
+            if ck:
+                for s in range(e - k):
+                    xs = x[s]
+                    if xs:
+                        y = prod[ck + xs]
+                        o = out[k + s]
+                        if o:
+                            z = zech[y - o + q1]
+                            out[k + s] = prod[o + z] if z else 0
+                        else:
+                            out[k + s] = y
+
+    def unit_inv(self, x) -> list:
+        """The inverse of the unit x modulo t^len(x)."""
+        inv0 = 1 + (1 - x[0]) % self.q1
+        minus_inv0 = self.neg[inv0]
+        out = [inv0] + [0] * (len(x) - 1)
+        for k in range(1, len(x)):
+            s = 0
+            for i in range(1, k + 1):
+                s = self.add(s, self.mul(x[i], out[k - i]))
+            out[k] = self.mul(minus_inv0, s)
+        return out
+
+
 class ChainClassifier:
-    """Cokernel classification over any local ring R = F_l[X]/(p^e), on the
-    chain ring F_Q[t]/(t^e) with tables of Q^2 entries rather than N^2.
+    """Cokernel classification over any local ring R = F_l[X]/(p^e) whose
+    residue field has at most MAX_RING_SIZE elements, on the chain ring
+    F_Q[t]/(t^e) with the field in Zech-logarithm tables of O(Q) entries.
 
     The coefficient field is F_l[alpha] with alpha = X^(Q^k) mod p^e and
     Q^k >= e: p(alpha) = p(X)^(Q^k) = 0 and alpha = X mod p, so
     sum_i c_i t^i -> sum_i c_i(alpha) p(X)^i is a ring isomorphism onto R,
     c_i(alpha) standing for the residue polynomial c_i(X) mod p evaluated
-    at alpha.  The chain ring is built on residue_ring(p) itself, because
+    at alpha.  The field is built on p itself, because
     find_irreducible(l, d) may define another copy of F_Q than alpha does.
     """
 
     def __init__(self, spec: LocalRingSpec):
-        if spec.Q > LocalTables.MAX_SIZE:
-            raise ValueError(
-                f"residue field of {spec.Q} elements exceeds the table cap "
-                f"{LocalTables.MAX_SIZE}"
-            )
         l, d, e = spec.l, spec.residue_degree, spec.e
-        self.ring = ChainRing(residue_ring(spec.p), e)
+        self.field = ZechField(spec.p)
+        self.e = e
         self.m = m = d * e
         modulus = spec.modulus
         alpha = Poly.x(l)
@@ -540,12 +623,13 @@ class ChainClassifier:
         self.to_chain = _inverse_mod(basis, l)
 
     def coordinates(self, codes):
-        """Chain coordinates of residue-ring codes: an array of field codes
-        with one more axis, of length e, low order first."""
-        field = self.ring.field
+        """Chain coordinates of residue-ring codes: an array of ZechField
+        codes with one more axis, of length e, low order first."""
+        field = self.field
         digits = codes[..., None] // self.powers % field.l
         coords = digits @ self.to_chain % field.l
-        return coords.reshape(codes.shape + (self.ring.e, field.m)) @ field.powers
+        coords = coords.reshape(codes.shape + (self.e, field.m))
+        return field.to_code[coords @ field.powers]
 
     def partitions(self, codes):
         """Partition of coker of each n x n code matrix in the array
@@ -559,67 +643,31 @@ class ChainClassifier:
     def coker_partition(self, mat, n: int) -> tuple:
         """Partition of coker of the n x n matrix of chain-ring elements (each
         a list of e field codes, low order first; the lists are overwritten),
-        parts descending: LocalTables.coker_partition's elimination, with t in
-        place of p."""
-        ring = self.ring
-        e = ring.e
-        field = ring.field
-        fmul = field.mul
-        fsub = field.sub
+        parts descending."""
+        return _eliminate(mat, n, self.e, self._val, self._clear)
 
-        def sub_product(out, c, x):
-            # out -= c * x in F_Q[t]/(t^e), in place
-            for k, ck in enumerate(c):
-                if ck:
-                    row = fmul[ck]
-                    for s in range(e - k):
-                        xs = x[s]
-                        if xs:
-                            out[k + s] = fsub[out[k + s]][row[xs]]
+    def _val(self, x) -> int:
+        """t-adic valuation, e for zero."""
+        for i, a in enumerate(x):
+            if a:
+                return i
+        return self.e
 
-        val = ring.val
-        rows = list(range(n))
-        cols = list(range(n))
-        parts = []
-        while cols:
-            bestv = e
-            bi = bj = -1
-            for i in rows:
-                Ai = mat[i]
+    def _clear(self, piv, bj, v, others, cols):
+        """Add to each row of others the multiple of the pivot row piv that
+        clears its column bj, on the remaining columns cols; the pivot
+        piv[bj] = t^v u has valuation v."""
+        field = self.field
+        # -1/u modulo t^(e-v), which is all that multiplies entries of
+        # valuation >= v
+        minus_inv = [field.neg[a] for a in field.unit_inv(piv[bj][v:])]
+        for Ai in others:
+            b = Ai[bj][v:]
+            if any(b):
+                c = [0] * len(b)
+                field.add_mul(c, b, minus_inv)
                 for j in cols:
-                    v = val(Ai[j])
-                    if v < bestv:
-                        bestv = v
-                        bi, bj = i, j
-                        if v == 0:
-                            break
-                if bestv == 0:
-                    break
-            if bi < 0:
-                parts.extend([e] * len(cols))
-                break
-            piv = mat[bi]
-            # scale the pivot row so that its pivot becomes t^bestv
-            unit = piv[bj][bestv:] + [0] * bestv
-            minus_inv = ring.neg(ring.unit_inv(unit))
-            for j in cols:
-                scaled = [0] * e
-                sub_product(scaled, minus_inv, piv[j])
-                piv[j] = scaled
-            for i in rows:
-                if i == bi:
-                    continue
-                Ai = mat[i]
-                c = Ai[bj][bestv:]
-                if any(c):
-                    for j in cols:
-                        sub_product(Ai[j], c, piv[j])
-            parts.append(bestv)
-            rows.remove(bi)
-            cols.remove(bj)
-        out = [p for p in parts if p > 0]
-        out.sort(reverse=True)
-        return tuple(out)
+                    field.add_mul(Ai[j], c, piv[j])
 
 
 @lru_cache(maxsize=None)

@@ -70,7 +70,7 @@ class EmpiricalDist:
 def _classifier(spec):
     """The cokernel classifier of one local factor: N x N integer tables up
     to LocalTables.MAX_SIZE elements, where they are fastest, and the chain
-    ring F_Q[t]/(t^e), whose tables have Q^2 entries, above that."""
+    ring F_Q[t]/(t^e), whose field tables have O(Q) entries, above that."""
     if spec.size <= LocalTables.MAX_SIZE:
         return local_tables_for(spec)
     return chain_classifier_for(spec)

@@ -192,12 +192,12 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         ),
         (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "17", "--trials", "1"),
          "MAX_MATRIX_SIZE"),
-        # F_3[X]/(X^7+X^2+2): a residue field of 3^7 > 2048 elements, whose
-        # chain-ring tables are refused before any draw
+        # F_28571: a residue field above MAX_RING_SIZE = 13^4 elements,
+        # refused before any draw
         (("simulate", "cokernel", "--ring",
-          '{"l": 3, "factors": [{"p": [2, 0, 1, 0, 0, 0, 0, 1], "e": 2}]}',
+          '{"l": 28571, "factors": [{"p": [0, 1], "e": 1}]}',
           "--n", "2", "--trials", "1"),
-         "exceeds the table cap"),
+         "above MAX_RING_SIZE"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

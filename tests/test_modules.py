@@ -15,7 +15,9 @@ from cokernel_lab.algebra import (
 )
 from cokernel_lab.chainring import (
     ChainClassifier,
+    ChainRing,
     ResidueRing,
+    ZechField,
     bfs_submodules,
     brute_force_aut_order,
     brute_hom_count,
@@ -316,21 +318,62 @@ def test_fast_table_coker_agrees_quadratic_residue_field():
         assert _snf_partition(spec, codes) == tables.coker_partition(codes, n)
 
 
+@pytest.mark.parametrize("l, d", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 1)])
+def test_zech_field_agrees_with_residue_tables(l, d):
+    p = find_irreducible(l, d)
+    field = ResidueRing(p)
+    zech = ZechField(p)
+    code = zech.to_code.tolist()
+    assert sorted(code) == list(range(field.N)) and code[0] == 0
+    for a in range(field.N):
+        assert zech.neg[code[a]] == code[field.neg[a]]
+        for b in range(field.N):
+            assert zech.mul(code[a], code[b]) == code[field.mul[a][b]]
+            assert zech.add(code[a], code[b]) == code[field.sub[a][field.neg[b]]]
+    # truncated power series against the chain-ring oracle
+    ring = ChainRing(field, 3)
+    rng = random.Random(5)
+    for _ in range(200):
+        x, y, z = ([rng.randrange(field.N) for _ in range(3)] for _ in range(3))
+        out = [code[a] for a in z]
+        zech.add_mul(out, [code[a] for a in x], [code[a] for a in y])
+        assert out == [code[a] for a in ring.add(z, ring.mul(x, y))]
+        if x[0]:
+            assert zech.unit_inv([code[a] for a in x]) == [code[a] for a in ring.unit_inv(x)]
+
+
 # (l, p low degree first, e): F_9[t]/(t^4), F_3[X]/(X^8) and F_5[X]/(X^5) lie
 # above the 2048-element table cap; over F_3[X]/((X^2+X+2)^3) the coefficient
-# field's generator alpha = X^9 mod p^3 is not X
-CHAIN_RINGS = [(3, (1, 0, 1), 4), (3, (0, 1), 8), (5, (0, 1), 5), (3, (2, 1, 1), 3)]
+# field's generator alpha = X^9 mod p^3 is not X; F_2053[X]/(X^2),
+# F_3[X]/((X^7+X^2+2)^2) and F_{13^4} have residue fields above 2048 elements
+CHAIN_RINGS = [
+    (3, (1, 0, 1), 4),
+    (3, (0, 1), 8),
+    (5, (0, 1), 5),
+    (3, (2, 1, 1), 3),
+    (2053, (0, 1), 2),
+    (3, (2, 0, 1, 0, 0, 0, 0, 1), 2),
+    (13, (2, 0, 12, 0, 1), 1),
+]
 
 
 @pytest.mark.parametrize(
     "l, p, e",
     CHAIN_RINGS,
-    ids=["F9[t]/(t^4)", "F3[X]/(X^8)", "F5[X]/(X^5)", "F3[X]/((X^2+X+2)^3)"],
+    ids=[
+        "F9[t]/(t^4)",
+        "F3[X]/(X^8)",
+        "F5[X]/(X^5)",
+        "F3[X]/((X^2+X+2)^3)",
+        "F2053[X]/(X^2)",
+        "F3[X]/((X^7+X^2+2)^2)",
+        "F13[X]/(X^4+12X^2+2)",
+    ],
 )
 def test_chain_classifier_agrees_with_snf(l, p, e):
     spec = LocalRingSpec(l, Poly(l, p), e)
     classifier = ChainClassifier(spec)
-    if len(p) > 2:
+    if len(p) > 2 and e > 1:
         # X = alpha + c_1 t + ... with some c_i != 0
         assert any(classifier.coordinates(np.array(l)).tolist()[1:])
     rng = random.Random(11)
@@ -354,12 +397,17 @@ def test_chain_classifier_agrees_with_snf(l, p, e):
             assert parts == _snf_partition(spec, mat), (n, mat)
 
 
-def test_exhaustive_census_above_table_cap():
-    """All 3125 1 x 1 matrices over F_5[X]/(X^5): (Q-1) Q^(e-v-1) elements of
-    valuation v give coker type (v,), zero gives (e,), units give ()."""
-    Q, e = 5, 5
-    ring = RingSpec((LocalRingSpec(5, Poly(5, (0, 1)), e),))
-    dist = sample_cokernels(SampleConfig(ring, 1, 0, 0, mode="exhaustive"))
+@pytest.mark.parametrize(
+    "l, p, e",
+    [(5, (0, 1), 5), (2053, (0, 1), 1), (3, (2, 0, 1, 0, 0, 0, 0, 1), 1)],
+    ids=["F5[X]/(X^5)", "F2053", "F3[X]/(X^7+X^2+2)"],
+)
+def test_exhaustive_census_above_table_cap(l, p, e):
+    """All 1 x 1 matrices over a local ring above the table cap: (Q-1) Q^(e-v-1)
+    elements of valuation v give coker type (v,), zero gives (e,), units ()."""
+    spec = LocalRingSpec(l, Poly(l, p), e)
+    Q = spec.Q
+    dist = sample_cokernels(SampleConfig(RingSpec((spec,)), 1, 0, 0, mode="exhaustive"))
     expected = {(v,): (Q - 1) * Q ** (e - v - 1) for v in range(1, e)}
     expected[(e,)] = 1
     expected[()] = (Q - 1) * Q ** (e - 1)
@@ -367,9 +415,10 @@ def test_exhaustive_census_above_table_cap():
     assert {t.local_types[0].parts: c for t, c in dist.counts.items()} == expected
 
 
-def test_chain_classifier_refuses_large_residue_field():
-    with pytest.raises(ValueError, match="residue field of 2187 elements"):
-        ChainClassifier(_spec(3, 7, 1))
+def test_chain_classifier_refuses_residue_field_above_cap():
+    # F_28571, the first prime field above MAX_RING_SIZE = 13^4
+    with pytest.raises(ValueError, match="above MAX_RING_SIZE"):
+        ChainClassifier(LocalRingSpec(28571, Poly(28571, (0, 1)), 1))
 
 
 def test_module_size_cap():
