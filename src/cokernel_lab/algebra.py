@@ -51,9 +51,6 @@ class PrimeField:
         if self.l < 3 or not is_prime(self.l):
             raise ValueError(f"modulus must be an odd prime >= 3, got {self.l}")
 
-    def inv(self, a: int) -> int:
-        return pow(a % self.l, -1, self.l)
-
 
 def _normalize(coeffs, l: int) -> tuple[int, ...]:
     cs = [c % l for c in coeffs]
@@ -138,12 +135,6 @@ class Poly:
         if self.is_zero():
             return self
         return self.scale(pow(self.leading(), -1, self.l))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.l, (0,) * k + self.coeffs)
 
     def __call__(self, x: int) -> int:
         acc = 0

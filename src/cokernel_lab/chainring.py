@@ -3,12 +3,11 @@
 Every local ring F_l[X]/(p^e) is, as a ring, a truncated polynomial ring
 F_Q[t]/(t^e) over its residue field of size Q = l^deg(p).  This module
 provides the one digit-coded residue-ring layer F_l[X]/(f) with its lookup
-tables, exact arithmetic on truncated polynomials, the cokernel
-classifiers (valuation tables on the residue ring up to 2048 elements, and
-valuation elimination on the chain ring F_Q[t]/(t^e), with the residue
-field in Zech-logarithm tables, for any size), and the independent oracles
-for the closed forms in modules: a canonical-form enumeration of
-submodules, a BFS lattice walk and element-level brute-force counters.
+tables, exact arithmetic on truncated polynomials, the cokernel classifier
+(valuation elimination on F_Q[t]/(t^e) in F_l digits, batched over the
+draws, for every local ring), and the independent oracles for the closed
+forms in modules: a canonical-form enumeration of submodules, a BFS lattice
+walk and element-level brute-force counters.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ __all__ = [
     "ChainRing",
     "chain_ring_for",
     "enumerate_submodules_chain",
+    "LOCAL_RING_CAP",
     "LocalTables",
     "local_tables_for",
-    "ZechField",
-    "ChainClassifier",
-    "chain_classifier_for",
     "bfs_submodules",
     "brute_hom_count",
     "brute_surj_count",
@@ -40,6 +37,17 @@ __all__ = [
 
 
 MAX_RING_SIZE = 13**4
+# local rings of this many elements or more are refused: their codes are
+# drawn and decoded in int64
+LOCAL_RING_CAP = 2**63
+
+
+def _refuse_above_cap(l: int, m: int) -> None:
+    if l**m > MAX_RING_SIZE:
+        raise ValueError(
+            f"F_{l}[X]/(f) with deg f = {m} has {l}^{m} = {l**m} elements, "
+            f"above MAX_RING_SIZE = {MAX_RING_SIZE}"
+        )
 
 
 class ResidueRing:
@@ -58,11 +66,7 @@ class ResidueRing:
         m = modulus.degree
         if not modulus.is_monic() or m < 1:
             raise ValueError(f"modulus {modulus} must be monic of positive degree")
-        if l**m > MAX_RING_SIZE:
-            raise ValueError(
-                f"F_{l}[X]/(f) with deg f = {m} has {l}^{m} = {l**m} elements, "
-                f"above MAX_RING_SIZE = {MAX_RING_SIZE}"
-            )
+        _refuse_above_cap(l, m)
         self.l = l
         self.m = m
         self.N = l**m
@@ -82,9 +86,6 @@ class ResidueRing:
     def encode(self, digits):
         """Codes of the digit rows along the last axis."""
         return digits @ self.powers
-
-    def encode_poly(self, f: Poly) -> int:
-        return sum(c * self.l**i for i, c in enumerate(poly_mod(f, self.modulus).coeffs))
 
     @staticmethod
     def decode(l: int, code: int) -> Poly:
@@ -395,96 +396,140 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
     return counts
 
 
-def _eliminate(A, n: int, e: int, val, clear) -> tuple:
-    """Partition of coker of the n x n matrix A (a list of rows, overwritten)
-    over a chain ring whose maximal ideal has nilpotency index e, parts
-    descending.  Each step takes an entry of least valuation v among the
-    remaining rows and columns as the pivot, drops its row and column, adds
-    the part v and clears the pivot's column from the remaining rows by
-    clear(pivot row, pivot column, v, remaining rows, remaining columns).
-    val(x) is the valuation of an entry, e for zero."""
-    rows = list(range(n))
-    cols = list(range(n))
-    parts = []
-    while cols:
-        bestv = e
-        bi = bj = -1
-        for i in rows:
-            Ai = A[i]
-            for j in cols:
-                v = val(Ai[j])
-                if v < bestv:
-                    bestv = v
-                    bi, bj = i, j
-                    if v == 0:
-                        break
-            if bestv == 0:
-                break
-        if bi < 0:
-            parts.extend([e] * len(cols))
-            break
-        rows.remove(bi)
-        cols.remove(bj)
-        clear(A[bi], bj, bestv, [A[i] for i in rows], cols)
-        parts.append(bestv)
-    out = [p for p in parts if p > 0]
-    out.sort(reverse=True)
-    return tuple(out)
-
-
 class LocalTables:
-    """Valuation tables for the cokernel classification over one local ring
-    F_l[X]/(p^e), on the codes of its residue ring: the p-adic valuation of
-    each code and division by p^v of each multiple of p^v."""
+    """Cokernel classification over one local ring R = F_l[X]/(p^e) whose
+    residue field has at most MAX_RING_SIZE elements, on the chain ring
+    F_Q[t]/(t^e) by valuation elimination batched over the draws.
 
-    MAX_SIZE = 2048
+    The coefficient field is F_l[alpha] with alpha = X^(Q^k) mod p^e and
+    Q^k >= e: p(alpha) = p(X)^(Q^k) = 0 and alpha = X mod p, so
+    sum_i c_i t^i -> sum_i c_i(alpha) p(X)^i is a ring isomorphism onto R,
+    c_i(alpha) standing for the residue polynomial c_i(X) mod p evaluated
+    at alpha.  An element is held as its m = d e digits over F_l in the
+    basis {alpha^j t^i}, digit i d + j, so its valuation is the index of
+    its first nonzero block of d digits.
+
+    The digits are float64, so that the products run as BLAS matmuls.  A
+    product sums m terms below l^2, and l < 2^15 (l^d <= MAX_RING_SIZE)
+    and m < 40 (l >= 3 and l^m < LOCAL_RING_CAP), so every sum stays below
+    2^36, far inside the 2^53 of exact float64 integers.
+    """
 
     def __init__(self, spec: LocalRingSpec):
-        if spec.size > self.MAX_SIZE:
+        l, d, e = spec.l, spec.residue_degree, spec.e
+        _refuse_above_cap(l, d)
+        if spec.size >= LOCAL_RING_CAP:
             raise ValueError(
-                f"local ring of size {spec.size} exceeds the table cap {self.MAX_SIZE}"
+                f"local ring of {l}^{d * e} elements is not below "
+                f"LOCAL_RING_CAP = 2^63"
             )
-        self.ring = residue_ring(spec.modulus)
-        self.e = e = spec.e
-        codes = np.arange(spec.size)
-        times_p = np.array(self.ring.mul[self.ring.encode_poly(spec.p)])
-        val = np.zeros(spec.size, dtype=np.int64)
-        sd = np.zeros((e + 1, spec.size), dtype=np.int64)
-        sd[0] = codes
-        image = codes
-        for vstep in range(1, e + 1):
-            image = times_p[image]
-            val[image] = vstep
-            sd[vstep][image] = codes
-        self.val = val.tolist()
-        self.shiftdown = sd.tolist()
+        self.l, self.d, self.e = l, d, e
+        self.m = m = d * e
+        modulus = spec.modulus
+        alpha = Poly.x(l)
+        power = 1
+        while power < e:
+            alpha = _pow_mod(alpha, spec.Q, modulus)
+            power *= spec.Q
+        # row i*d + j holds the digits of alpha^j * p^i
+        basis = []
+        p_i = Poly.one(l)
+        for _ in range(e):
+            term = p_i
+            for _ in range(d):
+                coeffs = term.coeffs
+                basis.append(list(coeffs) + [0] * (m - len(coeffs)))
+                term = poly_mod(term * alpha, modulus)
+            p_i = poly_mod(p_i * spec.p, modulus)
+        self.powers = l ** np.arange(m)
+        self.to_chain = _inverse_mod(basis, l).astype(np.float64)
+        # times[x, y] holds the digits of the product of basis elements x and
+        # y: alpha^a t^i * alpha^b t^k = alpha^(a+b) t^(i+k), with alpha^(a+b)
+        # reduced by p as X^(a+b) is
+        times = np.zeros((m, m, m))
+        for a, b in product(range(d), repeat=2):
+            digits = _pow_mod(Poly.x(l), a + b, spec.p).coeffs
+            for i, k in product(range(e), repeat=2):
+                if i + k < e:
+                    s = (i + k) * d
+                    times[i * d + a, k * d + b, s : s + len(digits)] = digits
+        self.times = times.reshape(m, m * m)
 
-    def partitions(self, codes):
-        """Partition of coker of each n x n code matrix in the array (B, n, n)."""
-        n = codes.shape[-1]
-        for mat in codes.tolist():
-            yield self.coker_partition(mat, n)
+    def coordinates(self, codes):
+        """Chain digits of residue-ring codes: a float64 array with one more
+        axis, of length m."""
+        digits = codes[..., None] // self.powers % self.l
+        return _reduce(digits @ self.to_chain, self.l)
 
-    def coker_partition(self, mat, n: int) -> tuple:
-        """Partition of coker of the n x n code matrix, parts descending."""
-        A = [list(row) for row in mat]
-        return _eliminate(A, n, self.e, self.val.__getitem__, self._clear)
+    def coker_partition(self, codes) -> list[tuple]:
+        """Partition of coker of each n x n code matrix in the array
+        (B, n, n), parts descending, classified in chunks of draws whose
+        arrays hold about 2^20 entries at most."""
+        batch, n, _ = codes.shape
+        step = max(1, (1 << 20) // (n * self.m * max(n, self.m)))
+        out = []
+        for start in range(0, batch, step):
+            out += self._partitions(self.coordinates(codes[start : start + step]))
+        return out
 
-    def _clear(self, piv, bj, v, others, cols):
-        """Subtract from each row of others the multiple of the pivot row piv
-        that clears its column bj, on the remaining columns cols; the pivot
-        piv[bj] has valuation v."""
-        mul = self.ring.mul
-        sub = self.ring.sub
-        down = self.shiftdown[v]
-        iu = self.ring.inv[down[piv[bj]]]
-        for Ai in others:
-            b = Ai[bj]
-            if b:
-                # Ai[bj] / piv[bj] = (b / p^v) / (piv[bj] / p^v)
-                crow = mul[mul[down[b]][iu]]
-                for j in cols:
-                    Ai[j] = sub[Ai[j]][crow[piv[j]]]
+    def _partitions(self, A) -> list[tuple]:
+        """Partitions of the cokernels of the matrices of chain digits A
+        (B, n, n, m).  Each step takes in each draw an entry u t^v of least
+        valuation as its pivot, adds the part v, replaces every other row by
+        u * row - b * (pivot row), where b t^v is the row's entry in the
+        pivot's column, and drops the pivot's row and column: scaling a row
+        by the unit u leaves the cokernel unchanged, and the pivot row is
+        then cleared by column operations that touch nothing else."""
+        l, d, e, m = self.l, self.d, self.e, self.m
+        batch, n = A.shape[:2]
+        draws = np.arange(batch)
+        digit = np.arange(m)
+        # a nonzero digit in block i weighs (d+1)^(e-1-i), more than all the
+        # later blocks together, so the heaviest entry has least valuation
+        weights = float(d + 1) ** (e - 1 - digit // d)
+        vals = []
+        for r in range(n, 0, -1):
+            heaviest = ((A != 0).reshape(-1, m) @ weights).reshape(batch, r * r)
+            pi, pj = np.divmod(heaviest.argmax(axis=1), r)
+            pivot_row = A[draws, pi]
+            pivot = pivot_row[draws, pj]
+            nonzero = pivot.reshape(batch, e, d).any(axis=-1)
+            v = np.where(nonzero.any(axis=-1), nonzero.argmax(axis=-1), e)
+            vals.append(v)
+            if r == 1:
+                break
+            ar = np.arange(r - 1)
+            rows = ar + (ar >= pi[:, None])
+            cols = ar + (ar >= pj[:, None])
+            # x / t^v for x of valuation >= v: its digits below v d are zero,
+            # so a cyclic shift by v d digits brings zeros in at the top
+            down = (digit + v[:, None] * d) % m
+            u = np.take_along_axis(pivot, down, axis=-1)
+            b = np.take_along_axis(A[draws[:, None], rows, pj[:, None]], down[:, None], axis=-1)
+            times_u = _reduce(u @ self.times, l).reshape(batch, m, m)
+            times_b = _reduce(b.reshape(-1, m) @ self.times, l).reshape(batch, r - 1, m, m)
+            # one take at flat (draw, row, column) offsets is several times
+            # faster than indexing by three arrays
+            entries = (draws[:, None, None] * r + rows[:, :, None]) * r + cols[:, None, :]
+            rest = A.reshape(-1, m).take(entries, axis=0)
+            A = (rest.reshape(batch, -1, m) @ times_u).reshape(rest.shape)
+            A -= pivot_row[draws[:, None], cols][:, None] @ times_b
+            A = _reduce(A, l)
+        parts = -np.sort(-np.stack(vals, axis=1), axis=1)
+        sizes = np.count_nonzero(parts, axis=1).tolist()
+        return [tuple(p[:k]) for p, k in zip(parts.tolist(), sizes)]
+
+
+def _reduce(x, l: int):
+    """x mod l, in place, for a float64 array of integers |x| < 2^36 with
+    l < 2^15: x / l is then within 2^-17 of k + f/l with 0 <= f < l, and
+    f/l is 0 or more than 2^-15 from an integer, so floor(x / l) is exact.
+    np.remainder gives the same but takes several times longer."""
+    q = x / l
+    np.floor(q, out=q)
+    q *= l
+    x -= q
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -505,174 +550,6 @@ def _inverse_mod(M, l: int):
         factors[c] = 0
         A = (A - np.outer(factors, A[c])) % l
     return A[:, m:]
-
-
-class ZechField:
-    """The field F_Q = F_l[X]/(p), p irreducible, in tables of O(Q) entries.
-
-    With g a primitive element, g^k is coded k + 1 and zero is coded 0, so a
-    product of nonzero codes a, b is prod[a + b] and a sum goes through
-    Zech's logarithm: g^i + g^j = g^i (1 + g^(j - i)).  The truncated power
-    series operations below act on lists of codes, low order first.
-    """
-
-    def __init__(self, p: Poly):
-        field = residue_ring(p)
-        self.l, self.m, self.powers = field.l, field.m, field.powers
-        self.q1 = q1 = field.N - 1
-        for g in range(1, field.N):
-            times_g = field.encode(field.products(field.D[g : g + 1])[0]).tolist()
-            exp = [1]  # exp[k] is the residue-ring code of g^k
-            x = times_g[1]
-            while x != 1:
-                exp.append(x)
-                x = times_g[x]
-            if len(exp) == q1:
-                break
-        exp = np.array(exp)
-        # to_code[x] is the code of the residue-ring element x
-        self.to_code = np.zeros(field.N, dtype=np.int64)
-        self.to_code[exp] = np.arange(1, field.N)
-        # zech[k] is the code of 1 + g^k, for 0 <= k < 2 q1
-        zech = self.to_code[exp - exp % self.l + (exp + 1) % self.l].tolist()
-        self.zech = zech + zech
-        # prod[s] is the code of g^(s - 2), for 2 <= s <= 2 q1
-        self.prod = [0, 0] + (1 + np.arange(2 * q1 - 1) % q1).tolist()
-        elements = np.concatenate([[0], exp])  # by code
-        self.neg = self.to_code[np.array(field.neg)[elements]].tolist()
-
-    def add(self, a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
-        z = self.zech[b - a + self.q1]
-        return self.prod[a + z] if z else 0
-
-    def mul(self, a: int, b: int) -> int:
-        return self.prod[a + b] if a and b else 0
-
-    def add_mul(self, out, c, x) -> None:
-        """out += c * x modulo t^len(out), in place; x is at least as long
-        as out."""
-        zech = self.zech
-        prod = self.prod
-        q1 = self.q1
-        e = len(out)
-        for k, ck in enumerate(c):
-            if ck:
-                for s in range(e - k):
-                    xs = x[s]
-                    if xs:
-                        y = prod[ck + xs]
-                        o = out[k + s]
-                        if o:
-                            z = zech[y - o + q1]
-                            out[k + s] = prod[o + z] if z else 0
-                        else:
-                            out[k + s] = y
-
-    def unit_inv(self, x) -> list:
-        """The inverse of the unit x modulo t^len(x)."""
-        inv0 = 1 + (1 - x[0]) % self.q1
-        minus_inv0 = self.neg[inv0]
-        out = [inv0] + [0] * (len(x) - 1)
-        for k in range(1, len(x)):
-            s = 0
-            for i in range(1, k + 1):
-                s = self.add(s, self.mul(x[i], out[k - i]))
-            out[k] = self.mul(minus_inv0, s)
-        return out
-
-
-class ChainClassifier:
-    """Cokernel classification over any local ring R = F_l[X]/(p^e) whose
-    residue field has at most MAX_RING_SIZE elements, on the chain ring
-    F_Q[t]/(t^e) with the field in Zech-logarithm tables of O(Q) entries.
-
-    The coefficient field is F_l[alpha] with alpha = X^(Q^k) mod p^e and
-    Q^k >= e: p(alpha) = p(X)^(Q^k) = 0 and alpha = X mod p, so
-    sum_i c_i t^i -> sum_i c_i(alpha) p(X)^i is a ring isomorphism onto R,
-    c_i(alpha) standing for the residue polynomial c_i(X) mod p evaluated
-    at alpha.  The field is built on p itself, because
-    find_irreducible(l, d) may define another copy of F_Q than alpha does.
-    """
-
-    def __init__(self, spec: LocalRingSpec):
-        l, d, e = spec.l, spec.residue_degree, spec.e
-        self.field = ZechField(spec.p)
-        self.e = e
-        self.m = m = d * e
-        modulus = spec.modulus
-        alpha = Poly.x(l)
-        power = 1
-        while power < e:
-            alpha = _pow_mod(alpha, spec.Q, modulus)
-            power *= spec.Q
-        # row i*d + j holds the digits of alpha^j * p^i
-        basis = []
-        p_i = Poly.one(l)
-        for _ in range(e):
-            term = p_i
-            for _ in range(d):
-                coeffs = term.coeffs
-                basis.append(list(coeffs) + [0] * (m - len(coeffs)))
-                term = poly_mod(term * alpha, modulus)
-            p_i = poly_mod(p_i * spec.p, modulus)
-        self.powers = l ** np.arange(m)
-        self.to_chain = _inverse_mod(basis, l)
-
-    def coordinates(self, codes):
-        """Chain coordinates of residue-ring codes: an array of ZechField
-        codes with one more axis, of length e, low order first."""
-        field = self.field
-        digits = codes[..., None] // self.powers % field.l
-        coords = digits @ self.to_chain % field.l
-        coords = coords.reshape(codes.shape + (self.e, field.m))
-        return field.to_code[coords @ field.powers]
-
-    def partitions(self, codes):
-        """Partition of coker of each n x n code matrix in the array
-        (B, n, n), converted in chunks of about 2^20 digits."""
-        batch, n, _ = codes.shape
-        step = max(1, (1 << 20) // (n * n * self.m))
-        for start in range(0, batch, step):
-            for mat in self.coordinates(codes[start : start + step]).tolist():
-                yield self.coker_partition(mat, n)
-
-    def coker_partition(self, mat, n: int) -> tuple:
-        """Partition of coker of the n x n matrix of chain-ring elements (each
-        a list of e field codes, low order first; the lists are overwritten),
-        parts descending."""
-        return _eliminate(mat, n, self.e, self._val, self._clear)
-
-    def _val(self, x) -> int:
-        """t-adic valuation, e for zero."""
-        for i, a in enumerate(x):
-            if a:
-                return i
-        return self.e
-
-    def _clear(self, piv, bj, v, others, cols):
-        """Add to each row of others the multiple of the pivot row piv that
-        clears its column bj, on the remaining columns cols; the pivot
-        piv[bj] = t^v u has valuation v."""
-        field = self.field
-        # -1/u modulo t^(e-v), which is all that multiplies entries of
-        # valuation >= v
-        minus_inv = [field.neg[a] for a in field.unit_inv(piv[bj][v:])]
-        for Ai in others:
-            b = Ai[bj][v:]
-            if any(b):
-                c = [0] * len(b)
-                field.add_mul(c, b, minus_inv)
-                for j in cols:
-                    field.add_mul(Ai[j], c, piv[j])
-
-
-@lru_cache(maxsize=None)
-def chain_classifier_for(spec: LocalRingSpec) -> ChainClassifier:
-    return ChainClassifier(spec)
 
 
 def _module_elements(ring: ChainRing, ambient: tuple):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import RingSpec
-from .chainring import LocalTables, chain_classifier_for, local_tables_for
+from .chainring import local_tables_for
 from .measure import c_constant, mu, qbinom
 from .modules import ModuleType, Partition, enumerate_module_types, surj_count
 
@@ -27,6 +27,8 @@ EXHAUSTIVE_CAP = 10**7
 BATCH = 4096
 # a batch holds BATCH * n^2 codes per factor: 2^20 at this cap
 MAX_MATRIX_SIZE = 16
+# tv_distance compares against the module types of at least this mass
+MASS_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -65,15 +67,6 @@ class EmpiricalDist:
 
     def frequency(self, t: ModuleType) -> float:
         return self.counts.get(t, 0) / self.total
-
-
-def _classifier(spec):
-    """The cokernel classifier of one local factor: N x N integer tables up
-    to LocalTables.MAX_SIZE elements, where they are fastest, and the chain
-    ring F_Q[t]/(t^e), whose field tables have O(Q) entries, above that."""
-    if spec.size <= LocalTables.MAX_SIZE:
-        return local_tables_for(spec)
-    return chain_classifier_for(spec)
 
 
 def worker_streams(salt: str, seed: int, trials: int, workers: int):
@@ -122,13 +115,13 @@ def _random_batches(cfg: SampleConfig):
 def _iter_types(cfg: SampleConfig):
     """Yield the cokernel type (one partition tuple per factor) of each draw,
     in a deterministic order: worker blocks in index order."""
-    classifiers = [_classifier(f) for f in cfg.ring.factors]
+    classifiers = [local_tables_for(f) for f in cfg.ring.factors]
     if cfg.mode == "exhaustive":
         batches = _exhaustive_batches(cfg.ring, cfg.n)
     else:
         batches = _random_batches(cfg)
     for codes in batches:
-        yield from zip(*(cls.partitions(c) for cls, c in zip(classifiers, codes)))
+        yield from zip(*(cls.coker_partition(c) for cls, c in zip(classifiers, codes)))
 
 
 def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:
@@ -165,19 +158,19 @@ def empirical_moment(cfg: SampleConfig, a: ModuleType):
     return total / count
 
 
-def _theory_truncation(ring: RingSpec, mass_floor: float) -> dict:
-    """Types with mass at least the floor, as numeric values."""
+def _theory_truncation(ring: RingSpec) -> dict:
+    """Types with mass at least MASS_FLOOR, as numeric values."""
     out = {}
     dim = 0
     idle = 0
     while dim <= 200 and idle < 4:
         dim_mass = 0.0
         for t in enumerate_module_types(ring, dim):
-            v = mu(t).numeric(mass_floor / 100)
+            v = mu(t).numeric(MASS_FLOOR / 100)
             dim_mass += v
-            if v >= mass_floor:
+            if v >= MASS_FLOOR:
                 out[t] = v
-        if dim_mass < mass_floor:
+        if dim_mass < MASS_FLOOR:
             idle += 1
         else:
             idle = 0
@@ -185,11 +178,11 @@ def _theory_truncation(ring: RingSpec, mass_floor: float) -> dict:
     return out
 
 
-def tv_distance(emp: EmpiricalDist, mass_floor: float = 1e-7):
+def tv_distance(emp: EmpiricalDist):
     """Total variation between the empirical distribution and the exact
-    measure truncated at the mass floor; the truncation deficit is reported
+    measure truncated at MASS_FLOOR; the truncation deficit is reported
     alongside, never hidden."""
-    theory = _theory_truncation(emp.config.ring, mass_floor)
+    theory = _theory_truncation(emp.config.ring)
     deficit = max(0.0, 1.0 - sum(theory.values()))
     support = set(theory) | set(emp.counts)
     tv = 0.5 * sum(

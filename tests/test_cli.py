@@ -198,6 +198,11 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
           '{"l": 28571, "factors": [{"p": [0, 1], "e": 1}]}',
           "--n", "2", "--trials", "1"),
          "above MAX_RING_SIZE"),
+        # F_3[X]/(X^40): 3^40 elements, not below LOCAL_RING_CAP = 2^63
+        (("simulate", "cokernel", "--ring",
+          '{"l": 3, "factors": [{"p": [0, 1], "e": 40}]}',
+          "--n", "1", "--trials", "1"),
+         "LOCAL_RING_CAP"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

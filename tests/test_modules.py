@@ -14,17 +14,14 @@ from cokernel_lab.algebra import (
     poly_mod,
 )
 from cokernel_lab.chainring import (
-    ChainClassifier,
-    ChainRing,
+    LocalTables,
     ResidueRing,
-    ZechField,
     bfs_submodules,
     brute_force_aut_order,
     brute_hom_count,
     brute_surj_count,
     chain_ring_for,
     enumerate_submodules_chain,
-    local_tables_for,
 )
 from cokernel_lab.modules import (
     MAX_MODULE_SIZE,
@@ -301,51 +298,28 @@ def _snf_partition(spec, codes):
 def test_fast_table_coker_agrees_with_snf():
     rng = random.Random(3)
     spec = _spec(3, 1, 2)
-    tables = local_tables_for(spec)
+    tables = LocalTables(spec)
     for _ in range(150):
         n = rng.randrange(1, 4)
         codes = [[rng.randrange(spec.size) for _ in range(n)] for _ in range(n)]
-        assert _snf_partition(spec, codes) == tables.coker_partition(codes, n)
+        assert [_snf_partition(spec, codes)] == tables.coker_partition(np.array([codes]))
 
 
 def test_fast_table_coker_agrees_quadratic_residue_field():
     rng = random.Random(9)
     spec = _spec(3, 2, 2)
-    tables = local_tables_for(spec)
+    tables = LocalTables(spec)
     for _ in range(50):
         n = rng.randrange(1, 3)
         codes = [[rng.randrange(spec.size) for _ in range(n)] for _ in range(n)]
-        assert _snf_partition(spec, codes) == tables.coker_partition(codes, n)
+        assert [_snf_partition(spec, codes)] == tables.coker_partition(np.array([codes]))
 
 
-@pytest.mark.parametrize("l, d", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 1)])
-def test_zech_field_agrees_with_residue_tables(l, d):
-    p = find_irreducible(l, d)
-    field = ResidueRing(p)
-    zech = ZechField(p)
-    code = zech.to_code.tolist()
-    assert sorted(code) == list(range(field.N)) and code[0] == 0
-    for a in range(field.N):
-        assert zech.neg[code[a]] == code[field.neg[a]]
-        for b in range(field.N):
-            assert zech.mul(code[a], code[b]) == code[field.mul[a][b]]
-            assert zech.add(code[a], code[b]) == code[field.sub[a][field.neg[b]]]
-    # truncated power series against the chain-ring oracle
-    ring = ChainRing(field, 3)
-    rng = random.Random(5)
-    for _ in range(200):
-        x, y, z = ([rng.randrange(field.N) for _ in range(3)] for _ in range(3))
-        out = [code[a] for a in z]
-        zech.add_mul(out, [code[a] for a in x], [code[a] for a in y])
-        assert out == [code[a] for a in ring.add(z, ring.mul(x, y))]
-        if x[0]:
-            assert zech.unit_inv([code[a] for a in x]) == [code[a] for a in ring.unit_inv(x)]
-
-
-# (l, p low degree first, e): F_9[t]/(t^4), F_3[X]/(X^8) and F_5[X]/(X^5) lie
-# above the 2048-element table cap; over F_3[X]/((X^2+X+2)^3) the coefficient
-# field's generator alpha = X^9 mod p^3 is not X; F_2053[X]/(X^2),
-# F_3[X]/((X^7+X^2+2)^2) and F_{13^4} have residue fields above 2048 elements
+# (l, p low degree first, e): F_9[t]/(t^4), F_3[X]/(X^8) and F_5[X]/(X^5) are
+# the cokernel-large-ring benchmark's rings; over F_3[X]/((X^2+X+2)^3) the
+# coefficient field's generator alpha = X^9 mod p^3 is not X; F_2053[X]/(X^2),
+# F_3[X]/((X^7+X^2+2)^2) and F_{13^4} have residue fields above 2048
+# elements; the last four are the cokernel-small-ring benchmark's rings
 CHAIN_RINGS = [
     (3, (1, 0, 1), 4),
     (3, (0, 1), 8),
@@ -354,6 +328,10 @@ CHAIN_RINGS = [
     (2053, (0, 1), 2),
     (3, (2, 0, 1, 0, 0, 0, 0, 1), 2),
     (13, (2, 0, 12, 0, 1), 1),
+    (3, (0, 1), 2),
+    (3, (1, 1), 1),
+    (3, (1, 0, 1), 3),
+    (11, (0, 1), 3),
 ]
 
 
@@ -368,14 +346,19 @@ CHAIN_RINGS = [
         "F2053[X]/(X^2)",
         "F3[X]/((X^7+X^2+2)^2)",
         "F13[X]/(X^4+12X^2+2)",
+        "F3[X]/(X^2)",
+        "F3[X]/(X+1)",
+        "F9[t]/(t^3)",
+        "F11[X]/(X^3)",
     ],
 )
 def test_chain_classifier_agrees_with_snf(l, p, e):
     spec = LocalRingSpec(l, Poly(l, p), e)
-    classifier = ChainClassifier(spec)
-    if len(p) > 2 and e > 1:
+    tables = LocalTables(spec)
+    d = len(p) - 1
+    if d > 1 and e > 1:
         # X = alpha + c_1 t + ... with some c_i != 0
-        assert any(classifier.coordinates(np.array(l)).tolist()[1:])
+        assert any(tables.coordinates(np.array(l))[d:])
     rng = random.Random(11)
     p_powers = [Poly.one(l)]
     for _ in range(e):
@@ -387,11 +370,11 @@ def test_chain_classifier_agrees_with_snf(l, p, e):
         f = poly_mod(x * p_powers[rng.randrange(e + 1)], spec.modulus)
         return sum(c * l**i for i, c in enumerate(f.coeffs))
 
-    for n in range(1, 6):
+    for n in range(1, 9):
         mats = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(12)]
         mats.append([[0] * n for _ in range(n)])
         mats.append([[int(i == j) for j in range(n)] for i in range(n)])
-        got = list(classifier.partitions(np.array(mats)))
+        got = tables.coker_partition(np.array(mats))
         assert got[-2:] == [(e,) * n, ()]
         for mat, parts in zip(mats, got):
             assert parts == _snf_partition(spec, mat), (n, mat)
@@ -403,7 +386,7 @@ def test_chain_classifier_agrees_with_snf(l, p, e):
     ids=["F5[X]/(X^5)", "F2053", "F3[X]/(X^7+X^2+2)"],
 )
 def test_exhaustive_census_above_table_cap(l, p, e):
-    """All 1 x 1 matrices over a local ring above the table cap: (Q-1) Q^(e-v-1)
+    """All 1 x 1 matrices over a local ring of more than 2048 elements: (Q-1) Q^(e-v-1)
     elements of valuation v give coker type (v,), zero gives (e,), units ()."""
     spec = LocalRingSpec(l, Poly(l, p), e)
     Q = spec.Q
@@ -418,7 +401,22 @@ def test_exhaustive_census_above_table_cap(l, p, e):
 def test_chain_classifier_refuses_residue_field_above_cap():
     # F_28571, the first prime field above MAX_RING_SIZE = 13^4
     with pytest.raises(ValueError, match="above MAX_RING_SIZE"):
-        ChainClassifier(LocalRingSpec(28571, Poly(28571, (0, 1)), 1))
+        LocalTables(LocalRingSpec(28571, Poly(28571, (0, 1)), 1))
+
+
+def test_chunked_batch_agrees_with_single_matrices():
+    # F_3[X]/(X^39), the largest power of X below LOCAL_RING_CAP = 2^63: at
+    # n = 16 a chunk holds 2^20 // (16 * 39 * 39) = 43 draws, so 100 draws
+    # span three chunks
+    l, e, n = 3, 39, 16
+    tables = LocalTables(LocalRingSpec(l, Poly(l, (0, 1)), e))
+    rng = np.random.default_rng(2)
+    # entries times X^v for random v, so that the cokernels are not trivial
+    shifts = l ** rng.integers(0, 6, size=(100, n, n))
+    codes = rng.integers(0, l**e, size=(100, n, n)) // shifts * shifts
+    got = tables.coker_partition(codes)
+    assert got == [tables.coker_partition(mat[None])[0] for mat in codes]
+    assert len(set(got)) > 10
 
 
 def test_module_size_cap():

@@ -29,7 +29,7 @@ def _pairs(N: int, rng):
     [
         find_irreducible(5, 1),  # F_5, a ChainRing residue field
         find_irreducible(3, 2),  # F_9
-        Poly(3, (0, 0, 1)),  # F_3[X]/(X^2), a LocalTables ring
+        Poly(3, (0, 0, 1)),  # F_3[X]/(X^2), with zero divisors
         _power(Poly(3, (1, 0, 1)), 3),  # F_3[X]/((X^2+1)^3) = F_9[t]/(t^3)
         find_irreducible(13, 2),  # F_{13^2}, a point-counting field
     ],
@@ -67,14 +67,6 @@ def test_pointwise_and_character_on_extension_field():
     for c, x in enumerate(elems):
         want = 0 if c == 0 else (1 if x.coeffs in squares else -1)
         assert ring.chi[c] == want
-
-
-def test_encode_poly_reduces_modulo_the_modulus():
-    modulus = Poly(3, (0, 0, 1))
-    ring = ResidueRing(modulus)
-    f = Poly(3, (2, 1, 1, 1))  # X^3 + X^2 + X + 2 = X + 2 mod X^2
-    assert ring.encode_poly(f) == 2 + 3 * 1
-    assert ResidueRing.decode(3, ring.encode_poly(f)) == poly_mod(f, modulus)
 
 
 def test_size_cap_and_modulus_checks():
