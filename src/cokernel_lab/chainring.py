@@ -40,6 +40,9 @@ MAX_RING_SIZE = 13**4
 # local rings of this many elements or more are refused: their codes are
 # drawn and decoded in int64
 LOCAL_RING_CAP = 2**63
+# LocalTables.coordinates gathers from tables of at most this many rows,
+# unless l alone is larger
+COORD_TABLE_ROWS = 2**13
 
 
 def _refuse_above_cap(l: int, m: int) -> None:
@@ -409,6 +412,15 @@ class LocalTables:
     basis {alpha^j t^i}, digit i d + j, so its valuation is the index of
     its first nonzero block of d digits.
 
+    A residue-ring code, the base-l number of the digits of its residue
+    polynomial, is cut into K chunks of c base-l digits, c the largest for
+    which l^c <= COORD_TABLE_ROWS (at least 1).  The table chunk_tables[k],
+    of shape (l^c, m) in the smallest integer type that holds them, holds
+    for every value x of chunk k the chain digits of the code x l^(c k),
+    the basis change to_chain applied to its digits, so the chain digits of
+    a code are the sum of K gathered rows mod l, and a single gather when
+    K = 1, as for every ring of at most 2^13 elements.
+
     The digits are float64, so that the products run as BLAS matmuls.  A
     product sums m terms below l^2, and l < 2^15 (l^d <= MAX_RING_SIZE)
     and m < 40 (l >= 3 and l^m < LOCAL_RING_CAP), so every sum stays below
@@ -441,8 +453,22 @@ class LocalTables:
                 basis.append(list(coeffs) + [0] * (m - len(coeffs)))
                 term = poly_mod(term * alpha, modulus)
             p_i = poly_mod(p_i * spec.p, modulus)
-        self.powers = l ** np.arange(m)
-        self.to_chain = _inverse_mod(basis, l).astype(np.float64)
+        self.to_chain = _inverse_mod(basis, l)
+        c = 1
+        while l ** (c + 1) <= COORD_TABLE_ROWS:
+            c += 1
+        # the smallest integer type that holds a sum of two digits
+        dtype = np.min_scalar_type(2 * (l - 1))
+        self.chunk_tables = []
+        for k in range(0, m, c):
+            table = np.zeros((1, m), dtype)
+            for row in self.to_chain[k : k + c]:
+                # table[y l^j + x] = y * row + table[x] mod l, for the next
+                # code digit y
+                multiples = (np.arange(l)[:, None] * row % l).astype(dtype)
+                table = (multiples[:, None] + table).reshape(-1, m)
+                table[table >= l] -= l
+            self.chunk_tables.append(table)
         # times[x, y] holds the digits of the product of basis elements x and
         # y: alpha^a t^i * alpha^b t^k = alpha^(a+b) t^(i+k), with alpha^(a+b)
         # reduced by p as X^(a+b) is
@@ -457,9 +483,15 @@ class LocalTables:
 
     def coordinates(self, codes):
         """Chain digits of residue-ring codes: a float64 array with one more
-        axis, of length m."""
-        digits = codes[..., None] // self.powers % self.l
-        return _reduce(digits @ self.to_chain, self.l)
+        axis, of length m, gathered from the chunk tables."""
+        *low, top = self.chunk_tables
+        out = 0.0
+        for table in low:
+            codes, chunk = np.divmod(codes, len(table))
+            out = out + table[chunk]
+        if not low:
+            return top[codes].astype(np.float64)
+        return _reduce(out + top[codes], self.l)
 
     def coker_partition(self, codes) -> list[tuple]:
         """Partition of coker of each n x n code matrix in the array

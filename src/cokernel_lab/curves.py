@@ -33,6 +33,9 @@ __all__ = [
     "weil_root_error",
 ]
 
+# all_squarefree_monic iterates over q^(2g+1) polynomials, at most this many
+CENSUS_CAP = 10**7
+
 
 @dataclass(frozen=True)
 class CurveSample:
@@ -129,6 +132,12 @@ def sample_curve(q: int, g: int, rng) -> tuple[int, ...]:
 
 def all_squarefree_monic(q: int, degree: int):
     _validate_q(q)
+    # q >= 3, so q^degree > CENSUS_CAP whenever degree exceeds the cap's bit
+    # length, and the power is only computed when it is small
+    if degree > CENSUS_CAP.bit_length() or q**degree > CENSUS_CAP:
+        raise ValueError(
+            f"census of {q}^{degree} monic polynomials exceeds CENSUS_CAP = {CENSUS_CAP}"
+        )
     out = []
     for idx in range(q**degree):
         coeffs = []

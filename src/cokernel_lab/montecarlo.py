@@ -6,6 +6,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,6 +31,8 @@ BATCH = 4096
 MAX_MATRIX_SIZE = 16
 # tv_distance compares against the module types of at least this mass
 MASS_FLOOR = 1e-7
+# worker_streams seeds one generator per worker, drawing or not
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,7 @@ class SampleConfig:
             )
         if self.mode not in ("random", "exhaustive"):
             raise ValueError("mode must be random or exhaustive")
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
+        _check_workers(self.workers)
         if self.mode == "exhaustive":
             if self.ring.size ** (self.n * self.n) > EXHAUSTIVE_CAP:
                 raise ValueError(
@@ -69,14 +72,20 @@ class EmpiricalDist:
         return self.counts.get(t, 0) / self.total
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("worker count must be positive")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"worker count {workers} exceeds MAX_WORKERS = {MAX_WORKERS}")
+
+
 def worker_streams(salt: str, seed: int, trials: int, workers: int):
     """(generator, draw count) per worker in index order: the trials split
     as evenly as possible, the first workers taking one more, each stream
     seeded from a hash of the salt, the seed and the worker index."""
     if trials < 1:
         raise ValueError(f"random sampling needs trials >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError("worker count must be positive")
+    _check_workers(workers)
     base, extra = divmod(trials, workers)
     for worker in range(workers):
         h = hashlib.sha256(f"{salt}:{seed}:{worker}".encode()).digest()
@@ -158,8 +167,11 @@ def empirical_moment(cfg: SampleConfig, a: ModuleType):
     return total / count
 
 
-def _theory_truncation(ring: RingSpec) -> dict:
-    """Types with mass at least MASS_FLOOR, as numeric values."""
+@lru_cache(maxsize=None)
+def _theory_truncation(ring: RingSpec):
+    """Types with mass at least MASS_FLOOR, as numeric values, and the mass
+    they leave out; built once per ring.  The dict is shared by every
+    caller, so it leaves this module only behind a read-only view."""
     out = {}
     dim = 0
     idle = 0
@@ -175,20 +187,22 @@ def _theory_truncation(ring: RingSpec) -> dict:
         else:
             idle = 0
         dim += 1
-    return out
+    return out, max(0.0, 1.0 - sum(out.values()))
 
 
 def tv_distance(emp: EmpiricalDist):
     """Total variation between the empirical distribution and the exact
     measure truncated at MASS_FLOOR; the truncation deficit is reported
-    alongside, never hidden."""
-    theory = _theory_truncation(emp.config.ring)
-    deficit = max(0.0, 1.0 - sum(theory.values()))
+    alongside, never hidden.  The truncated measure is built once per ring
+    and returned as a read-only view."""
+    theory, deficit = _theory_truncation(emp.config.ring)
+    # set() of the dict itself, not of a view: a set built from a dict is
+    # sized up front, and its iteration order fixes tv's last bits
     support = set(theory) | set(emp.counts)
     tv = 0.5 * sum(
         abs(emp.counts.get(t, 0) / emp.total - theory.get(t, 0.0)) for t in support
     )
-    return tv, deficit, theory
+    return tv, deficit, MappingProxyType(theory)
 
 
 def finite_n_constant_demo(Q: int, j: int, n_range) -> list[dict]:

@@ -203,6 +203,15 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
           '{"l": 3, "factors": [{"p": [0, 1], "e": 40}]}',
           "--n", "1", "--trials", "1"),
          "LOCAL_RING_CAP"),
+        # refused before any stream is seeded or any polynomial counted
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2", "--trials", "1",
+          "--workers", "1000000000"),
+         "MAX_WORKERS"),
+        (CURVES + ("--trials", "5", "--workers", "1000000000"), "MAX_WORKERS"),
+        # 13^9, about 1.06 * 10^10 monic polynomials of degree 9
+        (("simulate", "curves", "--l", "3", "--q", "13", "--g", "4",
+          "--cond", "X-2:0", "--exhaustive"),
+         "CENSUS_CAP"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

@@ -2,6 +2,7 @@ import pytest
 
 from cokernel_lab.algebra import Poly
 from cokernel_lab.curves import (
+    CENSUS_CAP,
     all_squarefree_monic,
     char_poly_from_counts,
     curve_sample_from_f,
@@ -131,6 +132,14 @@ def test_exhaustive_census_partition_of_outcomes():
         hits += rep.hits
     assert total == 100
     assert hits == total
+
+
+def test_census_cap():
+    # 13^7 > CENSUS_CAP; a huge degree is refused without computing q^degree
+    for q, degree in ((13, 7), (13, 9), (3, 10**9)):
+        with pytest.raises(ValueError, match="CENSUS_CAP"):
+            all_squarefree_monic(q, degree)
+    assert 7**7 <= CENSUS_CAP
 
 
 def test_census_deterministic():

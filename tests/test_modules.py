@@ -419,6 +419,32 @@ def test_chunked_batch_agrees_with_single_matrices():
     assert len(set(got)) > 10
 
 
+@pytest.mark.parametrize(
+    "l, p, e, chunks",
+    [(3, (1, 0, 1), 4, 1), (3, (1, 0, 1), 5, 2), (3, (0, 1), 39, 5), (3, (1, 1), 39, 5)],
+    ids=["F9[t]/(t^4)", "F9[t]/(t^5)", "F3[X]/(X^39)", "F3[X]/((X+1)^39)"],
+)
+def test_coordinates_match_digit_split(l, p, e, chunks):
+    """The chunk-table gather gives the chain digits of the digit split: the
+    code's base-l digits times the basis change, reduced mod l.  Over
+    F_3[X]/(X^e) the basis change is the identity, so the chunks' rows never
+    overlap; over the other rings their sum needs the reduction."""
+    spec = LocalRingSpec(l, Poly(l, p), e)
+    tables = LocalTables(spec)
+    assert len(tables.chunk_tables) == chunks
+    rng = np.random.default_rng(5)
+    # random codes and the top of the range, just under LOCAL_RING_CAP for
+    # the rings of 3^39 elements
+    codes = np.concatenate(
+        [rng.integers(0, spec.size, size=200), spec.size - 1 - np.arange(56)]
+    ).reshape(4, 8, 8)
+    digits = codes[..., None] // l ** np.arange(tables.m) % l
+    expected = np.remainder(digits @ tables.to_chain, l)
+    got = tables.coordinates(codes)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+
+
 def test_module_size_cap():
     big = _mt(3, 1, 2, (2,) * 6)  # 3^12 elements, above MAX_MODULE_SIZE = 3^10
     with pytest.raises(ValueError, match="exceeds the cap"):

@@ -2,16 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from cokernel_lab import montecarlo
 from cokernel_lab.algebra import LocalRingSpec, Poly, RingSpec, find_irreducible
 from cokernel_lab.measure import mu
 from cokernel_lab.modules import ModuleType, Partition, surj_count
 from cokernel_lab.montecarlo import (
     MAX_MATRIX_SIZE,
+    MAX_WORKERS,
     SampleConfig,
+    _theory_truncation,
     empirical_moment,
     finite_n_constant_demo,
     sample_cokernels,
     tv_distance,
+    worker_streams,
 )
 
 
@@ -31,6 +35,16 @@ def test_config_validation():
     for n in (MAX_MATRIX_SIZE + 1, 10**6):
         with pytest.raises(ValueError, match="MAX_MATRIX_SIZE"):
             SampleConfig(ring, n, 0, 1, mode="exhaustive")
+
+
+def test_worker_count_cap():
+    ring = _ring(3, 1, 1)
+    # refused before a single stream is seeded
+    for workers in (MAX_WORKERS + 1, 10**9):
+        with pytest.raises(ValueError, match="MAX_WORKERS"):
+            SampleConfig(ring, 2, 10, 1, workers=workers)
+        with pytest.raises(ValueError, match="MAX_WORKERS"):
+            next(worker_streams("salt", 1, 10, workers))
 
 
 def test_exhaustive_census_f3_2x2():
@@ -105,6 +119,46 @@ def test_tv_distance_product_ring():
     tv, deficit, _ = tv_distance(dist)
     assert tv < 0.06
     assert deficit < 1e-4
+
+
+def test_tv_distance_builds_truncation_once_per_ring(monkeypatch):
+    ring = _ring(3, 1, 2)
+    dist = sample_cokernels(SampleConfig(ring, 4, 300, 3))
+    calls = []
+
+    def counting_mu(t):
+        calls.append(t)
+        return mu(t)
+
+    monkeypatch.setattr(montecarlo, "mu", counting_mu)
+    _theory_truncation.cache_clear()
+    first = tv_distance(dist)
+    built = len(calls)
+    assert built > 0
+    second = tv_distance(dist)
+    assert len(calls) == built
+    assert second == first
+    info = _theory_truncation.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(TypeError):
+        first[2][next(iter(first[2]))] = 0.0
+    # the cached measure is untouched by the attempt
+    assert tv_distance(dist) == first
+
+
+def test_tv_distance_product_ring_and_factor_cached_apart():
+    first = LocalRingSpec(3, Poly(3, (2, 1)), 1)
+    ring = RingSpec((first, LocalRingSpec(3, Poly(3, (1, 1)), 1)))
+    alone = RingSpec((first,))
+    theory_ring, deficit_ring = _theory_truncation(ring)
+    theory_alone, deficit_alone = _theory_truncation(alone)
+    assert all(t.ring == ring for t in theory_ring)
+    assert all(t.ring == alone for t in theory_alone)
+    assert len(theory_ring) > len(theory_alone)
+    # each entry is the exact measure of its own ring
+    t = ModuleType(alone, (Partition((1,)),))
+    assert theory_alone[t] == mu(t).numeric(montecarlo.MASS_FLOOR / 100)
+    assert deficit_ring >= 0.0 and deficit_alone >= 0.0
 
 
 def test_empirical_matches_mu_on_big_classes():
