@@ -3,7 +3,7 @@ random-matrix and curve-statistics harnesses for empirical validation."""
 
 __version__ = "0.1.0"
 
-from .algebra import LocalRingSpec, Poly, RingElem, RingSpec
+from .algebra import LocalRingSpec, Poly, RingSpec
 from .measure import (
     MeasureValue,
     divisor_density,
@@ -13,13 +13,12 @@ from .measure import (
     rank_distribution,
     rank_distribution_partition_form,
 )
-from .modules import ModuleType, Partition, RingMatrix, aut_order, coker_type, surj_count
+from .modules import ModuleType, Partition, aut_order, coker_type, surj_count
 
 __all__ = [
     "__version__",
     "LocalRingSpec",
     "Poly",
-    "RingElem",
     "RingSpec",
     "MeasureValue",
     "divisor_density",
@@ -30,7 +29,6 @@ __all__ = [
     "rank_distribution_partition_form",
     "ModuleType",
     "Partition",
-    "RingMatrix",
     "aut_order",
     "coker_type",
     "surj_count",

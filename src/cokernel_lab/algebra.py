@@ -1,5 +1,5 @@
-"""Exact arithmetic over prime fields F_l, dense polynomials over F_l,
-and quotient rings F_l[X]/(p^e) together with their CRT products.
+"""Exact arithmetic on dense polynomials over prime fields F_l, and the
+quotient rings F_l[X]/(p^e) together with their CRT products.
 
 Polynomials are stored as coefficient tuples, low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  All coefficients
@@ -8,18 +8,15 @@ are canonical residues in [0, l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "PrimeField",
     "Poly",
     "LocalRingSpec",
     "RingSpec",
-    "RingElem",
     "poly_divmod",
     "poly_gcd",
-    "poly_ext_gcd",
     "is_irreducible",
     "factor_multiplicity",
     "find_irreducible",
@@ -39,17 +36,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime field F_l for an odd prime l."""
-
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.l < 3 or not is_prime(self.l):
-            raise ValueError(f"modulus must be an odd prime >= 3, got {self.l}")
 
 
 def _normalize(coeffs, l: int) -> tuple[int, ...]:
@@ -100,6 +86,17 @@ class Poly:
     @classmethod
     def const(cls, l: int, c: int) -> "Poly":
         return cls(l, (c,))
+
+    @classmethod
+    def from_code(cls, l: int, code: int) -> "Poly":
+        """The polynomial whose coefficients are the base-l digits of code,
+        low degree first; l^d + i codes the monic one of degree d with lower
+        digits i."""
+        digits = []
+        while code:
+            code, digit = divmod(code, l)
+            digits.append(digit)
+        return cls(l, digits)
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -185,23 +182,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, s, t) with g = s*a + t*b and g the monic gcd."""
-    l = a.l
-    r0, r1 = a, b
-    s0, s1 = Poly.one(l), Poly.zero(l)
-    t0, t1 = Poly.zero(l), Poly.one(l)
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = pow(r0.leading(), -1, l)
-    return r0.monic(), s0.scale(c), t0.scale(c)
-
-
 def _pow_mod(base: Poly, exp: int, modulus: Poly) -> Poly:
     result = Poly.one(base.l)
     base = poly_mod(base, modulus)
@@ -265,13 +245,8 @@ def find_irreducible(l: int, d: int) -> Poly:
     """Smallest monic irreducible of degree d over F_l, by coefficient order."""
     if d == 1:
         return Poly.x(l)
-    for idx in range(l**d):
-        coeffs = []
-        n = idx
-        for _ in range(d):
-            coeffs.append(n % l)
-            n //= l
-        cand = Poly(l, tuple(coeffs) + (1,))
+    for code in range(l**d, 2 * l**d):
+        cand = Poly.from_code(l, code)
         if is_irreducible(cand):
             return cand
     raise RuntimeError("unreachable: irreducibles exist in every degree")
@@ -286,7 +261,8 @@ class LocalRingSpec:
     e: int
 
     def __post_init__(self) -> None:
-        PrimeField(self.l)
+        if self.l < 3 or not is_prime(self.l):
+            raise ValueError(f"modulus must be an odd prime >= 3, got {self.l}")
         if self.p.l != self.l:
             raise ValueError("modulus mismatch between l and p")
         if self.e < 1:
@@ -354,74 +330,3 @@ class RingSpec:
     @classmethod
     def local(cls, l: int, p: Poly, e: int) -> "RingSpec":
         return cls((LocalRingSpec(l, p, e),))
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """Element of a RingSpec, stored as one residue per CRT factor."""
-
-    ring: RingSpec
-    residues: tuple[Poly, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if len(self.residues) != len(self.ring.factors):
-            raise ValueError("one residue per factor required")
-        reduced = tuple(
-            poly_mod(r, f.modulus) for r, f in zip(self.residues, self.ring.factors)
-        )
-        object.__setattr__(self, "residues", reduced)
-
-    @classmethod
-    def from_poly(cls, ring: RingSpec, f: Poly) -> "RingElem":
-        return cls(ring, tuple(f for _ in ring.factors))
-
-    @classmethod
-    def zero(cls, ring: RingSpec) -> "RingElem":
-        return cls.from_poly(ring, Poly.zero(ring.l))
-
-    @classmethod
-    def one(cls, ring: RingSpec) -> "RingElem":
-        return cls.from_poly(ring, Poly.one(ring.l))
-
-    def _check(self, other: "RingElem") -> None:
-        if self.ring != other.ring:
-            raise ValueError("ring spec mismatch")
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        return RingElem(
-            self.ring, tuple(a + b for a, b in zip(self.residues, other.residues))
-        )
-
-    def __neg__(self) -> "RingElem":
-        return RingElem(self.ring, tuple(-a for a in self.residues))
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        return RingElem(
-            self.ring, tuple(a * b for a, b in zip(self.residues, other.residues))
-        )
-
-    def is_zero(self) -> bool:
-        return all(r.is_zero() for r in self.residues)
-
-    def is_unit(self) -> bool:
-        """True iff every residue is coprime to its local p."""
-        return all(
-            not poly_mod(r, f.p).is_zero()
-            for r, f in zip(self.residues, self.ring.factors)
-        )
-
-    def inverse(self) -> "RingElem":
-        if not self.is_unit():
-            raise ZeroDivisionError("not a unit")
-        out = []
-        for r, f in zip(self.residues, self.ring.factors):
-            g, s, _ = poly_ext_gcd(r, f.modulus)
-            if g.degree != 0:
-                raise ZeroDivisionError("not a unit")
-            out.append(s)
-        return RingElem(self.ring, tuple(out))

@@ -90,35 +90,9 @@ class ResidueRing:
         """Codes of the digit rows along the last axis."""
         return digits @ self.powers
 
-    @staticmethod
-    def decode(l: int, code: int) -> Poly:
-        """The residue polynomial of a code, for any ring over F_l."""
-        digits = []
-        while code:
-            code, digit = divmod(code, l)
-            digits.append(digit)
-        return Poly(l, digits)
-
-    def products(self, A):
-        """Digits of a * x for every row a of the digit array A (K, m) and
-        every element x: shape (K, N, m)."""
-        return np.tensordot(A, self.XE, axes=(1, 0)) % self.l
-
     def pointwise(self, A):
         """Digits of A[x] * x for every element x, with A of shape (N, m)."""
         return np.einsum("xi,ixm->xm", A, self.XE) % self.l
-
-    def _rows(self, block_digits):
-        """A table as a list of rows, built over row blocks of at most about
-        2^20 digits each, so no N x N x m array is ever held.  All rows share
-        one int object per code instead of holding one per entry."""
-        step = max(1, (1 << 20) // (self.N * self.m))
-        ints = np.arange(self.N).astype(object)
-        rows = []
-        for start in range(0, self.N, step):
-            codes = self.encode(block_digits(self.D[start : start + step]))
-            rows += ints[codes].tolist()
-        return rows
 
     @cached_property
     def neg(self) -> list[int]:
@@ -127,12 +101,14 @@ class ResidueRing:
     @cached_property
     def sub(self) -> list[list[int]]:
         """sub[a][b] is the code of a - b."""
-        return self._rows(lambda A: (A[:, None, :] - self.D[None, :, :]) % self.l)
+        digits = (self.D[:, None, :] - self.D[None, :, :]) % self.l
+        return self.encode(digits).tolist()
 
     @cached_property
     def mul(self) -> list[list[int]]:
         """mul[a][b] is the code of a * b."""
-        return self._rows(self.products)
+        digits = np.tensordot(self.D, self.XE, axes=(1, 0)) % self.l
+        return self.encode(digits).tolist()
 
     @cached_property
     def inv(self) -> list[int]:

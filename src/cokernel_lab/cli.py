@@ -9,7 +9,6 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__
 from .algebra import LocalRingSpec, Poly, RingSpec
@@ -64,13 +63,27 @@ def poly_json(p: Poly) -> dict:
 
 
 def parse_ring_json(data) -> RingSpec:
+    """A ring from JSON like {"l": 3, "factors": [{"p": [0, 1], "e": 2}]}."""
     if isinstance(data, str):
         data = json.loads(data)
-    l = data["l"]
-    factors = tuple(
-        LocalRingSpec(l, Poly(l, f["p"]), f["e"]) for f in data["factors"]
-    )
-    return RingSpec(factors)
+    if not isinstance(data, dict):
+        raise ValueError(f"--ring must be a JSON object, got {data!r}")
+    l, factors = data.get("l"), data.get("factors")
+    if type(l) is not int:
+        raise ValueError(f"--ring l must be an integer, got {l!r}")
+    if not isinstance(factors, list) or not factors or not all(
+        isinstance(f, dict) for f in factors
+    ):
+        raise ValueError(
+            f"--ring factors must be a non-empty list of objects, got {factors!r}"
+        )
+    for f in factors:
+        p, e = f.get("p"), f.get("e")
+        if not isinstance(p, list) or not all(type(c) is int for c in p):
+            raise ValueError(f"--ring factor p must be a list of integers, got {p!r}")
+        if type(e) is not int:
+            raise ValueError(f"--ring factor e must be an integer, got {e!r}")
+    return RingSpec(tuple(LocalRingSpec(l, Poly(l, f["p"]), f["e"]) for f in factors))
 
 
 def ring_json(ring: RingSpec) -> dict:
@@ -369,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank-dist", help="mass of an F_l-dimension stratum")
     p.add_argument("--l", type=int, default=3)
-    p.add_argument("--p", default=None)
-    p.add_argument("--Q", type=int, default=None)
+    residue = p.add_mutually_exclusive_group(required=True)
+    residue.add_argument("--p", default=None)
+    residue.add_argument("--Q", type=int, default=None)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--m", type=int, required=True)

@@ -115,10 +115,9 @@ def curve_sample_from_f(f, q: int, g: int) -> CurveSample:
     return CurveSample(q, g, tuple(f), char_poly_from_counts(point_counts(f, q, g), q, g))
 
 
-def _is_squarefree(f, q: int) -> bool:
-    fp = Poly(q, f)
-    deriv = Poly(q, [(i * c) % q for i, c in enumerate(f)][1:])
-    return poly_gcd(fp, deriv).degree == 0
+def _is_squarefree(f: Poly) -> bool:
+    deriv = Poly(f.l, [i * c for i, c in enumerate(f.coeffs)][1:])
+    return poly_gcd(f, deriv).degree == 0
 
 
 def sample_curve(q: int, g: int, rng) -> tuple[int, ...]:
@@ -126,7 +125,7 @@ def sample_curve(q: int, g: int, rng) -> tuple[int, ...]:
     _validate_q(q)
     while True:
         f = tuple(int(x) for x in rng.integers(0, q, 2 * g + 1)) + (1,)
-        if _is_squarefree(f, q):
+        if _is_squarefree(Poly(q, f)):
             return f
 
 
@@ -138,16 +137,12 @@ def all_squarefree_monic(q: int, degree: int):
         raise ValueError(
             f"census of {q}^{degree} monic polynomials exceeds CENSUS_CAP = {CENSUS_CAP}"
         )
+    top = q**degree
     out = []
-    for idx in range(q**degree):
-        coeffs = []
-        n = idx
-        for _ in range(degree):
-            coeffs.append(n % q)
-            n //= q
-        f = tuple(coeffs) + (1,)
-        if _is_squarefree(f, q):
-            out.append(f)
+    for code in range(top, 2 * top):
+        f = Poly.from_code(q, code)
+        if _is_squarefree(f):
+            out.append(f.coeffs)
     return out
 
 
@@ -181,6 +176,8 @@ def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
 
 
 def _iter_curves(q, g, trials, seed, workers, exhaustive):
+    if g < 1:
+        raise ValueError(f"genus g = {g} must be >= 1")
     if exhaustive:
         for f in all_squarefree_monic(q, 2 * g + 1):
             yield f

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .algebra import LocalRingSpec, Poly, RingSpec, find_irreducible, is_prime
 from .modules import (
@@ -210,6 +211,7 @@ def rank_distribution_partition_form(
 def moment_rank(Q: int, e: int, k: int) -> int:
     """The k-th moment of Q^rank: the number of submodules of the rank-k free
     module over the chain quotient with exponent e."""
+    _prime_power(Q)
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     return sum(count for _, count in submodule_counts(Q, (e,) * k))
@@ -318,12 +320,12 @@ def _self_paired_density(p: Poly, m: int, q: int) -> MeasureValue:
     )
 
 
-def divisor_density_hypothesis(l: int, conditions, tol: float = DEFAULT_TOL) -> bool:
+def divisor_density_hypothesis(l: int, conditions) -> bool:
     """Whether prod eta(F_i) > 1/2, the uniqueness hypothesis."""
     conds = _validate_conditions(l, conditions)
     prod = 1.0
     for p, _ in conds:
-        prod *= eta(l**p.degree, tol).value
+        prod *= eta(l**p.degree, DEFAULT_TOL).value
     return prod > 0.5
 
 
@@ -339,18 +341,20 @@ def independence_prediction(ring: RingSpec, local_types) -> tuple:
     return joint, product
 
 
+def _prime_power(Q: int) -> tuple[int, int]:
+    """The prime l and the exponent d >= 1 with Q = l^d."""
+    if Q >= 2:
+        l = next((p for p in range(2, isqrt(Q) + 1) if Q % p == 0), Q)
+        d = 0
+        while Q % l**(d + 1) == 0:
+            d += 1
+        if l**d == Q:
+            return l, d
+    raise ValueError(f"Q = {Q} is not a prime power")
+
+
 @lru_cache(maxsize=None)
 def local_ring_with_residue_size(Q: int, e: int) -> LocalRingSpec:
-    """A local ring F_l[X]/(p^e) whose residue field has exactly Q elements,
-    for the smallest prime l with Q = l^d."""
-    for l in range(2, Q + 1):
-        if not is_prime(l):
-            continue
-        d = 0
-        n = Q
-        while n % l == 0 and n > 1:
-            n //= l
-            d += 1
-        if n == 1 and d >= 1:
-            return LocalRingSpec(l, find_irreducible(l, d), e)
-    raise ValueError(f"{Q} is not a prime power")
+    """A local ring F_l[X]/(p^e) whose residue field has exactly Q elements."""
+    l, d = _prime_power(Q)
+    return LocalRingSpec(l, find_irreducible(l, d), e)

@@ -10,9 +10,7 @@ from itertools import product
 from math import prod
 
 from .algebra import (
-    LocalRingSpec,
     Poly,
-    RingElem,
     RingSpec,
     factor_multiplicity,
     poly_divmod,
@@ -21,7 +19,6 @@ from .algebra import (
 __all__ = [
     "Partition",
     "ModuleType",
-    "RingMatrix",
     "MAX_MODULE_SIZE",
     "snf_invariant_factors",
     "coker_type",
@@ -112,39 +109,6 @@ class ModuleType:
         return cls(ring, tuple(Partition(()) for _ in ring.factors))
 
 
-@dataclass(frozen=True)
-class RingMatrix:
-    """Dense matrix over a RingSpec."""
-
-    ring: RingSpec
-    entries: tuple[tuple[RingElem, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.entries:
-            w = len(self.entries[0])
-            if any(len(r) != w for r in self.entries):
-                raise ValueError("ragged matrix")
-        for row in self.entries:
-            for x in row:
-                if x.ring != self.ring:
-                    raise ValueError("entry ring mismatch")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def from_polys(cls, ring: RingSpec, rows) -> "RingMatrix":
-        return cls(
-            ring,
-            tuple(tuple(RingElem.from_poly(ring, p) for p in row) for row in rows),
-        )
-
-
 def snf_invariant_factors(mat) -> list[Poly]:
     """Smith normal form diagonal of a matrix over F_l[X]: monic invariant
     factors with d_1 | d_2 | ..., zeros last for rank deficiency."""
@@ -204,26 +168,25 @@ def snf_invariant_factors(mat) -> list[Poly]:
     return [M[i][i].monic() for i in range(r)]
 
 
-def coker_type(a: RingMatrix) -> ModuleType:
-    """Isomorphism class of the cokernel of a square matrix: per local factor
-    the entries are lifted to F_l[X] and the block [A | p^e I] is put in
-    Smith normal form; the parts are the p-multiplicities of the invariant
-    factors."""
-    n = a.n_rows
-    if n != a.n_cols:
+def coker_type(ring: RingSpec, rows) -> ModuleType:
+    """Isomorphism class of the cokernel of a square matrix over the ring,
+    given as one F_l[X] lift per entry: per local factor the block
+    [A | p^e I] is put in Smith normal form, which gives the cokernel over
+    F_l[X]/(p^e) for any lift of A, and the parts are the p-multiplicities
+    of the invariant factors."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("cokernel classification requires a square matrix")
-    ring = a.ring
+    if any(x.l != ring.l for row in rows for x in row):
+        raise ValueError("entry ring mismatch")
     types = []
-    for idx, f in enumerate(ring.factors):
-        lifted = [
-            [a.entries[i][j].residues[idx] for j in range(n)] for i in range(n)
-        ]
+    for f in ring.factors:
         modulus = f.modulus
-        for i in range(n):
-            lifted[i].extend(
-                modulus if i == j else Poly.zero(ring.l) for j in range(n)
-            )
-        diag = snf_invariant_factors(lifted)
+        block = [
+            list(row) + [modulus if i == j else Poly.zero(ring.l) for j in range(n)]
+            for i, row in enumerate(rows)
+        ]
+        diag = snf_invariant_factors(block)
         parts = []
         for d in diag:
             m = factor_multiplicity(d, f.p)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +5,12 @@ from hypothesis import strategies as st
 from cokernel_lab.algebra import (
     LocalRingSpec,
     Poly,
-    RingElem,
     RingSpec,
     factor_multiplicity,
     find_irreducible,
     is_irreducible,
     is_prime,
     poly_divmod,
-    poly_ext_gcd,
     poly_gcd,
     poly_mod,
 )
@@ -33,6 +29,13 @@ def test_poly_normalization_strips_leading_zeros():
     assert p.coeffs == (1, 2)
     assert Poly(3, (0, 0)).is_zero()
     assert Poly(3, ()).degree == -1
+
+
+def test_from_code_hand_values():
+    assert Poly.from_code(3, 0).is_zero()
+    assert Poly.from_code(3, 5).coeffs == (2, 1)
+    # l^d + idx: the monic polynomial of degree d with lower digits idx
+    assert Poly.from_code(5, 5**3 + 7).coeffs == (2, 1, 0, 1)
 
 
 def test_poly_arithmetic_hand_values():
@@ -65,15 +68,8 @@ def test_divmod_by_zero_raises():
     st.sampled_from([3, 5]),
 )
 def test_divmod_property(ac, bc, l):
-    def decode(n):
-        out = []
-        while n:
-            out.append(n % l)
-            n //= l
-        return Poly(l, out)
-
-    a = decode(ac)
-    b = decode(bc % l ** 4)
+    a = Poly.from_code(l, ac)
+    b = Poly.from_code(l, bc % l ** 4)
     if b.is_zero():
         return
     q, r = poly_divmod(a, b)
@@ -89,31 +85,10 @@ def test_gcd_hand_values():
     assert poly_gcd(f, Poly(l, (1, 1))).degree == 1
 
 
-def test_ext_gcd_bezout():
-    rng = random.Random(11)
-    for _ in range(100):
-        l = rng.choice([3, 5])
-        a = Poly(l, [rng.randrange(l) for _ in range(rng.randrange(1, 5))])
-        b = Poly(l, [rng.randrange(l) for _ in range(rng.randrange(1, 5))])
-        if a.is_zero() and b.is_zero():
-            continue
-        g, u, v = poly_ext_gcd(a, b)
-        assert u * a + v * b == g
-        if not a.is_zero():
-            assert poly_mod(a, g).is_zero()
-        if not b.is_zero():
-            assert poly_mod(b, g).is_zero()
-
-
 def _all_polys(l, deg):
+    """Monic polynomials of degree deg."""
     for code in range(l ** deg, 2 * l ** deg):
-        coeffs = []
-        n = code
-        for _ in range(deg + 1):
-            coeffs.append(n % l)
-            n //= l
-        if coeffs[-1]:
-            yield Poly(l, coeffs)
+        yield Poly.from_code(l, code)
 
 
 def test_irreducibility_against_trial_division():
@@ -154,12 +129,7 @@ def test_find_irreducible_properties():
 )
 def test_factor_multiplicity_roundtrip(l, m, code):
     p = find_irreducible(l, 2)
-    rest = []
-    n = code
-    while n:
-        rest.append(n % l)
-        n //= l
-    u = Poly(l, rest)
+    u = Poly.from_code(l, code)
     if u.is_zero() or poly_mod(u, p).is_zero():
         return
     f = u
@@ -188,41 +158,3 @@ def test_ring_spec_coprime_validation():
     p1 = Poly(l, (2, 1))
     with pytest.raises(ValueError):
         RingSpec((LocalRingSpec(l, p1, 1), LocalRingSpec(l, p1, 2)))
-
-
-def test_ring_elem_axioms_random():
-    """Associativity, distributivity, and unit inversion over a CRT product."""
-    l = 3
-    ring = RingSpec(
-        (
-            LocalRingSpec(l, Poly(l, (2, 1)), 2),
-            LocalRingSpec(l, Poly(l, (1, 1)), 1),
-        )
-    )
-    rng = random.Random(7)
-
-    def rand_elem():
-        residues = []
-        for f in ring.factors:
-            coeffs = [rng.randrange(l) for _ in range(f.modulus.degree)]
-            residues.append(Poly(l, coeffs))
-        return RingElem(ring, tuple(residues))
-
-    one = RingElem.one(ring)
-    for _ in range(300):
-        a, b, c = rand_elem(), rand_elem(), rand_elem()
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        if a.is_unit():
-            assert a * a.inverse() == one
-
-
-def test_ring_elem_unit_detection():
-    l = 3
-    ring = RingSpec.local(l, Poly(l, (0, 1)), 2)
-    x = RingElem.from_poly(ring, Poly(l, (0, 1)))
-    assert not x.is_unit()
-    u = RingElem.from_poly(ring, Poly(l, (1, 1)))
-    assert u.is_unit()

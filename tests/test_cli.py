@@ -212,6 +212,33 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("simulate", "curves", "--l", "3", "--q", "13", "--g", "4",
           "--cond", "X-2:0", "--exhaustive"),
          "CENSUS_CAP"),
+        (("measure", "--ring", "[1]", "--types", "[[1]]"), "--ring must be a JSON object"),
+        (("measure", "--ring", '{"l": 3, "factors": {"p": [0, 1], "e": 2}}',
+          "--types", "[[1]]"),
+         "factors must be a non-empty list of objects"),
+        (("measure", "--ring", '{"l": 3, "factors": [{"p": "X", "e": 2}]}',
+          "--types", "[[1]]"),
+         "p must be a list of integers"),
+        (("measure", "--ring", '{"l": 3, "factors": [{"p": [0, 1], "e": "2"}]}',
+          "--types", "[[1]]"),
+         "e must be an integer"),
+        (("measure", "--ring", '{"l": 3, "factors": [{"p": [0, 1], "e": 2.0}]}',
+          "--types", "[[1]]"),
+         "e must be an integer"),
+        (("measure", "--ring", '{"l": 3.0, "factors": [{"p": [0, 1], "e": 2}]}',
+          "--types", "[[1]]"),
+         "l must be an integer"),
+        (("rank-dist", "--e", "2", "--m", "2"), "one of the arguments --p --Q is required"),
+        (("rank-dist", "--p", "X", "--Q", "9", "--e", "2", "--m", "2"), "not allowed with"),
+        (("moments", "--Q", "1", "--e", "2", "--k", "2"), "Q = 1 is not a prime power"),
+        (("moments", "--Q", "0", "--e", "2", "--k", "2"), "Q = 0 is not a prime power"),
+        (("moments", "--Q", "6", "--e", "2", "--k", "2"), "Q = 6 is not a prime power"),
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "0", "--cond", "X-1:0",
+          "--trials", "5"),
+         "g = 0 must be >= 1"),
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "-1", "--cond", "X-1:0",
+          "--trials", "5"),
+         "g = -1 must be >= 1"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

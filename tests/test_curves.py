@@ -23,15 +23,7 @@ def _naive_counts(f, q, g):
     out = []
     for d in range(1, g + 1):
         modulus = find_irreducible(q, d)
-
-        def decode(n):
-            coeffs = []
-            while n:
-                coeffs.append(n % q)
-                n //= q
-            return Poly(q, coeffs)
-
-        elems = [decode(n) for n in range(q**d)]
+        elems = [Poly.from_code(q, n) for n in range(q**d)]
         squares = set()
         for x in elems:
             squares.add(poly_mod(x * x, modulus).coeffs)

@@ -8,14 +8,12 @@ import pytest
 from cokernel_lab.algebra import (
     LocalRingSpec,
     Poly,
-    RingElem,
     RingSpec,
     find_irreducible,
     poly_mod,
 )
 from cokernel_lab.chainring import (
     LocalTables,
-    ResidueRing,
     bfs_submodules,
     brute_force_aut_order,
     brute_hom_count,
@@ -27,7 +25,6 @@ from cokernel_lab.modules import (
     MAX_MODULE_SIZE,
     ModuleType,
     Partition,
-    RingMatrix,
     aut_order,
     coker_type,
     enumerate_module_types,
@@ -107,40 +104,46 @@ def test_snf_divisibility_property():
 def test_coker_type_examples():
     l = 3
     ring = RingSpec.local(l, Poly.x(l), 2)
-    x = Poly.x(l)
-    m = RingMatrix.from_polys(ring, [[x, Poly.zero(l)], [Poly.zero(l), Poly.one(l)]])
-    assert coker_type(m).local_types[0].parts == (1,)
-    m = RingMatrix.from_polys(ring, [[Poly.zero(l)]])
-    assert coker_type(m).local_types[0].parts == (2,)
-    m = RingMatrix.from_polys(ring, [[Poly.const(l, 2)]])
-    assert coker_type(m).local_types[0].parts == ()
+    x, zero = Poly.x(l), Poly.zero(l)
+
+    def parts(rows):
+        return coker_type(ring, rows).local_types[0].parts
+
+    assert parts([[x, zero], [zero, Poly.one(l)]]) == (1,)
+    assert parts([[zero]]) == (2,)
+    assert parts([[Poly.const(l, 2)]]) == ()
+
+
+def test_coker_type_refuses_bad_matrices():
+    ring = RingSpec.local(3, Poly.x(3), 2)
+    with pytest.raises(ValueError, match="square"):
+        coker_type(ring, [[Poly.one(3), Poly.one(3)]])
+    with pytest.raises(ValueError, match="entry ring mismatch"):
+        coker_type(ring, [[Poly.one(5)]])
 
 
 def test_coker_type_unimodular_invariance():
-    """Multiplying by invertible matrices fixes the cokernel type."""
+    """Multiplying by invertible matrices fixes the cokernel type; the
+    products are unreduced lifts, of degree up to 3 against X^2."""
     l = 3
     ring = RingSpec.local(l, Poly.x(l), 2)
     rng = random.Random(13)
 
-    def rand_elem():
-        return RingElem.from_poly(ring, Poly(l, [rng.randrange(l), rng.randrange(l)]))
-
     def rand_matrix(n):
-        return [[rand_elem() for _ in range(n)] for _ in range(n)]
+        return [
+            [Poly(l, [rng.randrange(l), rng.randrange(l)]) for _ in range(n)]
+            for _ in range(n)
+        ]
 
     def rand_invertible(n):
         while True:
             m = rand_matrix(n)
-            diag = coker_type(RingMatrix(ring, tuple(tuple(r) for r in m)))
-            if all(not p.parts for p in diag.local_types):
+            if all(not p.parts for p in coker_type(ring, m).local_types):
                 return m
 
     def matmul(a, b, n):
         return [
-            [
-                sum((a[i][k] * b[k][j] for k in range(n)), RingElem.zero(ring))
-                for j in range(n)
-            ]
+            [sum((a[i][k] * b[k][j] for k in range(n)), Poly.zero(l)) for j in range(n)]
             for i in range(n)
         ]
 
@@ -149,9 +152,8 @@ def test_coker_type_unimodular_invariance():
         a = rand_matrix(n)
         u = rand_invertible(n)
         v = rand_invertible(n)
-        t0 = coker_type(RingMatrix(ring, tuple(tuple(r) for r in a)))
-        prod = matmul(matmul(u, a, n), v, n)
-        t1 = coker_type(RingMatrix(ring, tuple(tuple(r) for r in prod)))
+        t0 = coker_type(ring, a)
+        t1 = coker_type(ring, matmul(matmul(u, a, n), v, n))
         assert t0 == t1
 
 
@@ -159,9 +161,8 @@ def test_coker_type_crt_product_ring():
     l = 3
     p1, p2 = Poly(l, (2, 1)), Poly(l, (1, 1))
     ring = RingSpec((LocalRingSpec(l, p1, 1), LocalRingSpec(l, p2, 2)))
-    # X - 1 is zero at the first factor, a unit times (X+1)^0... at the second
-    m = RingMatrix.from_polys(ring, [[p1]])
-    t = coker_type(m)
+    # X - 1 is zero at the first factor and a unit at the second
+    t = coker_type(ring, [[p1]])
     assert t.local_types[0].parts == (1,)
     assert t.local_types[1].parts == ()
 
@@ -287,12 +288,8 @@ def test_enumerate_module_types_counts():
 def _snf_partition(spec, codes):
     """The oracle: coker_type's partition of a code matrix, by Smith normal
     form over Poly."""
-    ring = RingSpec((spec,))
-    rows = tuple(
-        tuple(RingElem(ring, (ResidueRing.decode(spec.l, c),)) for c in row)
-        for row in codes
-    )
-    return coker_type(RingMatrix(ring, rows)).local_types[0].parts
+    rows = [[Poly.from_code(spec.l, c) for c in row] for row in codes]
+    return coker_type(RingSpec((spec,)), rows).local_types[0].parts
 
 
 def test_fast_table_coker_agrees_with_snf():
@@ -366,7 +363,7 @@ def test_chain_classifier_agrees_with_snf(l, p, e):
 
     def entry():
         # a random element times p^v for a random v, so every valuation occurs
-        x = ResidueRing.decode(l, rng.randrange(spec.size))
+        x = Poly.from_code(l, rng.randrange(spec.size))
         f = poly_mod(x * p_powers[rng.randrange(e + 1)], spec.modulus)
         return sum(c * l**i for i, c in enumerate(f.coeffs))
 
