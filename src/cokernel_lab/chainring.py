@@ -1,28 +1,29 @@
-"""Chain-ring machinery shared by the counting and sampling layers.
+"""Chain-ring machinery shared by the counting, sampling and curve layers.
 
 Every local ring F_l[X]/(p^e) is, as a ring, a truncated polynomial ring
 F_Q[t]/(t^e) over its residue field of size Q = l^deg(p).  This module
-provides the one digit-coded residue-ring layer F_l[X]/(f) with its lookup
-tables, exact arithmetic on truncated polynomials, the cokernel classifier
-(valuation elimination on F_Q[t]/(t^e) in F_l digits, batched over the
-draws, for every local ring), and the independent oracles for the closed
-forms in modules: a canonical-form enumeration of submodules, a BFS lattice
-walk and element-level brute-force counters.
+provides the one finite-ring layer: the multiplication tensor of each local
+ring on its chain basis, which also gives the product matrices of the
+fields F_{l^d} (field_products); the cokernel classifier (valuation
+elimination on F_Q[t]/(t^e) in F_l digits, batched over the draws, for
+every local ring); and the independent oracles for the closed forms in
+modules: exact arithmetic on F_Q[t]/(t^e), a canonical-form enumeration of
+submodules, a BFS lattice walk and element-level brute-force counters.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
 
 from .algebra import LocalRingSpec, Poly, _pow_mod, find_irreducible, poly_mod
+from .modules import Partition
 
 __all__ = [
     "MAX_RING_SIZE",
-    "ResidueRing",
-    "residue_ring",
+    "field_products",
     "ChainRing",
     "chain_ring_for",
     "enumerate_submodules_chain",
@@ -45,132 +46,60 @@ LOCAL_RING_CAP = 2**63
 COORD_TABLE_ROWS = 2**13
 
 
-def _refuse_above_cap(l: int, m: int) -> None:
-    if l**m > MAX_RING_SIZE:
-        raise ValueError(
-            f"F_{l}[X]/(f) with deg f = {m} has {l}^{m} = {l**m} elements, "
-            f"above MAX_RING_SIZE = {MAX_RING_SIZE}"
-        )
-
-
-class ResidueRing:
-    """F_l[X]/(f) for a monic f of degree m >= 1, with N = l^m elements.
-
-    An element is coded by the integer sum of digit_i * l^i over the
-    coefficients of its residue polynomial, low degree first; the code 0 is
-    zero and the code 1 is one.  The one product primitive is the digit
-    tensor XE, where XE[i][x] holds the digits of X^i * x, so that a * x has
-    the digits sum_i a_i * XE[i][x] mod l.  The N x N lookup tables are
-    built from it on first use.
-    """
-
-    def __init__(self, modulus: Poly):
-        l = modulus.l
-        m = modulus.degree
-        if not modulus.is_monic() or m < 1:
-            raise ValueError(f"modulus {modulus} must be monic of positive degree")
-        _refuse_above_cap(l, m)
-        self.l = l
-        self.m = m
-        self.N = l**m
-        self.modulus = modulus
-        self.powers = l ** np.arange(m)
-        self.D = np.arange(self.N)[:, None] // self.powers % l
-        mod_row = np.array(modulus.coeffs[:-1], dtype=np.int64)
-        XE = np.empty((m, self.N, m), dtype=np.int64)
-        XE[0] = self.D
-        for i in range(1, m):
-            prev = XE[i - 1]
-            XE[i, :, 0] = 0
-            XE[i, :, 1:] = prev[:, :-1]
-            XE[i] = (XE[i] - np.outer(prev[:, m - 1], mod_row)) % l
-        self.XE = XE
-
-    def encode(self, digits):
-        """Codes of the digit rows along the last axis."""
-        return digits @ self.powers
-
-    def pointwise(self, A):
-        """Digits of A[x] * x for every element x, with A of shape (N, m)."""
-        return np.einsum("xi,ixm->xm", A, self.XE) % self.l
-
-    @cached_property
-    def neg(self) -> list[int]:
-        return self.encode(-self.D % self.l).tolist()
-
-    @cached_property
-    def sub(self) -> list[list[int]]:
-        """sub[a][b] is the code of a - b."""
-        digits = (self.D[:, None, :] - self.D[None, :, :]) % self.l
-        return self.encode(digits).tolist()
-
-    @cached_property
-    def mul(self) -> list[list[int]]:
-        """mul[a][b] is the code of a * b."""
-        digits = np.tensordot(self.D, self.XE, axes=(1, 0)) % self.l
-        return self.encode(digits).tolist()
-
-    @cached_property
-    def inv(self) -> list[int]:
-        """inv[a] is the code of 1/a for a unit a and 0 for a non-unit."""
-        inv = [0] * self.N
-        for a, row in enumerate(self.mul):
-            try:
-                inv[a] = row.index(1)
-            except ValueError:  # a is not a unit
-                pass
-        return inv
-
-    @cached_property
-    def chi(self):
-        """Quadratic character by code: 1 on nonzero squares, -1 on the other
-        nonzero elements, 0 on zero.  Meaningful when f is irreducible."""
-        chi = -np.ones(self.N, dtype=np.int64)
-        chi[self.encode(self.pointwise(self.D))] = 1
-        chi[0] = 0
-        return chi
-
-
 @lru_cache(maxsize=None)
-def residue_ring(modulus: Poly) -> ResidueRing:
-    return ResidueRing(modulus)
+def field_products(l: int, d: int):
+    """F_{l^d} = F_l[X]/(f), f = find_irreducible(l, d), as two int64 arrays:
+    digits, of shape (Q, d), holds the base-l digits of every code, low
+    first, and by_x, of shape (Q, d, d), holds for each element x the matrix
+    of y -> x y, so that x y has the digits digits[y] @ by_x[x] mod l.
+
+    Both come from the multiplication tensor of the local ring with e = 1,
+    whose chain basis is the basis 1, X, ..., X^(d-1): its chain digits are
+    the code's base-l digits."""
+    times = local_tables_for(LocalRingSpec(l, find_irreducible(l, d), 1)).times
+    digits = np.arange(l**d)[:, None] // l ** np.arange(d) % l
+    by_x = np.einsum("xa,abk->xbk", digits, times.reshape(d, d, d).astype(np.int64)) % l
+    return digits, by_x
 
 
 class ChainRing:
-    """F_Q[t]/(t^e): elements are length-e tuples of field codes, low first."""
+    """F_Q[t]/(t^e) with Q = l^d: elements are length-e tuples of F_Q codes,
+    low first, added and multiplied through F_Q code tables."""
 
-    def __init__(self, field: ResidueRing, e: int):
-        self.field = field
+    def __init__(self, l: int, d: int, e: int):
+        self.Q = l**d
         self.e = e
         self.zero = (0,) * e
-        self.one = (1,) + (0,) * (e - 1)
+        digits, by_x = field_products(l, d)
+        powers = l ** np.arange(d)
+        # field_sub[a][b] is the code of a - b, field_mul[a][b] of a b
+        self.field_sub = ((digits[:, None] - digits[None]) % l @ powers).tolist()
+        self.field_neg = (-digits % l @ powers).tolist()
+        self.field_mul = (np.einsum("yi,xik->xyk", digits, by_x) % l @ powers).tolist()
+        self.field_inv = [0] + [row.index(1) for row in self.field_mul[1:]]
 
     def elements(self):
-        return [tuple(reversed(t)) for t in product(range(self.field.N), repeat=self.e)]
+        return [tuple(reversed(t)) for t in product(range(self.Q), repeat=self.e)]
 
     def add(self, x, y):
-        f = self.field
-        return tuple(f.sub[a][f.neg[b]] for a, b in zip(x, y))
-
-    def neg(self, x):
-        neg = self.field.neg
-        return tuple(neg[a] for a in x)
+        sub, neg = self.field_sub, self.field_neg
+        return tuple(sub[a][neg[b]] for a, b in zip(x, y))
 
     def sub(self, x, y):
-        sub = self.field.sub
+        sub = self.field_sub
         return tuple(sub[a][b] for a, b in zip(x, y))
 
     def mul(self, x, y):
-        f = self.field
+        sub, neg, mul = self.field_sub, self.field_neg, self.field_mul
         out = [0] * self.e
         for i, xi in enumerate(x):
             if xi:
                 # out + xi * y, as out - (-xi) * y
-                row = f.mul[f.neg[xi]]
+                row = mul[neg[xi]]
                 for j in range(self.e - i):
                     yj = y[j]
                     if yj:
-                        out[i + j] = f.sub[out[i + j]][row[yj]]
+                        out[i + j] = sub[out[i + j]][row[yj]]
         return tuple(out)
 
     def val(self, x) -> int:
@@ -193,24 +122,24 @@ class ChainRing:
         return x[i:] + (0,) * i
 
     def unit_inv(self, x):
-        f = self.field
+        sub, mul = self.field_sub, self.field_mul
         if x[0] == 0:
             raise ZeroDivisionError("not a unit in the chain ring")
-        u0 = f.inv[x[0]]
+        u0 = self.field_inv[x[0]]
         out = [u0] + [0] * (self.e - 1)
         for k in range(1, self.e):
             # s = -sum_{i >= 1} x_i * out_{k-i}
             s = 0
             for i in range(1, k + 1):
                 if x[i] and out[k - i]:
-                    s = f.sub[s][f.mul[x[i]][out[k - i]]]
-            out[k] = f.mul[u0][s]
+                    s = sub[s][mul[x[i]][out[k - i]]]
+            out[k] = mul[u0][s]
         return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _chain_cache(l: int, d: int, e: int) -> ChainRing:
-    return ChainRing(residue_ring(find_irreducible(l, d)), e)
+    return ChainRing(l, d, e)
 
 
 def chain_ring_for(spec: LocalRingSpec) -> ChainRing:
@@ -281,27 +210,26 @@ def _span_log_size(rows, ambient, ring: ChainRing) -> int:
 
 
 def _span_type(rows, ambient, ring: ChainRing) -> tuple:
-    """Isomorphism type of the span: the partition whose conjugate counts
-    come from the sizes of t^i * span."""
+    """Isomorphism type of the span, from the sizes of t^i * span."""
     k = len(ambient)
     logs = []
     for i in range(ring.e + 1):
         shifted = [
             [_trunc(ring.shift_up(r[c], i), ambient[c]) for c in range(k)] for r in rows
         ]
-        s = _span_log_size(shifted, ambient, ring)
-        logs.append(s)
-        if s == 0:
+        logs.append(_span_log_size(shifted, ambient, ring))
+        if logs[-1] == 0:
             break
-    while len(logs) <= ring.e:
-        logs.append(0)
-    counts = [logs[i] - logs[i + 1] for i in range(ring.e)]
-    lam = []
-    for i in range(len(counts)):
-        here = counts[i] - (counts[i + 1] if i + 1 < len(counts) else 0)
-        lam.extend([i + 1] * here)
-    lam.sort(reverse=True)
-    return tuple(lam)
+    return _type_from_layers(logs)
+
+
+def _type_from_layers(logs) -> tuple:
+    """The partition of a module M over F_Q[t]/(t^e) from its layer sizes
+    logs[i] = log_Q |t^i M|, listed until the first 0 (or through i = e):
+    logs[i] - logs[i+1] counts the parts above i, so the nonzero
+    differences form the conjugate partition."""
+    diffs = (a - b for a, b in zip(logs, logs[1:] + [0]))
+    return Partition(tuple(x for x in diffs if x)).conjugate().parts
 
 
 def _reduce_in_span(w, start_c, rows_by_pivot, v, ambient, ring: ChainRing) -> bool:
@@ -332,7 +260,7 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
     k = len(ambient)
     if k == 0:
         return {(): 1}
-    Q = ring.field.N
+    Q = ring.Q
     if all(a == 1 for a in ambient):
         return _vector_space_submodule_counts(Q, k)
     counts: dict = {}
@@ -388,9 +316,9 @@ class LocalTables:
     basis {alpha^j t^i}, digit i d + j, so its valuation is the index of
     its first nonzero block of d digits.
 
-    A residue-ring code, the base-l number of the digits of its residue
-    polynomial, is cut into K chunks of c base-l digits, c the largest for
-    which l^c <= COORD_TABLE_ROWS (at least 1).  The table chunk_tables[k],
+    A code of R, the base-l number of the digits of its residue polynomial,
+    is cut into K chunks of c base-l digits, c the largest for which
+    l^c <= COORD_TABLE_ROWS (at least 1).  The table chunk_tables[k],
     of shape (l^c, m) in the smallest integer type that holds them, holds
     for every value x of chunk k the chain digits of the code x l^(c k),
     the basis change to_chain applied to its digits, so the chain digits of
@@ -405,7 +333,11 @@ class LocalTables:
 
     def __init__(self, spec: LocalRingSpec):
         l, d, e = spec.l, spec.residue_degree, spec.e
-        _refuse_above_cap(l, d)
+        if spec.Q > MAX_RING_SIZE:
+            raise ValueError(
+                f"F_{l}[X]/(f) with deg f = {d} has {l}^{d} = {spec.Q} elements, "
+                f"above MAX_RING_SIZE = {MAX_RING_SIZE}"
+            )
         if spec.size >= LOCAL_RING_CAP:
             raise ValueError(
                 f"local ring of {l}^{d * e} elements is not below "
@@ -458,7 +390,7 @@ class LocalTables:
         self.times = times.reshape(m, m * m)
 
     def coordinates(self, codes):
-        """Chain digits of residue-ring codes: a float64 array with one more
+        """Chain digits of codes of R: a float64 array with one more
         axis, of length m, gathered from the chunk tables."""
         *low, top = self.chunk_tables
         out = 0.0
@@ -566,7 +498,7 @@ def _module_elements(ring: ChainRing, ambient: tuple):
         per_coord.append(
             [
                 tuple(reversed(t)) + (0,) * (ring.e - lam)
-                for t in product(range(ring.field.N), repeat=lam)
+                for t in product(range(ring.Q), repeat=lam)
             ]
         )
     return [tuple(v) for v in product(*per_coord)]
@@ -612,13 +544,12 @@ def bfs_submodules(ring: ChainRing, ambient: tuple) -> dict:
 
 
 def _set_type(ring: ChainRing, ambient: tuple, span: frozenset) -> tuple:
-    Q = ring.field.N
     logs = []
     cur = span
     for i in range(ring.e + 1):
         size = len(cur)
         s = 0
-        while Q**s < size:
+        while ring.Q**s < size:
             s += 1
         logs.append(s)
         if size == 1:
@@ -627,15 +558,7 @@ def _set_type(ring: ChainRing, ambient: tuple, span: frozenset) -> tuple:
             tuple(_trunc(ring.shift_up(c, 1), lam) for c, lam in zip(v, ambient))
             for v in cur
         }
-    while len(logs) <= ring.e:
-        logs.append(0)
-    lam = []
-    counts = [logs[i] - logs[i + 1] for i in range(ring.e)]
-    for i in range(len(counts)):
-        here = counts[i] - (counts[i + 1] if i + 1 < len(counts) else 0)
-        lam.extend([i + 1] * here)
-    lam.sort(reverse=True)
-    return tuple(lam)
+    return _type_from_layers(logs)
 
 
 def _admissible_images(ring: ChainRing, ambient: tuple, order: int):
@@ -660,7 +583,7 @@ def brute_hom_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
 
 def brute_surj_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
     zero_vec = tuple(ring.zero for _ in lam_a)
-    full_size = ring.field.N ** sum(lam_a)
+    full_size = ring.Q ** sum(lam_a)
     image_sets = [_admissible_images(ring, lam_a, mj) for mj in lam_m]
     count = 0
     for images in product(*image_sets):

@@ -58,10 +58,6 @@ def parse_poly_text(text: str, l: int, a=None) -> Poly:
     return Poly(l, out)
 
 
-def poly_json(p: Poly) -> dict:
-    return {"l": p.l, "coeffs": list(p.coeffs)}
-
-
 def parse_ring_json(data) -> RingSpec:
     """A ring from JSON like {"l": 3, "factors": [{"p": [0, 1], "e": 2}]}."""
     if isinstance(data, str):
@@ -98,13 +94,6 @@ def measure_value_json(v: MeasureValue) -> dict:
         "rational": f"{v.rational.numerator}/{v.rational.denominator}",
         "eta_factors": list(v.eta_factors),
         "value": v.numeric(),
-    }
-
-
-def module_type_json(t: ModuleType) -> dict:
-    return {
-        "ring": ring_json(t.ring),
-        "types": [list(lam.parts) for lam in t.local_types],
     }
 
 
@@ -164,10 +153,16 @@ def _cmd_measure(args) -> int:
 
 def _cmd_rank_dist(args) -> int:
     if args.p is not None:
-        p = parse_poly_text(args.p, args.l, args.a)
-        local = LocalRingSpec(args.l, p, args.e)
+        l = 3 if args.l is None else args.l
+        local = LocalRingSpec(l, parse_poly_text(args.p, l, args.a), args.e)
     else:
+        if args.a is not None:
+            raise ValueError("--a names a root in --p and is not allowed with --Q")
         local = local_ring_with_residue_size(args.Q, args.e)
+        if args.l is not None and args.l != local.l:
+            raise ValueError(
+                f"--l {args.l} is not the prime of --Q {args.Q}, which is {local.l}"
+            )
     v = rank_distribution(local, args.m)
     pf = rank_distribution_partition_form(
         local.Q, local.e, args.m, local.residue_degree
@@ -381,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("rank-dist", help="mass of an F_l-dimension stratum")
-    p.add_argument("--l", type=int, default=3)
+    # with --p, l defaults to 3; with --Q, it is the prime of Q
+    p.add_argument("--l", type=int, default=None)
     residue = p.add_mutually_exclusive_group(required=True)
     residue.add_argument("--p", default=None)
     residue.add_argument("--Q", type=int, default=None)

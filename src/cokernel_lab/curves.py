@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .algebra import Poly, factor_multiplicity, find_irreducible, is_prime, poly_gcd
-from .chainring import residue_ring
+from .algebra import Poly, factor_multiplicity, is_prime, poly_gcd
+from .chainring import field_products
 from .measure import (
     MeasureValue,
     divisor_density,
@@ -70,19 +71,32 @@ def _validate_q(q: int) -> None:
         raise ValueError("only odd prime base fields are supported")
 
 
+@lru_cache(maxsize=None)
+def _quadratic_character(q: int, d: int):
+    """Quadratic character of F_{q^d} by code: 1 on nonzero squares, -1 on
+    the other nonzero elements, 0 on zero."""
+    digits, by_x = field_products(q, d)
+    squares = np.einsum("xi,xik->xk", digits, by_x) % q
+    chi = -np.ones(len(digits), dtype=np.int64)
+    chi[squares @ q ** np.arange(d)] = 1
+    chi[0] = 0
+    return chi
+
+
 def point_counts(f, q: int, g: int) -> list[int]:
     """Projective point counts of y^2 = f(x) over F_{q^i}, i = 1..g, with a
     single point at infinity for the odd-degree model."""
     _validate_q(q)
     out = []
     for d in range(1, g + 1):
-        field = residue_ring(find_irreducible(q, d))
+        digits, by_x = field_products(q, d)
         # Horner's rule at every x of F_{q^d} at once
-        acc = np.zeros((field.N, d), dtype=np.int64)
+        acc = np.zeros_like(digits)
         for c in reversed(f):
-            acc = field.pointwise(acc)
+            acc = np.einsum("xi,xik->xk", acc, by_x) % q
             acc[:, 0] = (acc[:, 0] + c) % q
-        out.append(1 + int((field.chi[field.encode(acc)] + 1).sum()))
+        chi = _quadratic_character(q, d)
+        out.append(1 + int((chi[acc @ q ** np.arange(d)] + 1).sum()))
     return out
 
 

@@ -212,6 +212,8 @@ def moment_rank(Q: int, e: int, k: int) -> int:
     """The k-th moment of Q^rank: the number of submodules of the rank-k free
     module over the chain quotient with exponent e."""
     _prime_power(Q)
+    if e < 1:
+        raise ValueError(f"exponent e = {e} must be >= 1")
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     return sum(count for _, count in submodule_counts(Q, (e,) * k))

@@ -239,6 +239,13 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("simulate", "curves", "--l", "3", "--q", "5", "--g", "-1", "--cond", "X-1:0",
           "--trials", "5"),
          "g = -1 must be >= 1"),
+        # with --Q the prime comes from Q, so --l must match it and --a has no root
+        (("rank-dist", "--l", "5", "--Q", "9", "--e", "2", "--m", "2"),
+         "--l 5 is not the prime of --Q 9"),
+        (("rank-dist", "--a", "1", "--Q", "9", "--e", "2", "--m", "2"),
+         "--a names a root in --p"),
+        (("moments", "--Q", "3", "--e", "0", "--k", "2"), "exponent e = 0 must be >= 1"),
+        (("moments", "--Q", "3", "--e", "-1", "--k", "2"), "exponent e = -1 must be >= 1"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
