@@ -24,6 +24,8 @@ def _pairs(N: int, rng):
     [
         find_irreducible(5, 1),  # F_5, a ChainRing residue field
         find_irreducible(3, 2),  # F_9
+        find_irreducible(5, 2),  # F_25
+        find_irreducible(3, 3),  # F_27, a cubic extension
         find_irreducible(13, 2),  # F_{13^2}, a point-counting field
     ],
 )
