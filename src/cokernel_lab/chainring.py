@@ -1,14 +1,15 @@
 """Chain-ring machinery shared by the counting, sampling and curve layers.
 
-Every local ring F_l[X]/(p^e) is, as a ring, a truncated polynomial ring
-F_Q[t]/(t^e) over its residue field of size Q = l^deg(p).  This module
-provides the one finite-ring layer: the multiplication tensor of each local
-ring on its chain basis, which also gives the product matrices of the
-fields F_{l^d} (field_products); the cokernel classifier (valuation
-elimination on F_Q[t]/(t^e) in F_l digits, batched over the draws, for
-every local ring); and the independent oracles for the closed forms in
-modules: exact arithmetic on F_Q[t]/(t^e), a canonical-form enumeration of
-submodules, a BFS lattice walk and element-level brute-force counters.
+Every local ring F_l[X]/(p^e) is a chain ring with uniformizer p: each
+element has one p-adic expansion sum_{i<e} c_i(X) p^i with deg c_i < deg p.
+This module provides the one finite-ring layer: the powers of X written in
+those p-adic digits, which give the multiplication tensor of each local
+ring and, for e = 1, the product matrices of the fields F_{l^d}
+(field_products); the cokernel classifier (valuation elimination on the
+p-adic digits, batched over the draws, for every local ring); and the
+independent oracles for the closed forms in modules: exact arithmetic on
+F_Q[t]/(t^e), Q = l^deg(p), a canonical-form enumeration of submodules, a
+BFS lattice walk and element-level brute-force counters.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .algebra import LocalRingSpec, Poly, _pow_mod, find_irreducible, poly_mod
+from .algebra import LocalRingSpec, Poly, find_irreducible
 from .modules import Partition
 
 __all__ = [
@@ -53,13 +54,41 @@ def field_products(l: int, d: int):
     first, and by_x, of shape (Q, d, d), holds for each element x the matrix
     of y -> x y, so that x y has the digits digits[y] @ by_x[x] mod l.
 
-    Both come from the multiplication tensor of the local ring with e = 1,
-    whose chain basis is the basis 1, X, ..., X^(d-1): its chain digits are
-    the code's base-l digits."""
-    times = local_tables_for(LocalRingSpec(l, find_irreducible(l, d), 1)).times
+    Row b of by_x[x] holds x X^b = sum_a x_a X^(a+b), from the digits of
+    X^k mod f for k < 2d - 1."""
+    _refuse_above_cap(l, d)
+    powers = _x_power_digits(find_irreducible(l, d), 1, 2 * d - 1)
     digits = np.arange(l**d)[:, None] // l ** np.arange(d) % l
-    by_x = np.einsum("xa,abk->xbk", digits, times.reshape(d, d, d).astype(np.int64)) % l
+    by_x = np.einsum("xa,abk->xbk", digits, powers[np.add.outer(range(d), range(d))]) % l
     return digits, by_x
+
+
+def _refuse_above_cap(l: int, d: int) -> None:
+    if l**d > MAX_RING_SIZE:
+        raise ValueError(
+            f"F_{l}[X]/(f) with deg f = {d} has {l}^{d} = {l**d} elements, "
+            f"above MAX_RING_SIZE = {MAX_RING_SIZE}"
+        )
+
+
+def _x_power_digits(p: Poly, e: int, count: int):
+    """An int64 array whose row k < count holds the p-adic digits of X^k
+    mod p^e: the coefficients of the c_i(X) in X^k = sum_i c_i(X) p^i,
+    deg c_i < d = deg p, as digit i d + j.
+
+    Each row is X times the one before: X c_i = a_i p + (X c_i - a_i p),
+    a_i the top digit of c_i, so every block moves up one digit, takes a_i
+    times p - X^d off, and carries a_i into the constant digit of the next
+    block; the carry out of the last block is a multiple of p^e."""
+    l, d = p.l, p.degree
+    low = np.array(p.coeffs[:d])
+    rows = np.zeros((count, e, d), dtype=np.int64)
+    rows[0, 0, 0] = 1
+    for k in range(1, count):
+        top = rows[k - 1, :, -1:]
+        carry = np.concatenate([[[0]], top[:-1]])
+        rows[k] = (np.concatenate([carry, rows[k - 1, :, :-1]], axis=1) - top * low) % l
+    return rows.reshape(count, d * e)
 
 
 class ChainRing:
@@ -305,23 +334,21 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
 
 class LocalTables:
     """Cokernel classification over one local ring R = F_l[X]/(p^e) whose
-    residue field has at most MAX_RING_SIZE elements, on the chain ring
-    F_Q[t]/(t^e) by valuation elimination batched over the draws.
+    residue field has at most MAX_RING_SIZE elements, by valuation
+    elimination on p-adic digits batched over the draws.
 
-    The coefficient field is F_l[alpha] with alpha = X^(Q^k) mod p^e and
-    Q^k >= e: p(alpha) = p(X)^(Q^k) = 0 and alpha = X mod p, so
-    sum_i c_i t^i -> sum_i c_i(alpha) p(X)^i is a ring isomorphism onto R,
-    c_i(alpha) standing for the residue polynomial c_i(X) mod p evaluated
-    at alpha.  An element is held as its m = d e digits over F_l in the
-    basis {alpha^j t^i}, digit i d + j, so its valuation is the index of
-    its first nonzero block of d digits.
+    An element is held as its m = d e digits over F_l in the basis
+    {X^j p^i}, digit i d + j: the coefficients of its p-adic expansion
+    sum_{i<e} c_i(X) p^i, deg c_i < d.  A nonzero c_i is prime to p, so a
+    unit, and the valuation of an element is the index of its first nonzero
+    block of d digits.  The row k of to_chain holds the digits of X^k.
 
     A code of R, the base-l number of the digits of its residue polynomial,
     is cut into K chunks of c base-l digits, c the largest for which
     l^c <= COORD_TABLE_ROWS (at least 1).  The table chunk_tables[k],
     of shape (l^c, m) in the smallest integer type that holds them, holds
     for every value x of chunk k the chain digits of the code x l^(c k),
-    the basis change to_chain applied to its digits, so the chain digits of
+    its base-l digits times to_chain mod l, so the chain digits of
     a code are the sum of K gathered rows mod l, and a single gather when
     K = 1, as for every ring of at most 2^13 elements.
 
@@ -333,11 +360,7 @@ class LocalTables:
 
     def __init__(self, spec: LocalRingSpec):
         l, d, e = spec.l, spec.residue_degree, spec.e
-        if spec.Q > MAX_RING_SIZE:
-            raise ValueError(
-                f"F_{l}[X]/(f) with deg f = {d} has {l}^{d} = {spec.Q} elements, "
-                f"above MAX_RING_SIZE = {MAX_RING_SIZE}"
-            )
+        _refuse_above_cap(l, d)
         if spec.size >= LOCAL_RING_CAP:
             raise ValueError(
                 f"local ring of {l}^{d * e} elements is not below "
@@ -345,23 +368,9 @@ class LocalTables:
             )
         self.l, self.d, self.e = l, d, e
         self.m = m = d * e
-        modulus = spec.modulus
-        alpha = Poly.x(l)
-        power = 1
-        while power < e:
-            alpha = _pow_mod(alpha, spec.Q, modulus)
-            power *= spec.Q
-        # row i*d + j holds the digits of alpha^j * p^i
-        basis = []
-        p_i = Poly.one(l)
-        for _ in range(e):
-            term = p_i
-            for _ in range(d):
-                coeffs = term.coeffs
-                basis.append(list(coeffs) + [0] * (m - len(coeffs)))
-                term = poly_mod(term * alpha, modulus)
-            p_i = poly_mod(p_i * spec.p, modulus)
-        self.to_chain = _inverse_mod(basis, l)
+        # the products read the rows X^(a+b), a, b < d
+        powers = _x_power_digits(spec.p, e, max(m, 2 * d - 1))
+        self.to_chain = powers[:m]
         c = 1
         while l ** (c + 1) <= COORD_TABLE_ROWS:
             c += 1
@@ -378,15 +387,14 @@ class LocalTables:
                 table[table >= l] -= l
             self.chunk_tables.append(table)
         # times[x, y] holds the digits of the product of basis elements x and
-        # y: alpha^a t^i * alpha^b t^k = alpha^(a+b) t^(i+k), with alpha^(a+b)
-        # reduced by p as X^(a+b) is
+        # y: X^a p^i * X^b p^k = X^(a+b) p^(i+k), the digits of X^(a+b)
+        # shifted up by i + k blocks and truncated at m
         times = np.zeros((m, m, m))
         for a, b in product(range(d), repeat=2):
-            digits = _pow_mod(Poly.x(l), a + b, spec.p).coeffs
             for i, k in product(range(e), repeat=2):
                 if i + k < e:
                     s = (i + k) * d
-                    times[i * d + a, k * d + b, s : s + len(digits)] = digits
+                    times[i * d + a, k * d + b, s:] = powers[a + b, : m - s]
         self.times = times.reshape(m, m * m)
 
     def coordinates(self, codes):
@@ -414,9 +422,9 @@ class LocalTables:
 
     def _partitions(self, A) -> list[tuple]:
         """Partitions of the cokernels of the matrices of chain digits A
-        (B, n, n, m).  Each step takes in each draw an entry u t^v of least
+        (B, n, n, m).  Each step takes in each draw an entry u p^v of least
         valuation as its pivot, adds the part v, replaces every other row by
-        u * row - b * (pivot row), where b t^v is the row's entry in the
+        u * row - b * (pivot row), where b p^v is the row's entry in the
         pivot's column, and drops the pivot's row and column: scaling a row
         by the unit u leaves the cokernel unchanged, and the pivot row is
         then cleared by column operations that touch nothing else."""
@@ -441,7 +449,7 @@ class LocalTables:
             ar = np.arange(r - 1)
             rows = ar + (ar >= pi[:, None])
             cols = ar + (ar >= pj[:, None])
-            # x / t^v for x of valuation >= v: its digits below v d are zero,
+            # x / p^v for x of valuation >= v: its digits below v d are zero,
             # so a cyclic shift by v d digits brings zeros in at the top
             down = (digit + v[:, None] * d) % m
             u = np.take_along_axis(pivot, down, axis=-1)
@@ -475,21 +483,6 @@ def _reduce(x, l: int):
 @lru_cache(maxsize=None)
 def local_tables_for(spec: LocalRingSpec) -> LocalTables:
     return LocalTables(spec)
-
-
-def _inverse_mod(M, l: int):
-    """Inverse of the invertible square integer matrix M over F_l, by
-    Gauss-Jordan elimination."""
-    m = len(M)
-    A = np.concatenate([np.asarray(M, dtype=np.int64) % l, np.eye(m, dtype=np.int64)], axis=1)
-    for c in range(m):
-        r = c + int(np.flatnonzero(A[c:, c])[0])
-        A[[c, r]] = A[[r, c]]
-        A[c] = A[c] * pow(int(A[c, c]), -1, l) % l
-        factors = A[:, c].copy()
-        factors[c] = 0
-        A = (A - np.outer(factors, A[c])) % l
-    return A[:, m:]
 
 
 def _module_elements(ring: ChainRing, ambient: tuple):

@@ -34,9 +34,8 @@ __all__ = [
 ]
 
 
-# Largest module whose submodules are listed or whose surjections are
-# counted: the per-type lists and the surjection recursion both grow with
-# the number of parts.
+# Largest module whose submodules are listed or that surj_count takes as a
+# target: the per-type lists grow with the number of parts.
 MAX_MODULE_SIZE = 3**10
 
 
@@ -287,18 +286,27 @@ def submodule_counts(Q: int, lam: tuple[int, ...]) -> tuple:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
 def _local_surj(Q: int, lam_m: tuple[int, ...], lam_a: tuple[int, ...]) -> int:
-    total = Q ** sum(min(x, y) for x in lam_m for y in lam_a)
-    for sub, cnt in submodule_counts(Q, lam_a):
-        if sub != lam_a:
-            total -= cnt * _local_surj(Q, lam_m, sub)
-    return total
+    """Surjections M -> A over a chain ring with residue field F_Q, lam_a
+    descending: #Hom(M, A) prod_k (1 - Q^(k - s_k)), s_k the number of
+    parts of M at least lam_a[k].
+
+    By Nakayama's lemma a map is onto exactly when its reduction to
+    A/mA = F_Q^r is.  Generator j of M goes to an element killed by
+    m^lam_m[j], whose reduction is free on the generators of A of part at
+    most lam_m[j] and zero on the others, so row k of the r x n matrix of
+    reductions is uniform on s_k coordinates.  These sets grow with k, so
+    row k avoids the span of the k rows above it with probability
+    1 - Q^(k - s_k)."""
+    s = [sum(1 for x in lam_m if x >= y) for y in lam_a]
+    out = Q ** (sum(min(x, y) for x in lam_m for y in lam_a) - sum(s))
+    for k, s_k in enumerate(s):
+        out *= Q**s_k - Q**k
+    return out
 
 
 def surj_count(m: ModuleType, a: ModuleType) -> int:
-    """Number of surjections M -> A, by subtracting maps with proper image
-    over the submodule lattice of A."""
+    """Number of surjections M -> A, the product of the local counts."""
     if m.ring != a.ring:
         raise ValueError("ring mismatch")
     if a.size > MAX_MODULE_SIZE:

@@ -4,6 +4,7 @@ empirical distributions, and comparisons against the exact measure."""
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -121,29 +122,22 @@ def _random_batches(cfg: SampleConfig):
             done += batch
 
 
-def _iter_types(cfg: SampleConfig):
-    """Yield the cokernel type (one partition tuple per factor) of each draw,
-    in a deterministic order: worker blocks in index order."""
+def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:
+    """Counts of the cokernel types (one partition per factor) of the
+    draws, taken in a deterministic order: worker blocks in index order."""
     classifiers = [local_tables_for(f) for f in cfg.ring.factors]
     if cfg.mode == "exhaustive":
         batches = _exhaustive_batches(cfg.ring, cfg.n)
     else:
         batches = _random_batches(cfg)
+    raw = Counter()
     for codes in batches:
-        yield from zip(*(cls.coker_partition(c) for cls, c in zip(classifiers, codes)))
-
-
-def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:
-    raw: dict = {}
-    total = 0
-    for key in _iter_types(cfg):
-        raw[key] = raw.get(key, 0) + 1
-        total += 1
+        raw.update(zip(*(cls.coker_partition(c) for cls, c in zip(classifiers, codes))))
     counts = {
         ModuleType(cfg.ring, tuple(Partition(p) for p in key)): c
         for key, c in raw.items()
     }
-    return EmpiricalDist(counts, total, cfg)
+    return EmpiricalDist(counts, sum(raw.values()), cfg)
 
 
 def empirical_moment(cfg: SampleConfig, a: ModuleType):
@@ -151,20 +145,11 @@ def empirical_moment(cfg: SampleConfig, a: ModuleType):
     mode, float otherwise."""
     if a.ring != cfg.ring:
         raise ValueError("ring mismatch")
-    cache: dict = {}
-    total = 0
-    count = 0
-    for key in _iter_types(cfg):
-        s = cache.get(key)
-        if s is None:
-            t = ModuleType(cfg.ring, tuple(Partition(p) for p in key))
-            s = surj_count(t, a)
-            cache[key] = s
-        total += s
-        count += 1
+    dist = sample_cokernels(cfg)
+    total = sum(c * surj_count(t, a) for t, c in dist.counts.items())
     if cfg.mode == "exhaustive":
-        return Fraction(total, count)
-    return total / count
+        return Fraction(total, dist.total)
+    return total / dist.total
 
 
 @lru_cache(maxsize=None)

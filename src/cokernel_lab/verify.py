@@ -105,10 +105,6 @@ def _suite_exact() -> list[dict]:
             worst = f"(l,d,e)={(l, d, e)}: total mass {value}"
     checks.append(_check("total-mass-one", ok, worst or "sum of masses is 1 within 1e-6"))
 
-    # This identity holds by the recursion that defines modules._local_surj
-    # (#Hom minus the surjections onto proper submodules), whatever the
-    # submodule counts are; the tests check surj_count independently, by
-    # brute force and by Nakayama's closed form for free sources.
     ok = True
     worst = ""
     ring = RingSpec((_spec(3, 1, 2),))

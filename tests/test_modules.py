@@ -264,9 +264,10 @@ LATTICE_SHAPES = [
 def test_surj_count_from_free_matches_nakayama(l, d, lam):
     """#Surj(R^k, A) = |A|^k prod_{i<r} (1 - Q^(i-k)) for A with r parts: by
     Nakayama's lemma a map is onto exactly when the images of the k
-    generators span A/mA = F_Q^r.  Unlike Sum #Sub * #Surj = #Hom, which
-    holds by the recursion that defines surj_count, this can fail.  Every
-    submodule type of the shape is a target too."""
+    generators span A/mA = F_Q^r.  This is the free case of surj_count's
+    closed form, written out on its own; Sum #Sub * #Surj = #Hom and the
+    brute-force counts check the other sources.  Every submodule type of
+    the shape is a target too."""
     e = max(lam)
     Q = l**d
     for a in enumerate_submodules(_mt(l, d, e, lam)):
@@ -314,7 +315,7 @@ def test_fast_table_coker_agrees_quadratic_residue_field():
 
 # (l, p low degree first, e): F_9[t]/(t^4), F_3[X]/(X^8) and F_5[X]/(X^5) are
 # the cokernel-large-ring benchmark's rings; over F_3[X]/((X^2+X+2)^3) the
-# coefficient field's generator alpha = X^9 mod p^3 is not X; F_2053[X]/(X^2),
+# p-adic digits of a code are not its base-3 digits; F_2053[X]/(X^2),
 # F_3[X]/((X^7+X^2+2)^2) and F_{13^4} have residue fields above 2048
 # elements; the last four are the cokernel-small-ring benchmark's rings
 CHAIN_RINGS = [
@@ -353,9 +354,9 @@ def test_chain_classifier_agrees_with_snf(l, p, e):
     spec = LocalRingSpec(l, Poly(l, p), e)
     tables = LocalTables(spec)
     d = len(p) - 1
-    if d > 1 and e > 1:
-        # X = alpha + c_1 t + ... with some c_i != 0
-        assert any(tables.coordinates(np.array(l))[d:])
+    if e > 1:
+        # X^d = (X^d mod p) + p carries into block 1
+        assert any(tables.coordinates(np.array(l**d))[d:])
     rng = random.Random(11)
     p_powers = [Poly.one(l)]
     for _ in range(e):
@@ -440,6 +441,26 @@ def test_coordinates_match_digit_split(l, p, e, chunks):
     got = tables.coordinates(codes)
     assert got.dtype == np.float64
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "l, p, e",
+    [(3, (1, 0, 1), 4), (3, (2, 1, 1), 3), (3, (1, 1), 39)],
+    ids=["F9[t]/(t^4)", "F3[X]/((X^2+X+2)^3)", "F3[X]/((X+1)^39)"],
+)
+def test_to_chain_rows_are_p_adic_digits(l, p, e):
+    """Row k of to_chain, read as the digits of sum_i c_i(X) p^i, gives
+    X^k mod p^e back, by Poly arithmetic."""
+    spec = LocalRingSpec(l, Poly(l, p), e)
+    tables = LocalTables(spec)
+    d = spec.residue_degree
+    assert tables.to_chain.shape == (d * e, d * e)
+    for k, row in enumerate(tables.to_chain.tolist()):
+        assert all(0 <= c < l for c in row)
+        x = Poly.zero(l)
+        for i in reversed(range(e)):
+            x = x * spec.p + Poly(l, row[i * d : (i + 1) * d])
+        assert x == poly_mod(Poly(l, (0,) * k + (1,)), spec.modulus), k
 
 
 def test_module_size_cap():
