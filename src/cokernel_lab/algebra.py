@@ -53,6 +53,8 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.l < 2:
+            raise ValueError(f"polynomial modulus l = {self.l} must be at least 2")
         object.__setattr__(self, "coeffs", _normalize(self.coeffs, self.l))
 
     @property

@@ -8,6 +8,7 @@ import csv
 import json
 import re
 import sys
+import time
 from datetime import datetime, timezone
 
 from . import __version__
@@ -27,6 +28,8 @@ from .modules import ModuleType, Partition
 from .montecarlo import SampleConfig, sample_cokernels, tv_distance
 
 SCHEMA_VERSION = 1
+
+WORKERS_HELP = "seeded streams to split the trials over; the draws run in one process"
 
 
 def parse_poly_text(text: str, l: int, a=None) -> Poly:
@@ -52,10 +55,7 @@ def parse_poly_text(text: str, l: int, a=None) -> Poly:
         else:
             deg = 1
         coeffs[deg] = coeffs.get(deg, 0) + sign * coeff
-    out = [0] * (max(coeffs) + 1)
-    for deg, c in coeffs.items():
-        out[deg] = c % l
-    return Poly(l, out)
+    return Poly(l, [coeffs.get(deg, 0) for deg in range(max(coeffs) + 1)])
 
 
 def parse_ring_json(data) -> RingSpec:
@@ -117,6 +117,16 @@ def _emit(manifest: dict, result: dict, summary: str) -> None:
     json.dump({"manifest": manifest, "result": result}, sys.stdout, default=str)
     sys.stdout.write("\n")
     print(summary, file=sys.stderr)
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as ex:
+        raise ValueError(f"cannot write --emit-csv {path}: {ex.strerror}") from ex
 
 
 def _cmd_eta(args) -> int:
@@ -230,8 +240,6 @@ def _cmd_simulate_cokernel(args) -> int:
         mode="exhaustive" if args.exhaustive else "random",
         workers=args.workers,
     )
-    import time
-
     t0 = time.monotonic()
     dist = sample_cokernels(cfg)
     tv, deficit, theory = tv_distance(dist)
@@ -248,11 +256,11 @@ def _cmd_simulate_cokernel(args) -> int:
         )
     ]
     if args.emit_csv:
-        with open(args.emit_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["type", "empirical", "theoretical"])
-            for row in counts:
-                w.writerow([json.dumps(row["types"]), row["empirical"], row["theoretical"]])
+        _write_csv(
+            args.emit_csv,
+            ["type", "empirical", "theoretical"],
+            [[json.dumps(r["types"]), r["empirical"], r["theoretical"]] for r in counts],
+        )
     manifest = _manifest(
         "simulate-cokernel",
         {
@@ -306,10 +314,9 @@ def _cmd_simulate_curves(args) -> int:
         on_sample=on_sample if args.emit_csv else None,
     )
     if args.emit_csv:
-        with open(args.emit_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["f", "char_poly", "char_poly_mod_l", "multiplicities"])
-            w.writerows(rows)
+        _write_csv(
+            args.emit_csv, ["f", "char_poly", "char_poly_mod_l", "multiplicities"], rows
+        )
     manifest = _manifest(
         "simulate-curves",
         {
@@ -407,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--trials", type=int, default=0)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--exhaustive", action="store_true")
-    pc.add_argument("--workers", type=int, default=1)
+    pc.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     pc.add_argument("--emit-csv", dest="emit_csv", default=None)
     pc.set_defaults(func=_cmd_simulate_cokernel)
 
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=0)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--exhaustive", action="store_true")
-    pv.add_argument("--workers", type=int, default=1)
+    pv.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     pv.add_argument("--emit-csv", dest="emit_csv", default=None)
     pv.set_defaults(func=_cmd_simulate_curves)
 

@@ -4,6 +4,7 @@ frequencies compared against the exact density predictions."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -15,6 +16,7 @@ from .algebra import Poly, factor_multiplicity, is_prime, poly_gcd
 from .chainring import field_products
 from .measure import (
     MeasureValue,
+    _validate_conditions as _validate_measure_conditions,
     divisor_density,
     divisor_density_hypothesis,
     prediction_applies_at_q,
@@ -162,48 +164,44 @@ def all_squarefree_monic(q: int, degree: int):
 
 def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     """The printed hypotheses, enforced at configuration time with the
-    failing condition named: l an odd prime, l coprime to q, l not dividing
-    P(q), and the P_i pairwise coprime mod l."""
-    if l < 3 or not is_prime(l):
-        raise ValueError("l must be an odd prime")
+    failing condition named: measure's checks on l and the conditions, then
+    q an odd prime coprime to l, each P_i monic of positive degree, and l
+    not dividing P_i(q)."""
+    conds = _validate_measure_conditions(l, conditions)
     _validate_q(q)
     if q % l == 0:
         raise ValueError(f"l = {l} divides q = {q}")
-    out = []
-    seen = set()
-    for p, m in conditions:
-        if p.l != l:
-            raise ValueError(f"condition {p} is not a polynomial over F_{l}")
+    for p, _ in conds:
         if not p.is_monic() or p.degree < 1:
             raise ValueError(f"condition {p} must be monic of positive degree")
         if p(q % l) == 0:
             raise ValueError(
                 f"hypothesis violated for condition {p}: l = {l} divides P(q)"
             )
-        if m < 0:
-            raise ValueError("multiplicities are nonnegative")
-        if p.coeffs in seen:
-            raise ValueError(f"conditions must be pairwise coprime; {p} repeats")
-        seen.add(p.coeffs)
-        out.append((p, m))
-    return out
+    return conds
 
 
-def _iter_curves(q, g, trials, seed, workers, exhaustive):
+def _tally(
+    l, polys, q, g, trials, seed, workers, exhaustive, on_sample=None
+) -> Counter:
+    """How many curves have each tuple of multiplicities of polys in P_C mod
+    l: the census of squarefree monic f, or the seeded worker streams."""
     if g < 1:
         raise ValueError(f"genus g = {g} must be >= 1")
     if exhaustive:
-        for f in all_squarefree_monic(q, 2 * g + 1):
-            yield f
-        return
-    for rng, count in worker_streams("cokernel-lab-curves", seed, trials, workers):
-        for _ in range(count):
-            yield sample_curve(q, g, rng)
-
-
-def _multiplicities(sample: CurveSample, l: int, polys) -> tuple[int, ...]:
-    reduced = Poly(l, sample.char_poly)
-    return tuple(factor_multiplicity(reduced, p) for p in polys)
+        fs = all_squarefree_monic(q, 2 * g + 1)
+    else:
+        streams = worker_streams("cokernel-lab-curves", seed, trials, workers)
+        fs = (sample_curve(q, g, rng) for rng, count in streams for _ in range(count))
+    tally = Counter()
+    for f in fs:
+        sample = curve_sample_from_f(f, q, g)
+        reduced = Poly(l, sample.char_poly)
+        mults = tuple(factor_multiplicity(reduced, p) for p in polys)
+        if on_sample is not None:
+            on_sample(sample, mults)
+        tally[mults] += 1
+    return tally
 
 
 def divisibility_stats(
@@ -222,16 +220,9 @@ def divisibility_stats(
     conds = validate_conditions(l, q, conditions)
     polys = [p for p, _ in conds]
     targets = tuple(m for _, m in conds)
-    hits = 0
-    total = 0
-    for f in _iter_curves(q, g, trials, seed, workers, exhaustive):
-        sample = curve_sample_from_f(f, q, g)
-        mults = _multiplicities(sample, l, polys)
-        if on_sample is not None:
-            on_sample(sample, mults)
-        if mults == targets:
-            hits += 1
-        total += 1
+    tally = _tally(l, polys, q, g, trials, seed, workers, exhaustive, on_sample)
+    hits = tally[targets]
+    total = sum(tally.values())
     emp = hits / total
     predicted = divisor_density(l, conds)
     return DensityReport(
@@ -268,23 +259,17 @@ def independence_stats(
     conds = validate_conditions(l, q, [cond_a, cond_b])
     (pa, ma), (pb, mb) = conds
     table = [[0, 0], [0, 0]]
-    total = 0
-    for f in _iter_curves(q, g, trials, seed, workers, exhaustive):
-        sample = curve_sample_from_f(f, q, g)
-        mult_a, mult_b = _multiplicities(sample, l, [pa, pb])
-        table[0 if mult_a == ma else 1][0 if mult_b == mb else 1] += 1
-        total += 1
+    for (mult_a, mult_b), count in _tally(
+        l, [pa, pb], q, g, trials, seed, workers, exhaustive
+    ).items():
+        table[0 if mult_a == ma else 1][0 if mult_b == mb else 1] += count
+    total = sum(map(sum, table))
     p11 = table[0][0] / total
     p_a = (table[0][0] + table[0][1]) / total
     p_b = (table[0][0] + table[1][0]) / total
     gap = p11 - p_a * p_b
     # delta method for p11 - (p11+p10)(p11+p01) under the multinomial
-    probs = [
-        table[0][0] / total,
-        table[0][1] / total,
-        table[1][0] / total,
-        table[1][1] / total,
-    ]
+    probs = [count / total for row in table for count in row]
     grads = [1 - p_a - p_b, -p_a, -p_b, 0.0]
     mean_g = sum(gi * pi for gi, pi in zip(grads, probs))
     var = sum(gi * gi * pi for gi, pi in zip(grads, probs)) - mean_g * mean_g

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
 
 from .algebra import LocalRingSpec, Poly, RingSpec, find_irreducible, is_prime
 from .modules import (
     ModuleType,
+    _local_aut_order,
     aut_order,
     d_invariant,
     enumerate_module_types,
@@ -124,8 +125,8 @@ class EtaEval:
 def eta(Q: int, tol: float = DEFAULT_TOL) -> EtaEval:
     if Q < 2:
         raise ValueError("field size must be at least 2")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and isfinite(tol)):
+        raise ValueError(f"tolerance tol = {tol} must be a positive finite number")
     # |log tail| <= sum_{u>depth} Q^-u / (1 - Q^-1) bounds the value error
     depth = 0
     while Q ** -(depth + 1) / (1 - 1 / Q) >= tol:
@@ -182,29 +183,15 @@ def rank_distribution(local: LocalRingSpec, m: int) -> MeasureValue:
 def rank_distribution_partition_form(
     Q: int, e: int, m: int, residue_degree: int = 1
 ) -> MeasureValue:
-    """The partition-sum form of the rank distribution: for each partition of
-    m / residue_degree with parts bounded by e, the inverse exponent products
-    indexed by the ascending-part runs (d_k the last index of the run, c_k
-    the first)."""
+    """The partition-sum form of the rank distribution: 1/|Aut| summed over
+    the partitions of m / residue_degree with parts bounded by e."""
     if m < 0:
         raise ValueError("rank must be nonnegative")
     if m % residue_degree:
         return MeasureValue(Fraction(0), (Q,))
-    target = m // residue_degree
     total = Fraction(0)
-    for lam in partitions_of(target, e):
-        es = sorted(lam)
-        n = len(es)
-        d = [max(r for r in range(n) if es[r] == es[k]) + 1 for k in range(n)]
-        c = [min(r for r in range(n) if es[r] == es[k]) + 1 for k in range(n)]
-        term = Fraction(1)
-        for k in range(n):
-            term /= Q ** d[k] - Q**k
-        for j in range(n):
-            term /= (Q ** es[j]) ** (n - d[j])
-        for i in range(n):
-            term /= (Q ** (es[i] - 1)) ** (n - c[i] + 1)
-        total += term
+    for lam in partitions_of(m // residue_degree, e):
+        total += Fraction(1, _local_aut_order(lam, Q))
     return MeasureValue(total, (Q,))
 
 
@@ -221,18 +208,18 @@ def moment_rank(Q: int, e: int, k: int) -> int:
 
 def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
     if l < 3 or not is_prime(l):
-        raise ValueError("l must be an odd prime")
+        raise ValueError(f"l = {l} must be an odd prime")
     out = []
     seen = set()
     for p, m in conditions:
         if not isinstance(p, Poly):
             raise ValueError("condition polynomials must be Poly values")
         if p.l != l:
-            raise ValueError("condition polynomial has the wrong modulus")
+            raise ValueError(f"condition {p} is not a polynomial over F_{l}")
         if m < 0:
-            raise ValueError("multiplicities are nonnegative")
+            raise ValueError(f"multiplicities are nonnegative; condition {p} has {m}")
         if p.coeffs in seen:
-            raise ValueError(f"repeated condition polynomial {p}")
+            raise ValueError(f"conditions must be pairwise coprime; {p} repeats")
         seen.add(p.coeffs)
         out.append((p, m))
     return out

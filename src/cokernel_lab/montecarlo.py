@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import RingSpec
 from .chainring import local_tables_for
-from .measure import c_constant, mu, qbinom
+from .measure import c_constant, local_ring_with_residue_size, mu, qbinom
 from .modules import ModuleType, Partition, enumerate_module_types, surj_count
 
 __all__ = [
@@ -193,8 +193,6 @@ def tv_distance(emp: EmpiricalDist):
 def finite_n_constant_demo(Q: int, j: int, n_range) -> list[dict]:
     """Prelimit normalizing constants: the number of dimension-j subspaces
     times |GL_{n-j}| over |M_{n x (n-j)}|, converging to the closed form."""
-    from .measure import local_ring_with_residue_size
-
     ring = RingSpec((local_ring_with_residue_size(Q, 1),))
     closed = c_constant(ring, (j,))
     closed_num = closed.numeric(1e-12)

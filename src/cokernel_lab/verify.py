@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import LocalRingSpec, Poly, RingSpec, find_irreducible
+from .algebra import Poly, RingSpec
 from .chainring import (
     bfs_submodules,
     brute_force_aut_order,
@@ -33,10 +33,6 @@ from .montecarlo import SampleConfig, empirical_moment, sample_cokernels, tv_dis
 __all__ = ["run_suite"]
 
 
-def _spec(l: int, d: int, e: int) -> LocalRingSpec:
-    return LocalRingSpec(l, find_irreducible(l, d), e)
-
-
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
@@ -47,7 +43,8 @@ def _suite_exact() -> list[dict]:
     ok = True
     worst = ""
     for l, lam in [(3, (2, 1)), (3, (1, 1)), (5, (2,)), (3, (2, 2))]:
-        t = ModuleType(RingSpec((_spec(l, 1, max(lam)),)), (Partition(lam),))
+        ring = RingSpec((local_ring_with_residue_size(l, max(lam)),))
+        t = ModuleType(ring, (Partition(lam),))
         closed = aut_order(t)
         brute = brute_force_aut_order(l, lam)
         if closed != brute:
@@ -58,7 +55,7 @@ def _suite_exact() -> list[dict]:
     ok = True
     worst = ""
     for l, d, e, lam in [(3, 1, 2, (2, 1)), (3, 1, 3, (3, 1)), (5, 1, 2, (2, 1)), (3, 2, 2, (2,))]:
-        ring = chain_ring_for(_spec(l, d, e))
+        ring = chain_ring_for(local_ring_with_residue_size(l**d, e))
         fast = enumerate_submodules_chain(ring, lam)
         slow = bfs_submodules(ring, lam)
         if fast != slow:
@@ -85,7 +82,7 @@ def _suite_exact() -> list[dict]:
         if got != expect:
             ok = False
             worst = f"moment({Q},{e},{k}) = {got} != {expect}"
-    ring = chain_ring_for(_spec(3, 1, 2))
+    ring = chain_ring_for(local_ring_with_residue_size(3, 2))
     n_sub = sum(enumerate_submodules_chain(ring, (2, 2)).values())
     if n_sub != moment_rank(3, 2, 2):
         ok = False
@@ -95,7 +92,7 @@ def _suite_exact() -> list[dict]:
     ok = True
     worst = ""
     for l, d, e in [(3, 1, 2), (5, 1, 1), (3, 2, 2)]:
-        ring = RingSpec((_spec(l, d, e),))
+        ring = RingSpec((local_ring_with_residue_size(l**d, e),))
         value = 0.0
         for m in range(0, 41):
             for t in enumerate_module_types(ring, m):
@@ -107,7 +104,7 @@ def _suite_exact() -> list[dict]:
 
     ok = True
     worst = ""
-    ring = RingSpec((_spec(3, 1, 2),))
+    ring = RingSpec((local_ring_with_residue_size(3, 2),))
     for lam_a in [(1,), (2,), (2, 1)]:
         a = ModuleType(ring, (Partition(lam_a),))
         lhs = sum(cnt * surj_count(a, b) for b, cnt in enumerate_submodules(a).items())
@@ -122,7 +119,7 @@ def _suite_exact() -> list[dict]:
 
 def _suite_montecarlo(seed: int) -> list[dict]:
     checks = []
-    ring = RingSpec((_spec(3, 1, 1),))
+    ring = RingSpec((local_ring_with_residue_size(3, 1),))
 
     cfg = SampleConfig(ring, 2, 0, 0, mode="exhaustive")
     a = ModuleType(ring, (Partition((1,)),))
@@ -135,7 +132,7 @@ def _suite_montecarlo(seed: int) -> list[dict]:
         )
     )
 
-    ring9 = RingSpec((_spec(3, 1, 2),))
+    ring9 = RingSpec((local_ring_with_residue_size(3, 2),))
     cfg9 = SampleConfig(ring9, 1, 0, 0, mode="exhaustive")
     a9 = ModuleType(ring9, (Partition((1,)),))
     got9 = empirical_moment(cfg9, a9)

@@ -107,6 +107,13 @@ def test_validate_conditions_gate():
         validate_conditions(3, 5, [(Poly(3, (1, 1)), 0), (Poly(3, (1, 1)), 1)])
     with pytest.raises(ValueError):
         validate_conditions(4, 5, [(Poly(3, (1, 1)), 0)])
+    # measure's condition check runs first
+    with pytest.raises(ValueError, match="not a polynomial over F_3"):
+        validate_conditions(3, 5, [(Poly(5, (2, 1)), 0)])
+    with pytest.raises(ValueError, match="multiplicities are nonnegative"):
+        validate_conditions(3, 5, [(Poly(3, (2, 1)), -1)])
+    with pytest.raises(ValueError, match="l = 0 must be an odd prime"):
+        validate_conditions(0, 5, [])
     out = validate_conditions(3, 5, [(Poly(3, (2, 1)), 1)])
     assert len(out) == 1
 
@@ -159,6 +166,30 @@ def test_independence_stats_shape():
     assert sum(sum(row) for row in stats["table"]) == stats["trials"] == 100
     assert 0 <= stats["joint"] <= 1
     assert stats["gap_std_error"] >= 0
+
+
+def test_stats_match_direct_census_count():
+    """Both statistics on the exhaustive (1, 5) census at l = 3 equal a
+    direct count of multiplicities over the census."""
+    from cokernel_lab.algebra import factor_multiplicity
+
+    l, q, g = 3, 5, 1
+    a, b = Poly(l, (2, 1)), Poly(l, (0, 1))
+    census = all_squarefree_monic(q, 2 * g + 1)
+    mults = []
+    for f in census:
+        reduced = Poly(l, curve_sample_from_f(f, q, g).char_poly)
+        mults.append((factor_multiplicity(reduced, a), factor_multiplicity(reduced, b)))
+    for m in range(3):
+        table = [[0, 0], [0, 0]]
+        for mult_a, mult_b in mults:
+            table[mult_a != m][mult_b != 0] += 1
+        stats = independence_stats(l, (a, m), (b, 0), q, g, 0, 0, exhaustive=True)
+        assert stats["table"] == table
+        rep = divisibility_stats(l, [(a, m)], q, g, 0, 0, exhaustive=True)
+        assert (rep.hits, rep.trials) == (sum(ma == m for ma, _ in mults), len(census))
+        joint = divisibility_stats(l, [(a, m), (b, 0)], q, g, 0, 0, exhaustive=True)
+        assert joint.hits == table[0][0]
 
 
 def test_reciprocal_partners_divide_equally_in_census():
