@@ -4,12 +4,14 @@ Every local ring F_l[X]/(p^e) is a chain ring with uniformizer p: each
 element has one p-adic expansion sum_{i<e} c_i(X) p^i with deg c_i < deg p.
 This module provides the one finite-ring layer: the powers of X written in
 those p-adic digits, which give the multiplication tensor of each local
-ring and, for e = 1, the product matrices of the fields F_{l^d}
-(field_products); the cokernel classifier (valuation elimination on the
-p-adic digits, batched over the draws, for every local ring); and the
-independent oracles for the closed forms in modules: exact arithmetic on
-F_Q[t]/(t^e), Q = l^deg(p), a canonical-form enumeration of submodules, a
-BFS lattice walk and element-level brute-force counters.
+ring, the product matrices of the residue fields F_{l^d} of the ChainRing
+oracle (field_products) and, read by curves, the structure constants and
+Frobenius matrix of the point-counting fields; the cokernel classifier
+(valuation elimination on the p-adic digits, batched over the draws, for
+every local ring); and the independent oracles for the closed forms in
+modules: exact arithmetic on F_Q[t]/(t^e), Q = l^deg(p), a canonical-form
+enumeration of submodules, a BFS lattice walk and element-level
+brute-force counters.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ def field_products(l: int, d: int):
     """F_{l^d} = F_l[X]/(f), f = find_irreducible(l, d), as two int64 arrays:
     digits, of shape (Q, d), holds the base-l digits of every code, low
     first, and by_x, of shape (Q, d, d), holds for each element x the matrix
-    of y -> x y, so that x y has the digits digits[y] @ by_x[x] mod l.
+    of y -> x y, so that x y has the digits digits[y] @ by_x[x] mod l. It
+    serves the ChainRing oracle only; point counting reads the X-power
+    digits directly.
 
     Row b of by_x[x] holds x X^b = sum_a x_a X^(a+b), from the digits of
     X^k mod f for k < 2d - 1."""

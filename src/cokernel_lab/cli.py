@@ -9,6 +9,7 @@ import json
 import re
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 from . import __version__
@@ -119,9 +120,18 @@ def _emit(manifest: dict, result: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _write_csv(path: str, header: list, rows) -> None:
+@contextmanager
+def _csv_rows(path, header: list):
+    """A list that collects the --emit-csv rows of a run, or None without
+    the flag. The file is opened before the run, so an unwritable path is
+    refused before any draw; the rows are written when the run returns."""
+    if not path:
+        yield None
+        return
     try:
         with open(path, "w", newline="") as fh:
+            rows = []
+            yield rows
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
@@ -204,7 +214,13 @@ def _parse_conditions(args):
         if ":" not in spec:
             raise ValueError(f"condition {spec!r} must look like 'X-1:0'")
         text, mult = spec.rsplit(":", 1)
-        conds.append((parse_poly_text(text, args.l, args.a), int(mult)))
+        try:
+            m = int(mult)
+        except ValueError:
+            raise ValueError(
+                f"--cond {spec!r}: multiplicity {mult!r} is not an integer"
+            ) from None
+        conds.append((parse_poly_text(text, args.l, args.a), m))
     return conds
 
 
@@ -240,27 +256,26 @@ def _cmd_simulate_cokernel(args) -> int:
         mode="exhaustive" if args.exhaustive else "random",
         workers=args.workers,
     )
-    t0 = time.monotonic()
-    dist = sample_cokernels(cfg)
-    tv, deficit, theory = tv_distance(dist)
-    runtime_ms = int((time.monotonic() - t0) * 1000)
-    counts = [
-        {
-            "types": [list(lam.parts) for lam in t.local_types],
-            "count": c,
-            "empirical": c / dist.total,
-            "theoretical": theory.get(t, 0.0),
-        }
-        for t, c in sorted(
-            dist.counts.items(), key=lambda kv: (-kv[1], str(kv[0]))
-        )
-    ]
-    if args.emit_csv:
-        _write_csv(
-            args.emit_csv,
-            ["type", "empirical", "theoretical"],
-            [[json.dumps(r["types"]), r["empirical"], r["theoretical"]] for r in counts],
-        )
+    with _csv_rows(args.emit_csv, ["type", "empirical", "theoretical"]) as rows:
+        t0 = time.monotonic()
+        dist = sample_cokernels(cfg)
+        tv, deficit, theory = tv_distance(dist)
+        runtime_ms = int((time.monotonic() - t0) * 1000)
+        counts = [
+            {
+                "types": [list(lam.parts) for lam in t.local_types],
+                "count": c,
+                "empirical": c / dist.total,
+                "theoretical": theory.get(t, 0.0),
+            }
+            for t, c in sorted(
+                dist.counts.items(), key=lambda kv: (-kv[1], str(kv[0]))
+            )
+        ]
+        if rows is not None:
+            rows.extend(
+                [json.dumps(r["types"]), r["empirical"], r["theoretical"]] for r in counts
+            )
     manifest = _manifest(
         "simulate-cokernel",
         {
@@ -290,32 +305,29 @@ def _cmd_simulate_curves(args) -> int:
     from .curves import divisibility_stats
 
     conds = _parse_conditions(args)
-    rows = []
+    header = ["f", "char_poly", "char_poly_mod_l", "multiplicities"]
+    with _csv_rows(args.emit_csv, header) as rows:
 
-    def on_sample(sample, mults):
-        rows.append(
-            [
-                json.dumps(list(sample.f)),
-                json.dumps(list(sample.char_poly)),
-                json.dumps(list(Poly(args.l, sample.char_poly).coeffs)),
-                json.dumps(list(mults)),
-            ]
-        )
+        def on_sample(sample, mults):
+            rows.append(
+                [
+                    json.dumps(list(sample.f)),
+                    json.dumps(list(sample.char_poly)),
+                    json.dumps(list(Poly(args.l, sample.char_poly).coeffs)),
+                    json.dumps(list(mults)),
+                ]
+            )
 
-    report = divisibility_stats(
-        args.l,
-        conds,
-        args.q,
-        args.g,
-        args.trials,
-        args.seed,
-        workers=args.workers,
-        exhaustive=args.exhaustive,
-        on_sample=on_sample if args.emit_csv else None,
-    )
-    if args.emit_csv:
-        _write_csv(
-            args.emit_csv, ["f", "char_poly", "char_poly_mod_l", "multiplicities"], rows
+        report = divisibility_stats(
+            args.l,
+            conds,
+            args.q,
+            args.g,
+            args.trials,
+            args.seed,
+            workers=args.workers,
+            exhaustive=args.exhaustive,
+            on_sample=None if rows is None else on_sample,
         )
     manifest = _manifest(
         "simulate-curves",

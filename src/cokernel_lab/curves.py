@@ -6,14 +6,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import sqrt
 
 import numpy as np
 
-from .algebra import Poly, factor_multiplicity, is_prime, poly_gcd
-from .chainring import field_products
+from .algebra import Poly, factor_multiplicity, find_irreducible, is_prime, poly_gcd
+from .chainring import _refuse_above_cap, _x_power_digits
 from .measure import (
     MeasureValue,
     _validate_conditions as _validate_measure_conditions,
@@ -38,6 +38,11 @@ __all__ = [
 
 # all_squarefree_monic iterates over q^(2g+1) polynomials, at most this many
 CENSUS_CAP = 10**7
+# point_counts evaluates at most this many digits in one block; a block
+# much larger than the cache costs more per curve
+DIGIT_BLOCK = 2**18
+# _tally counts the curves of a census or a stream this many at a time
+CURVE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -74,31 +79,74 @@ def _validate_q(q: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _quadratic_character(q: int, d: int):
-    """Quadratic character of F_{q^d} by code: 1 on nonzero squares, -1 on
-    the other nonzero elements, 0 on zero."""
-    digits, by_x = field_products(q, d)
-    squares = np.einsum("xi,xik->xk", digits, by_x) % q
-    chi = -np.ones(len(digits), dtype=np.int64)
-    chi[squares @ q ** np.arange(d)] = 1
+def _orbit_tables(q: int, d: int, degree: int):
+    """F_{q^d} = F_q[X]/(h), h = find_irreducible(q, d), cut into the orbits
+    of Frobenius x -> x^q, each represented by its least code: the digits of
+    x^k at the representatives for k <= degree, one row per k, in an
+    integer type wide enough for their products with the coefficients; the
+    orbit sizes; and the quadratic character by code (1 on nonzero squares,
+    -1 on the other nonzero elements, 0 on zero).
+
+    Products come from the d x d x d structure constants X^a X^b, and x^q
+    from the digits of X^(jq): x^q = sum_j x_j X^(jq) as x_j^q = x_j."""
+    _refuse_above_cap(q, d)
+    x_powers = _x_power_digits(find_irreducible(q, d), 1, max(2 * d - 1, q * (d - 1) + 1))
+    structure = x_powers[np.add.outer(range(d), range(d)).ravel()]
+    place = q ** np.arange(d)
+    digits = np.arange(q**d)[:, None] // place % q
+    frobenius = digits @ x_powers[q * np.arange(d)] % q @ place
+    least = step = np.arange(q**d)
+    for _ in range(d - 1):
+        step = frobenius[step]
+        least = np.minimum(least, step)
+    reps, sizes = np.unique(least, return_counts=True)
+
+    def times(a, b):
+        products = a[:, :, None] * b[:, None, :]
+        return products.reshape(len(a), d * d) @ structure % q
+
+    # squaring commutes with Frobenius, so the squares of the representatives
+    # meet every orbit of nonzero squares
+    square_orbit = np.zeros(q**d, dtype=bool)
+    square_orbit[least[times(digits[reps], digits[reps]) @ place]] = True
+    chi = np.where(square_orbit[least], 1, -1)
     chi[0] = 0
-    return chi
+    powers = [np.zeros((len(reps), d), dtype=np.int64)]
+    powers[0][:, 0] = 1
+    for _ in range(degree):
+        powers.append(times(powers[-1], digits[reps]))
+    # each value of f is a sum of at most degree + 1 products of two digits
+    # below q
+    width = np.int32 if (degree + 1) * (q - 1) ** 2 < 2**31 else np.int64
+    return np.stack(powers).reshape(degree + 1, -1).astype(width), sizes, chi
 
 
-def point_counts(f, q: int, g: int) -> list[int]:
+def point_counts(fs, q: int, g: int) -> np.ndarray:
     """Projective point counts of y^2 = f(x) over F_{q^i}, i = 1..g, with a
-    single point at infinity for the odd-degree model."""
+    single point at infinity for the odd-degree model, for every f of the
+    sequence fs (coefficients low degree first, all of one length): an
+    int64 array of shape (len(fs), g).
+
+    f has its coefficients in F_q, so f(x^q) = f(x)^q and chi(f(x)) is
+    constant on each Frobenius orbit: each field sums chi(f(x)) over the
+    orbit representatives, weighted by the orbit sizes, for a block of
+    curves at once."""
     _validate_q(q)
-    out = []
+    coeffs = np.array(fs, dtype=np.int64) % q
+    out = np.empty((len(coeffs), g), dtype=np.int64)
     for d in range(1, g + 1):
-        digits, by_x = field_products(q, d)
-        # Horner's rule at every x of F_{q^d} at once
-        acc = np.zeros_like(digits)
-        for c in reversed(f):
-            acc = np.einsum("xi,xik->xk", acc, by_x) % q
-            acc[:, 0] = (acc[:, 0] + c) % q
-        chi = _quadratic_character(q, d)
-        out.append(1 + int((chi[acc @ q ** np.arange(d)] + 1).sum()))
+        powers, sizes, chi = _orbit_tables(q, d, coeffs.shape[1] - 1)
+        place = q ** np.arange(d)
+        block = max(1, DIGIT_BLOCK // powers.shape[1])
+        for start in range(0, len(coeffs), block):
+            # einsum's integer loop: integer matmul is several times slower,
+            # and a float matmul goes to BLAS, whose threads stall on a
+            # loaded machine
+            block_coeffs = coeffs[start : start + block].astype(powers.dtype)
+            values = np.einsum("bk,kn->bn", block_coeffs, powers)
+            codes = (values % q).reshape(len(values), -1, d) @ place
+            out[start : start + block, d - 1] = chi[codes] @ sizes
+        out[:, d - 1] += 1 + q**d
     return out
 
 
@@ -107,16 +155,14 @@ def char_poly_from_counts(counts, q: int, g: int) -> tuple[int, ...]:
     power sums, Newton's identities, and the functional equation; returned
     low degree first."""
     p = [0] + [q**i + 1 - counts[i - 1] for i in range(1, g + 1)]
-    e = [Fraction(1)]
+    e = [1]
     for k in range(1, g + 1):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            s += (-1) ** (i - 1) * e[k - i] * p[i]
-        e.append(s / k)
+        s = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
+        ek, rem = divmod(s, k)
+        if rem:
+            raise ArithmeticError("non-integer Newton output signals a count bug")
+        e.append(ek)
     a = [(-1) ** i * e[i] for i in range(g + 1)]
-    if any(x.denominator != 1 for x in a):
-        raise ArithmeticError("non-integer Newton output signals a count bug")
-    a = [int(x) for x in a]
     full = a + [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
     return tuple(full[2 * g - j] for j in range(2 * g + 1))
 
@@ -128,7 +174,8 @@ def weil_root_error(char_poly: tuple[int, ...], q: int) -> float:
 
 
 def curve_sample_from_f(f, q: int, g: int) -> CurveSample:
-    return CurveSample(q, g, tuple(f), char_poly_from_counts(point_counts(f, q, g), q, g))
+    counts = point_counts([f], q, g)[0].tolist()
+    return CurveSample(q, g, tuple(f), char_poly_from_counts(counts, q, g))
 
 
 def _is_squarefree(f: Poly) -> bool:
@@ -165,15 +212,14 @@ def all_squarefree_monic(q: int, degree: int):
 def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     """The printed hypotheses, enforced at configuration time with the
     failing condition named: measure's checks on l and the conditions, then
-    q an odd prime coprime to l, each P_i monic of positive degree, and l
-    not dividing P_i(q)."""
+    q an odd prime coprime to l, each P_i monic, and l not dividing P_i(q)."""
     conds = _validate_measure_conditions(l, conditions)
     _validate_q(q)
     if q % l == 0:
         raise ValueError(f"l = {l} divides q = {q}")
     for p, _ in conds:
-        if not p.is_monic() or p.degree < 1:
-            raise ValueError(f"condition {p} must be monic of positive degree")
+        if not p.is_monic():
+            raise ValueError(f"condition {p} must be monic")
         if p(q % l) == 0:
             raise ValueError(
                 f"hypothesis violated for condition {p}: l = {l} divides P(q)"
@@ -193,14 +239,16 @@ def _tally(
     else:
         streams = worker_streams("cokernel-lab-curves", seed, trials, workers)
         fs = (sample_curve(q, g, rng) for rng, count in streams for _ in range(count))
+    fs = iter(fs)
     tally = Counter()
-    for f in fs:
-        sample = curve_sample_from_f(f, q, g)
-        reduced = Poly(l, sample.char_poly)
-        mults = tuple(factor_multiplicity(reduced, p) for p in polys)
-        if on_sample is not None:
-            on_sample(sample, mults)
-        tally[mults] += 1
+    while chunk := list(islice(fs, CURVE_CHUNK)):
+        for f, counts in zip(chunk, point_counts(chunk, q, g).tolist()):
+            sample = CurveSample(q, g, tuple(f), char_poly_from_counts(counts, q, g))
+            reduced = Poly(l, sample.char_poly)
+            mults = tuple(factor_multiplicity(reduced, p) for p in polys)
+            if on_sample is not None:
+                on_sample(sample, mults)
+            tally[mults] += 1
     return tally
 
 

@@ -216,6 +216,8 @@ def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
             raise ValueError("condition polynomials must be Poly values")
         if p.l != l:
             raise ValueError(f"condition {p} is not a polynomial over F_{l}")
+        if p.degree < 1:
+            raise ValueError(f"condition {p} is constant; it must have positive degree")
         if m < 0:
             raise ValueError(f"multiplicities are nonnegative; condition {p} has {m}")
         if p.coeffs in seen:

@@ -263,6 +263,9 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         # NaN passes tol <= 0 and would certify the empty product
         (("eta", "--Q", "3", "--tol", "nan"), "tolerance tol = nan"),
         (("eta", "--Q", "3", "--tol", "inf"), "tolerance tol = inf"),
+        (("density", "--l", "3", "--cond", "X-1:x"),
+         "--cond 'X-1:x': multiplicity 'x' is not an integer"),
+        (("density", "--l", "3", "--cond", "X^0:0"), "coeffs=[1]) is constant"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -270,6 +273,25 @@ def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
     assert code == 1
     assert doc is None
     assert cause in err
+
+
+def test_unwritable_emit_csv_refused_before_any_draw(capsys, monkeypatch, tmp_path):
+    """A directory as --emit-csv exits 1 naming the path before any cokernel
+    is drawn or any curve counted."""
+    from cokernel_lab import cli, curves
+
+    calls = []
+    monkeypatch.setattr(cli, "sample_cokernels", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
+    for argv in (
+        ("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2", "--trials", "5"),
+        CURVES + ("--trials", "5"),
+    ):
+        code, doc, err = run_cli(capsys, *argv, "--emit-csv", str(tmp_path))
+        assert code == 1
+        assert doc is None
+        assert f"cannot write --emit-csv {tmp_path}" in err
+    assert calls == []
 
 
 def test_unknown_flag_exit_code(capsys):

@@ -47,7 +47,53 @@ def test_point_counts_against_naive_oracle():
         ((1, 2, 3, 4, 0, 1), 7, 2),
     ]
     for f, q, g in cases:
-        assert point_counts(f, q, g) == _naive_counts(f, q, g), (f, q, g)
+        assert point_counts([f], q, g).tolist() == [_naive_counts(f, q, g)], (f, q, g)
+
+
+def test_batched_point_counts_on_census_against_naive_oracle():
+    q, g = 5, 1
+    census = all_squarefree_monic(q, 2 * g + 1)
+    assert len(census) == 100
+    assert point_counts(census, q, g).tolist() == [_naive_counts(f, q, g) for f in census]
+
+
+def test_batched_point_counts_across_digit_blocks(monkeypatch):
+    """A seeded batch larger than the digit block, which is shrunk so that
+    the fields F_25 and F_125 split the batch into several blocks."""
+    import numpy as np
+
+    from cokernel_lab import curves
+
+    q, g = 5, 3
+    monkeypatch.setattr(curves, "DIGIT_BLOCK", 256)
+    rng = np.random.default_rng(4)
+    fs = [sample_curve(q, g, rng) for _ in range(12)]
+    assert point_counts(fs, q, g).tolist() == [_naive_counts(f, q, g) for f in fs]
+
+
+@pytest.mark.parametrize(
+    "q, d",
+    [(q, d) for q in (5, 7, 11, 13) for d in range(1, 7) if q**d <= 13**4],
+)
+def test_frobenius_orbits_partition_the_field(q, d):
+    """The orbit sizes sum to q^d and each divides d; the orbits of size k
+    are as many as the monic irreducibles of degree k over F_q."""
+    from collections import Counter
+
+    from cokernel_lab.curves import _orbit_tables
+
+    _, sizes, chi = _orbit_tables(q, d, 1)
+    assert sizes.sum() == q**d
+    assert all(d % k == 0 for k in sizes)
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+    by_size = Counter(sizes.tolist())
+    for k in range(1, d + 1):
+        if d % k == 0:
+            divisors = [j for j in range(1, k + 1) if k % j == 0]
+            irreducibles = sum(mobius[k // j] * q**j for j in divisors) // k
+            assert by_size[k] == irreducibles, (q, d, k)
+    # half of the nonzero elements are squares
+    assert (chi == 1).sum() == (chi == -1).sum() == (q**d - 1) // 2
 
 
 def test_char_poly_known_curve():
@@ -78,8 +124,7 @@ def test_point_count_trace_bound():
     from math import sqrt
 
     q, g = 5, 2
-    for f in all_squarefree_monic(q, 2 * g + 1)[:60]:
-        n1 = point_counts(f, q, g)[0]
+    for n1 in point_counts(all_squarefree_monic(q, 2 * g + 1), q, g)[:, 0].tolist():
         assert abs(q + 1 - n1) <= 2 * g * sqrt(q) + 1e-9
 
 

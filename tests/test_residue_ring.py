@@ -1,6 +1,6 @@
 """The finite-field layer against Poly arithmetic, which shares no code with
-the multiplication tensor that field_products, the ChainRing code tables and
-the curves' quadratic character are built from."""
+the X-power digits that field_products, the ChainRing code tables and the
+curves' quadratic character are built from."""
 
 import random
 
@@ -9,7 +9,7 @@ import pytest
 
 from cokernel_lab.algebra import Poly, find_irreducible, poly_mod
 from cokernel_lab.chainring import MAX_RING_SIZE, ChainRing, field_products
-from cokernel_lab.curves import _quadratic_character
+from cokernel_lab.curves import _orbit_tables
 
 
 def _pairs(N: int, rng):
@@ -50,8 +50,8 @@ def test_tables_match_poly_arithmetic(modulus):
 
 
 def test_pointwise_and_character_on_extension_field():
-    """The Horner step and the quadratic character that point counting uses,
-    on F_{13^2}."""
+    """The product matrices of field_products and the quadratic character
+    of the point-counting orbit tables, on F_{13^2}."""
     modulus = find_irreducible(13, 2)
     digits, by_x = field_products(13, 2)
     N = len(digits)
@@ -61,7 +61,7 @@ def test_pointwise_and_character_on_extension_field():
     for x in range(N):
         assert elems[got[x]] == poly_mod(elems[codes[x]] * elems[x], modulus)
     squares = {poly_mod(x * x, modulus).coeffs for x in elems[1:]}
-    chi = _quadratic_character(13, 2)
+    _, _, chi = _orbit_tables(13, 2, 1)
     for c, x in enumerate(elems):
         want = 0 if c == 0 else (1 if x.coeffs in squares else -1)
         assert chi[c] == want
