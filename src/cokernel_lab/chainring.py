@@ -4,14 +4,14 @@ Every local ring F_l[X]/(p^e) is a chain ring with uniformizer p: each
 element has one p-adic expansion sum_{i<e} c_i(X) p^i with deg c_i < deg p.
 This module provides the one finite-ring layer: the powers of X written in
 those p-adic digits, which give the multiplication tensor of each local
-ring, the product matrices of the residue fields F_{l^d} of the ChainRing
-oracle (field_products) and, read by curves, the structure constants and
-Frobenius matrix of the point-counting fields; the cokernel classifier
-(valuation elimination on the p-adic digits, batched over the draws, for
-every local ring); and the independent oracles for the closed forms in
-modules: exact arithmetic on F_Q[t]/(t^e), Q = l^deg(p), a canonical-form
-enumeration of submodules, a BFS lattice walk and element-level
-brute-force counters.
+ring and, for e = 1, the digits, structure constants and Frobenius map of
+each field F_{l^d} (field_products), which the point counting of curves
+and the residue fields of the ChainRing oracle both read; the cokernel
+classifier (valuation elimination on the p-adic digits, batched over the
+draws, for every local ring); and the independent oracles for the closed
+forms in modules: exact arithmetic on F_Q[t]/(t^e), Q = l^deg(p), a
+canonical-form enumeration of submodules, a BFS lattice walk and
+element-level brute-force counters.
 """
 
 from __future__ import annotations
@@ -51,20 +51,22 @@ COORD_TABLE_ROWS = 2**13
 
 @lru_cache(maxsize=None)
 def field_products(l: int, d: int):
-    """F_{l^d} = F_l[X]/(f), f = find_irreducible(l, d), as two int64 arrays:
-    digits, of shape (Q, d), holds the base-l digits of every code, low
-    first, and by_x, of shape (Q, d, d), holds for each element x the matrix
-    of y -> x y, so that x y has the digits digits[y] @ by_x[x] mod l. It
-    serves the ChainRing oracle only; point counting reads the X-power
-    digits directly.
-
-    Row b of by_x[x] holds x X^b = sum_a x_a X^(a+b), from the digits of
-    X^k mod f for k < 2d - 1."""
+    """F_{l^d} = F_l[X]/(f), f = find_irreducible(l, d), as three int64
+    arrays: digits, of shape (Q, d), the base-l digits of every code, low
+    first; structure, of shape (d d, d), the digits of X^a X^b = X^(a+b) in
+    row a d + b, so that x y has the digits sum_ab x_a y_b structure[a d + b]
+    mod l; and frobenius, of shape (Q,), the code of x^l at each code x:
+    x^l = sum_j x_j X^(jl), since x_j^l = x_j.  They serve point counting
+    over F_{q^d} and the residue fields of the ChainRing oracle, all read off
+    the digits of X^k mod f.  A field above MAX_RING_SIZE is refused before
+    f is sought."""
     _refuse_above_cap(l, d)
-    powers = _x_power_digits(find_irreducible(l, d), 1, 2 * d - 1)
-    digits = np.arange(l**d)[:, None] // l ** np.arange(d) % l
-    by_x = np.einsum("xa,abk->xbk", digits, powers[np.add.outer(range(d), range(d))]) % l
-    return digits, by_x
+    powers = _x_power_digits(find_irreducible(l, d), 1, max(2 * d - 1, l * (d - 1) + 1))
+    place = l ** np.arange(d)
+    digits = np.arange(l**d)[:, None] // place % l
+    structure = powers[np.add.outer(range(d), range(d)).ravel()]
+    frobenius = digits @ powers[l * np.arange(d)] % l @ place
+    return digits, structure, frobenius
 
 
 def _refuse_above_cap(l: int, d: int) -> None:
@@ -103,12 +105,13 @@ class ChainRing:
         self.Q = l**d
         self.e = e
         self.zero = (0,) * e
-        digits, by_x = field_products(l, d)
+        digits, structure, _ = field_products(l, d)
         powers = l ** np.arange(d)
         # field_sub[a][b] is the code of a - b, field_mul[a][b] of a b
         self.field_sub = ((digits[:, None] - digits[None]) % l @ powers).tolist()
         self.field_neg = (-digits % l @ powers).tolist()
-        self.field_mul = (np.einsum("yi,xik->xyk", digits, by_x) % l @ powers).tolist()
+        pairs = (digits[:, None, :, None] * digits[None, :, None]).reshape(-1, d * d)
+        self.field_mul = (pairs @ structure % l @ powers).reshape(self.Q, -1).tolist()
         self.field_inv = [0] + [row.index(1) for row in self.field_mul[1:]]
 
     def elements(self):
@@ -171,12 +174,8 @@ class ChainRing:
 
 
 @lru_cache(maxsize=None)
-def _chain_cache(l: int, d: int, e: int) -> ChainRing:
-    return ChainRing(l, d, e)
-
-
 def chain_ring_for(spec: LocalRingSpec) -> ChainRing:
-    return _chain_cache(spec.l, spec.residue_degree, spec.e)
+    return ChainRing(spec.l, spec.residue_degree, spec.e)
 
 
 def _trunc(x, lam: int):
@@ -490,14 +489,9 @@ def local_tables_for(spec: LocalRingSpec) -> LocalTables:
 
 
 def _module_elements(ring: ChainRing, ambient: tuple):
-    per_coord = []
-    for lam in ambient:
-        per_coord.append(
-            [
-                tuple(reversed(t)) + (0,) * (ring.e - lam)
-                for t in product(range(ring.Q), repeat=lam)
-            ]
-        )
+    """The elements of ⊕_c C/(t^ambient[c]): coordinate c is a ring element
+    whose digits from ambient[c] on are zero."""
+    per_coord = [[x for x in ring.elements() if not any(x[lam:])] for lam in ambient]
     return [tuple(v) for v in product(*per_coord)]
 
 

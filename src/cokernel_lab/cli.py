@@ -98,22 +98,23 @@ def measure_value_json(v: MeasureValue) -> dict:
     }
 
 
-def _manifest(subcommand: str, config: dict, seed=None, hypotheses=None, timestamps=True):
-    now = datetime.now(timezone.utc).isoformat() if timestamps else None
+def _manifest(args, config: dict, seed=None, hypotheses=None):
+    # the parser's names: simulate-cokernel and simulate-curves for simulate
+    what = getattr(args, "simulate_what", None)
     return {
-        "subcommand": subcommand,
+        "subcommand": f"{args.command}-{what}" if what else args.command,
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "config": config,
         "hypotheses": hypotheses or {},
-        "started": now,
-        "finished": now,
+        "started": args.started,
+        "finished": None,
     }
 
 
 def _emit(manifest: dict, result: dict, summary: str) -> None:
-    if manifest.get("started") is not None:
+    if manifest["started"] is not None:
         manifest["finished"] = datetime.now(timezone.utc).isoformat()
     json.dump({"manifest": manifest, "result": result}, sys.stdout, default=str)
     sys.stdout.write("\n")
@@ -141,7 +142,7 @@ def _csv_rows(path, header: list):
 
 def _cmd_eta(args) -> int:
     ev = eta(args.Q, args.tol)
-    manifest = _manifest("eta", {"Q": args.Q, "tol": args.tol})
+    manifest = _manifest(args, {"Q": args.Q, "tol": args.tol})
     _emit(
         manifest,
         {"value": ev.value, "depth": ev.depth, "tol": ev.tol},
@@ -162,7 +163,7 @@ def _cmd_measure(args) -> int:
         )
     t = ModuleType(ring, tuple(Partition(tuple(x)) for x in types))
     v = mu(t)
-    manifest = _manifest("measure", {"ring": ring_json(ring), "types": types})
+    manifest = _manifest(args, {"ring": ring_json(ring), "types": types})
     _emit(
         manifest,
         measure_value_json(v),
@@ -190,8 +191,7 @@ def _cmd_rank_dist(args) -> int:
     if v != pf:
         raise AssertionError("partition form disagrees with the direct sum")
     manifest = _manifest(
-        "rank-dist",
-        {"l": local.l, "p": list(local.p.coeffs), "e": local.e, "m": args.m},
+        args, {"l": local.l, "p": list(local.p.coeffs), "e": local.e, "m": args.m}
     )
     _emit(
         manifest,
@@ -203,7 +203,7 @@ def _cmd_rank_dist(args) -> int:
 
 def _cmd_moments(args) -> int:
     value = moment_rank(args.Q, args.e, args.k)
-    manifest = _manifest("moments", {"Q": args.Q, "e": args.e, "k": args.k})
+    manifest = _manifest(args, {"Q": args.Q, "e": args.e, "k": args.k})
     _emit(manifest, {"moment": value}, f"moment_{args.k} = {value}")
     return 0
 
@@ -231,7 +231,7 @@ def _cmd_density(args) -> int:
     if not hyp:
         print("warning: prod eta(F_i) <= 1/2, uniqueness not guaranteed", file=sys.stderr)
     manifest = _manifest(
-        "density",
+        args,
         {
             "l": args.l,
             "conditions": [
@@ -277,7 +277,7 @@ def _cmd_simulate_cokernel(args) -> int:
                 [json.dumps(r["types"]), r["empirical"], r["theoretical"]] for r in counts
             )
     manifest = _manifest(
-        "simulate-cokernel",
+        args,
         {
             "ring": ring_json(ring),
             "n": args.n,
@@ -330,7 +330,7 @@ def _cmd_simulate_curves(args) -> int:
             on_sample=None if rows is None else on_sample,
         )
     manifest = _manifest(
-        "simulate-curves",
+        args,
         {
             "l": args.l,
             "q": args.q,
@@ -366,9 +366,7 @@ def _cmd_verify(args) -> int:
 
     checks = run_suite(args.suite, args.seed)
     ok = all(c["passed"] for c in checks)
-    manifest = _manifest(
-        "verify", {"suite": args.suite}, seed=args.seed, timestamps=False
-    )
+    manifest = _manifest(args, {"suite": args.suite}, seed=args.seed)
     _emit(
         manifest,
         {"suite": args.suite, "checks": checks, "passed": ok},
@@ -457,6 +455,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return 0 if ex.code == 0 else 1
+    started = datetime.now(timezone.utc).isoformat()
+    # verify reports carry no timestamps, so that they are byte-identical
+    args.started = None if args.command == "verify" else started
     try:
         return args.func(args)
     except (ValueError, KeyError, json.JSONDecodeError) as ex:

@@ -12,8 +12,8 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import Poly, factor_multiplicity, find_irreducible, is_prime, poly_gcd
-from .chainring import _refuse_above_cap, _x_power_digits
+from .algebra import Poly, factor_multiplicity, is_prime, poly_gcd
+from .chainring import MAX_RING_SIZE, field_products
 from .measure import (
     MeasureValue,
     _validate_conditions as _validate_measure_conditions,
@@ -80,21 +80,14 @@ def _validate_q(q: int) -> None:
 
 @lru_cache(maxsize=None)
 def _orbit_tables(q: int, d: int, degree: int):
-    """F_{q^d} = F_q[X]/(h), h = find_irreducible(q, d), cut into the orbits
-    of Frobenius x -> x^q, each represented by its least code: the digits of
+    """F_{q^d}, as chainring.field_products gives it, cut into the orbits of
+    Frobenius x -> x^q, each represented by its least code: the digits of
     x^k at the representatives for k <= degree, one row per k, in an
     integer type wide enough for their products with the coefficients; the
     orbit sizes; and the quadratic character by code (1 on nonzero squares,
-    -1 on the other nonzero elements, 0 on zero).
-
-    Products come from the d x d x d structure constants X^a X^b, and x^q
-    from the digits of X^(jq): x^q = sum_j x_j X^(jq) as x_j^q = x_j."""
-    _refuse_above_cap(q, d)
-    x_powers = _x_power_digits(find_irreducible(q, d), 1, max(2 * d - 1, q * (d - 1) + 1))
-    structure = x_powers[np.add.outer(range(d), range(d)).ravel()]
+    -1 on the other nonzero elements, 0 on zero)."""
+    digits, structure, frobenius = field_products(q, d)
     place = q ** np.arange(d)
-    digits = np.arange(q**d)[:, None] // place % q
-    frobenius = digits @ x_powers[q * np.arange(d)] % q @ place
     least = step = np.arange(q**d)
     for _ in range(d - 1):
         step = frobenius[step]
@@ -102,8 +95,7 @@ def _orbit_tables(q: int, d: int, degree: int):
     reps, sizes = np.unique(least, return_counts=True)
 
     def times(a, b):
-        products = a[:, :, None] * b[:, None, :]
-        return products.reshape(len(a), d * d) @ structure % q
+        return (a[:, :, None] * b[:, None]).reshape(len(a), d * d) @ structure % q
 
     # squaring commutes with Frobenius, so the squares of the representatives
     # meet every orbit of nonzero squares
@@ -111,8 +103,8 @@ def _orbit_tables(q: int, d: int, degree: int):
     square_orbit[least[times(digits[reps], digits[reps]) @ place]] = True
     chi = np.where(square_orbit[least], 1, -1)
     chi[0] = 0
-    powers = [np.zeros((len(reps), d), dtype=np.int64)]
-    powers[0][:, 0] = 1
+    # code 1 is the element 1
+    powers = [np.tile(digits[1], (len(reps), 1))]
     for _ in range(degree):
         powers.append(times(powers[-1], digits[reps]))
     # each value of f is a sum of at most degree + 1 products of two digits
@@ -234,6 +226,13 @@ def _tally(
     l: the census of squarefree monic f, or the seeded worker streams."""
     if g < 1:
         raise ValueError(f"genus g = {g} must be >= 1")
+    # q >= 3, so q^g > MAX_RING_SIZE whenever g exceeds the cap's bit length,
+    # and the power is only computed when it is small
+    if g > MAX_RING_SIZE.bit_length() or q**g > MAX_RING_SIZE:
+        raise ValueError(
+            f"genus g = {g} with q = {q} counts points over F_{{{q}^{g}}}, "
+            f"above MAX_RING_SIZE = {MAX_RING_SIZE} elements"
+        )
     if exhaustive:
         fs = all_squarefree_monic(q, 2 * g + 1)
     else:

@@ -18,7 +18,7 @@ from math import isfinite, isqrt
 from .algebra import LocalRingSpec, Poly, RingSpec, find_irreducible, is_prime
 from .modules import (
     ModuleType,
-    _local_aut_order,
+    Partition,
     aut_order,
     d_invariant,
     enumerate_module_types,
@@ -184,14 +184,22 @@ def rank_distribution_partition_form(
     Q: int, e: int, m: int, residue_degree: int = 1
 ) -> MeasureValue:
     """The partition-sum form of the rank distribution: 1/|Aut| summed over
-    the partitions of m / residue_degree with parts bounded by e."""
+    the partitions lam of m / residue_degree with parts bounded by e, with
+    |Aut| from Macdonald's formula (Symmetric Functions and Hall
+    Polynomials, ch. II §1), not the run-index product of aut_order:
+    Q^(sum_i lam'_i^2) prod_i prod_{k<=m_i} (1 - Q^-k), lam' the conjugate
+    partition and m_i the number of parts equal to i."""
     if m < 0:
         raise ValueError("rank must be nonnegative")
     if m % residue_degree:
         return MeasureValue(Fraction(0), (Q,))
     total = Fraction(0)
     for lam in partitions_of(m // residue_degree, e):
-        total += Fraction(1, _local_aut_order(lam, Q))
+        aut = Q ** sum(c * c for c in Partition(lam).conjugate().parts)
+        for i in set(lam):
+            for k in range(1, lam.count(i) + 1):
+                aut = aut // Q**k * (Q**k - 1)
+        total += Fraction(1, aut)
     return MeasureValue(total, (Q,))
 
 

@@ -4,6 +4,7 @@ automorphisms, homomorphisms, surjections, and submodules."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -205,19 +206,15 @@ def d_invariant(lam: Partition, e: int) -> int:
 
 
 def _local_aut_order(parts: tuple[int, ...], Q: int) -> int:
+    """|Aut| of ⊕_i F_Q[t]/(t^e_i) by the run-index product: with e sorted
+    ascending, k = 0..n-1, and d, c the last and first 1-based index of the
+    run of e_k, prod_k (Q^d - Q^k) Q^(e_k (n - d) + (e_k - 1) (n - c + 1))."""
     es = sorted(parts)
     n = len(es)
-    if n == 0:
-        return 1
-    d = [max(r for r in range(n) if es[r] == es[k]) + 1 for k in range(n)]
-    c = [min(r for r in range(n) if es[r] == es[k]) + 1 for k in range(n)]
     out = 1
-    for k in range(n):
-        out *= Q ** d[k] - Q**k
-    for j in range(n):
-        out *= (Q ** es[j]) ** (n - d[j])
-    for i in range(n):
-        out *= (Q ** (es[i] - 1)) ** (n - c[i] + 1)
+    for k, e in enumerate(es):
+        d, c = bisect_right(es, e), bisect_left(es, e) + 1
+        out *= (Q**d - Q**k) * Q ** (e * (n - d) + (e - 1) * (n - c + 1))
     return out
 
 

@@ -266,6 +266,10 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("density", "--l", "3", "--cond", "X-1:x"),
          "--cond 'X-1:x': multiplicity 'x' is not an integer"),
         (("density", "--l", "3", "--cond", "X^0:0"), "coeffs=[1]) is constant"),
+        # F_{13^5} is above MAX_RING_SIZE: refused before any curve is drawn
+        (("simulate", "curves", "--l", "5", "--q", "13", "--g", "5", "--cond", "X-1:0",
+          "--trials", "3000"),
+         "genus g = 5 with q = 13 counts points over F_{13^5}, above MAX_RING_SIZE"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -292,6 +296,53 @@ def test_unwritable_emit_csv_refused_before_any_draw(capsys, monkeypatch, tmp_pa
         assert doc is None
         assert f"cannot write --emit-csv {tmp_path}" in err
     assert calls == []
+
+
+def test_genus_refused_before_any_draw(capsys, monkeypatch):
+    """A genus g with q^g above MAX_RING_SIZE exits 1 naming g, q and the cap
+    before any curve is drawn or counted; g = 100000 never builds q^g."""
+    from cokernel_lab import curves
+
+    calls = []
+    monkeypatch.setattr(curves, "sample_curve", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
+    for q, g in ((13, 5), (3, 100000)):
+        code, doc, err = run_cli(
+            capsys, "simulate", "curves", "--l", "5", "--q", str(q), "--g", str(g),
+            "--cond", "X-1:0", "--trials", "3000",
+        )
+        assert code == 1
+        assert doc is None
+        assert f"genus g = {g} with q = {q}" in err
+        assert "MAX_RING_SIZE = 28561" in err
+    assert calls == []
+
+
+def test_manifest_started_before_the_run(capsys, monkeypatch):
+    """started is stamped before the subcommand runs, so finished - started
+    covers a slowed sample_cokernels."""
+    import time
+    from datetime import datetime
+
+    from cokernel_lab import cli
+
+    delay = 0.2
+    sample = cli.sample_cokernels
+
+    def slow_sample(cfg):
+        time.sleep(delay)
+        return sample(cfg)
+
+    monkeypatch.setattr(cli, "sample_cokernels", slow_sample)
+    code, doc, _ = run_cli(
+        capsys, "simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2", "--trials", "5"
+    )
+    assert code == 0
+    _assert_valid(doc)
+    started, finished = (
+        datetime.fromisoformat(doc["manifest"][key]) for key in ("started", "finished")
+    )
+    assert (finished - started).total_seconds() >= delay
 
 
 def test_unknown_flag_exit_code(capsys):

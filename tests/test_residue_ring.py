@@ -1,6 +1,7 @@
-"""The finite-field layer against Poly arithmetic, which shares no code with
-the X-power digits that field_products, the ChainRing code tables and the
-curves' quadratic character are built from."""
+"""The finite-field layer against Poly arithmetic: the digits, structure
+constants and Frobenius map of chainring.field_products, and the ChainRing
+code tables and the curves' quadratic character built from them.  Poly
+arithmetic shares no code with the X-power digits they are all read off."""
 
 import random
 
@@ -19,6 +20,14 @@ def _pairs(N: int, rng):
     return [(rng.randrange(N), rng.randrange(N)) for _ in range(2000)]
 
 
+def _times(digits, structure, a, b, l):
+    """The codes of the products of the codes a and b, through the
+    structure constants."""
+    d = digits.shape[1]
+    pairs = (digits[a][:, :, None] * digits[b][:, None]).reshape(len(a), d * d)
+    return pairs @ structure % l @ l ** np.arange(d)
+
+
 @pytest.mark.parametrize(
     "modulus",
     [
@@ -34,10 +43,18 @@ def test_tables_match_poly_arithmetic(modulus):
     ring = ChainRing(l, d, 1)
     assert ring.Q == l**d
     elems = [Poly.from_code(l, c) for c in range(ring.Q)]
-    digits, _ = field_products(l, d)
+    digits, structure, frobenius = field_products(l, d)
     for c, x in enumerate(elems):
         assert tuple(digits[c]) == x.coeffs + (0,) * (d - len(x.coeffs))
-    for a, b in _pairs(ring.Q, random.Random(ring.Q)):
+        power = Poly.one(l)
+        for _ in range(l):
+            power = poly_mod(power * x, modulus)
+        assert elems[frobenius[c]] == power
+    pairs = _pairs(ring.Q, random.Random(ring.Q))
+    a, b = np.array(pairs).T
+    for x, y, code in zip(a, b, _times(digits, structure, a, b, l)):
+        assert elems[code] == poly_mod(elems[x] * elems[y], modulus)
+    for a, b in pairs:
         assert elems[ring.field_mul[a][b]] == poly_mod(elems[a] * elems[b], modulus)
         assert elems[ring.field_sub[a][b]] == poly_mod(elems[a] - elems[b], modulus)
     one = Poly.one(l)
@@ -50,14 +67,15 @@ def test_tables_match_poly_arithmetic(modulus):
 
 
 def test_pointwise_and_character_on_extension_field():
-    """The product matrices of field_products and the quadratic character
-    of the point-counting orbit tables, on F_{13^2}."""
+    """Every element times a random one through the structure constants of
+    field_products, and the quadratic character of the point-counting orbit
+    tables, on F_{13^2}."""
     modulus = find_irreducible(13, 2)
-    digits, by_x = field_products(13, 2)
+    digits, structure, _ = field_products(13, 2)
     N = len(digits)
     elems = [Poly.from_code(13, c) for c in range(N)]
     codes = np.random.default_rng(5).integers(0, N, N)
-    got = np.einsum("xi,xik->xk", digits[codes], by_x) % 13 @ [1, 13]
+    got = _times(digits, structure, codes, np.arange(N), 13)
     for x in range(N):
         assert elems[got[x]] == poly_mod(elems[codes[x]] * elems[x], modulus)
     squares = {poly_mod(x * x, modulus).coeffs for x in elems[1:]}
