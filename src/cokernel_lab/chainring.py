@@ -49,7 +49,6 @@ LOCAL_RING_CAP = 2**63
 COORD_TABLE_ROWS = 2**13
 
 
-@lru_cache(maxsize=None)
 def field_products(l: int, d: int):
     """F_{l^d} = F_l[X]/(f), f = find_irreducible(l, d), as three int64
     arrays: digits, of shape (Q, d), the base-l digits of every code, low
@@ -58,8 +57,9 @@ def field_products(l: int, d: int):
     mod l; and frobenius, of shape (Q,), the code of x^l at each code x:
     x^l = sum_j x_j X^(jl), since x_j^l = x_j.  They serve point counting
     over F_{q^d} and the residue fields of the ChainRing oracle, all read off
-    the digits of X^k mod f.  A field above MAX_RING_SIZE is refused before
-    f is sought."""
+    the digits of X^k mod f, and are not kept here: chain_ring_for and
+    curves._orbit_tables cache what they build from them.  A field above
+    MAX_RING_SIZE is refused before f is sought."""
     _refuse_above_cap(l, d)
     powers = _x_power_digits(find_irreducible(l, d), 1, max(2 * d - 1, l * (d - 1) + 1))
     place = l ** np.arange(d)
@@ -112,7 +112,6 @@ class ChainRing:
         self.field_neg = (-digits % l @ powers).tolist()
         pairs = (digits[:, None, :, None] * digits[None, :, None]).reshape(-1, d * d)
         self.field_mul = (pairs @ structure % l @ powers).reshape(self.Q, -1).tolist()
-        self.field_inv = [0] + [row.index(1) for row in self.field_mul[1:]]
 
     def elements(self):
         return [tuple(reversed(t)) for t in product(range(self.Q), repeat=self.e)]
@@ -138,13 +137,6 @@ class ChainRing:
                         out[i + j] = sub[out[i + j]][row[yj]]
         return tuple(out)
 
-    def val(self, x) -> int:
-        """t-adic valuation, with val(0) = e."""
-        for i, a in enumerate(x):
-            if a:
-                return i
-        return self.e
-
     def shift_up(self, x, i: int):
         if i == 0:
             return x
@@ -156,21 +148,6 @@ class ChainRing:
         if i == 0:
             return x
         return x[i:] + (0,) * i
-
-    def unit_inv(self, x):
-        sub, mul = self.field_sub, self.field_mul
-        if x[0] == 0:
-            raise ZeroDivisionError("not a unit in the chain ring")
-        u0 = self.field_inv[x[0]]
-        out = [u0] + [0] * (self.e - 1)
-        for k in range(1, self.e):
-            # s = -sum_{i >= 1} x_i * out_{k-i}
-            s = 0
-            for i in range(1, k + 1):
-                if x[i] and out[k - i]:
-                    s = sub[s][mul[x[i]][out[k - i]]]
-            out[k] = mul[u0][s]
-        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -202,81 +179,50 @@ def _vector_space_submodule_counts(Q: int, k: int) -> dict:
     return counts
 
 
-def _span_log_size(rows, ambient, ring: ChainRing) -> int:
-    """log_Q of the size of the span of the given rows inside the ambient
-    module, by Howell-style elimination left to right."""
-    k = len(ambient)
-    rows = [list(r) for r in rows]
-    total = 0
-    for c in range(k):
-        lam = ambient[c]
-        best = None
-        bestv = lam
-        for idx, r in enumerate(rows):
-            a = r[c]
-            if a != ring.zero:
-                va = ring.val(a)
-                if va < bestv:
-                    bestv = va
-                    best = idx
-        if best is None:
-            continue
-        total += lam - bestv
-        piv = rows.pop(best)
-        iu = ring.unit_inv(ring.shift_down(piv[c], bestv))
-        piv = [_trunc(ring.mul(iu, piv[c3]), ambient[c3]) for c3 in range(k)]
-        for r in rows:
-            a = r[c]
-            if a != ring.zero:
-                b = ring.shift_down(a, bestv)
-                for c3 in range(c, k):
-                    r[c3] = _trunc(
-                        ring.sub(r[c3], ring.mul(b, piv[c3])), ambient[c3]
-                    )
-        shadow = [
-            _trunc(ring.shift_up(piv[c3], lam - bestv), ambient[c3]) for c3 in range(k)
-        ]
-        if any(x != ring.zero for x in shadow):
-            rows.append(shadow)
-    return total
+def _refuse_parts_outside(ring: ChainRing, lam: tuple) -> None:
+    """The oracles read a type lam as ⊕_c C/(t^lam[c]) over C = F_Q[t]/(t^e),
+    so every part must lie in 1..e."""
+    for part in lam:
+        if not 1 <= part <= ring.e:
+            raise ValueError(f"type {tuple(lam)} has part {part} outside 1..e, e = {ring.e}")
 
 
 def _span_type(rows, ambient, ring: ChainRing) -> tuple:
-    """Isomorphism type of the span, from the sizes of t^i * span."""
-    k = len(ambient)
-    logs = []
-    for i in range(ring.e + 1):
-        shifted = [
-            [_trunc(ring.shift_up(r[c], i), ambient[c]) for c in range(k)] for r in rows
-        ]
-        logs.append(_span_log_size(shifted, ambient, ring))
-        if logs[-1] == 0:
+    """Isomorphism type of the span of the rows inside ⊕_c C/(t^ambient[c]),
+    C = F_Q[t]/(t^e), parts descending.
+
+    Multiplying coordinate c by t^(e - ambient[c]) embeds that module in C^k.
+    There each step takes an entry u t^v of least valuation as its pivot,
+    replaces each other row whose entry b t^v in the pivot's column is
+    nonzero by u * row - b * (pivot row), and drops the pivot's row and
+    column, until no row, no column or no nonzero entry is left.  The unit u
+    keeps the row span, and the pivot row is then cleared by column
+    operations, an automorphism of C^k, so the span is ⊕_i C/(t^(e - v_i)).
+    v never falls, so the parts come out descending."""
+    e = ring.e
+    rows = [[ring.shift_up(x, e - lam) for x, lam in zip(r, ambient)] for r in rows]
+    parts = []
+    while rows and rows[0]:
+        # the first nonzero digit, level by level, is an entry of least
+        # valuation
+        pivots = (
+            (v, i, j)
+            for v in range(e)
+            for i, r in enumerate(rows)
+            for j, x in enumerate(r)
+            if x[v]
+        )
+        v, i, j = next(pivots, (e, 0, 0))
+        if v == e:
             break
-    return _type_from_layers(logs)
-
-
-def _type_from_layers(logs) -> tuple:
-    """The partition of a module M over F_Q[t]/(t^e) from its layer sizes
-    logs[i] = log_Q |t^i M|, listed until the first 0 (or through i = e):
-    logs[i] - logs[i+1] counts the parts above i, so the nonzero
-    differences form the conjugate partition."""
-    diffs = (a - b for a, b in zip(logs, logs[1:] + [0]))
-    return Partition(tuple(x for x in diffs if x)).conjugate().parts
-
-
-def _reduce_in_span(w, start_c, rows_by_pivot, v, ambient, ring: ChainRing) -> bool:
-    k = len(ambient)
-    for c2 in range(start_c + 1, k):
-        a = w[c2]
-        if a == ring.zero:
-            continue
-        if v[c2] is None or ring.val(a) < v[c2]:
-            return False
-        b = ring.shift_down(a, v[c2])
-        r2 = rows_by_pivot[c2]
-        for c3 in range(c2, k):
-            w[c3] = _trunc(ring.sub(w[c3], ring.mul(b, r2[c3])), ambient[c3])
-    return all(x == ring.zero for x in w)
+        parts.append(e - v)
+        pivot = rows.pop(i)
+        u = ring.shift_down(pivot.pop(j), v)
+        for r in rows:
+            b = ring.shift_down(r.pop(j), v)
+            if b != ring.zero:
+                r[:] = [ring.sub(ring.mul(u, x), ring.mul(b, y)) for x, y in zip(r, pivot)]
+    return tuple(parts)
 
 
 def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
@@ -287,8 +233,13 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
     pivot coordinate c with pivot t^{v_c}, later entries reduced modulo
     t^{v_{c'}} (modulo t^{ambient[c']} at non-pivot coordinates), subject to
     the closure condition that t^{ambient[c]-v_c} times each row lies in the
-    span of the later rows.
+    span of the later rows.  The combinations sum_c a_c row_c with a_c in
+    F_Q[t], deg a_c < ambient[c] - v_c, are Q^(sum_c (ambient[c] - v_c))
+    distinct elements of the span, and they are the whole span exactly when
+    the closure condition holds.  So one _span_type per candidate decides it,
+    by the size of the type, and gives its type.
     """
+    _refuse_parts_outside(ring, ambient)
     k = len(ambient)
     if k == 0:
         return {(): 1}
@@ -300,6 +251,7 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
     field_codes = list(range(Q))
     for v in product(*choices):
         active = [c for c in range(k) if v[c] is not None]
+        size = sum(ambient[c] - v[c] for c in active)
         slots = []
         for c in active:
             for c2 in range(c + 1, k):
@@ -318,20 +270,9 @@ def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
                 if code:
                     old = rows[c][c2]
                     rows[c][c2] = old[:pos] + (code,) + old[pos + 1 :]
-            ok = True
-            for c in reversed(active):
-                lam = ambient[c]
-                w = [
-                    _trunc(ring.shift_up(rows[c][c3], lam - v[c]), ambient[c3])
-                    for c3 in range(k)
-                ]
-                if not _reduce_in_span(w, c, rows, v, ambient, ring):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            t = _span_type([rows[c] for c in active], ambient, ring)
-            counts[t] = counts.get(t, 0) + 1
+            t = _span_type(list(rows.values()), ambient, ring)
+            if sum(t) == size:
+                counts[t] = counts.get(t, 0) + 1
     return counts
 
 
@@ -511,6 +452,7 @@ def _extend_span(ring: ChainRing, ambient: tuple, span: frozenset, g) -> frozens
 def bfs_submodules(ring: ChainRing, ambient: tuple) -> dict:
     """Element-level submodule enumeration by closing spans, used as an
     independent oracle for the canonical enumeration."""
+    _refuse_parts_outside(ring, ambient)
     zero_vec = tuple(ring.zero for _ in ambient)
     elements = _module_elements(ring, ambient)
     start = frozenset({zero_vec})
@@ -552,6 +494,15 @@ def _set_type(ring: ChainRing, ambient: tuple, span: frozenset) -> tuple:
     return _type_from_layers(logs)
 
 
+def _type_from_layers(logs) -> tuple:
+    """The partition of a module M over F_Q[t]/(t^e) from its layer sizes
+    logs[i] = log_Q |t^i M|, listed until the first 0 (or through i = e):
+    logs[i] - logs[i+1] counts the parts above i, so the nonzero
+    differences form the conjugate partition."""
+    diffs = (a - b for a, b in zip(logs, logs[1:] + [0]))
+    return Partition(tuple(x for x in diffs if x)).conjugate().parts
+
+
 def _admissible_images(ring: ChainRing, ambient: tuple, order: int):
     """Elements of the ambient module killed by t^order."""
     out = []
@@ -566,6 +517,8 @@ def _admissible_images(ring: ChainRing, ambient: tuple, order: int):
 
 
 def brute_hom_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
+    _refuse_parts_outside(ring, lam_m)
+    _refuse_parts_outside(ring, lam_a)
     total = 1
     for mj in lam_m:
         total *= len(_admissible_images(ring, lam_a, mj))
@@ -573,6 +526,8 @@ def brute_hom_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
 
 
 def brute_surj_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
+    _refuse_parts_outside(ring, lam_m)
+    _refuse_parts_outside(ring, lam_a)
     zero_vec = tuple(ring.zero for _ in lam_a)
     full_size = ring.Q ** sum(lam_a)
     image_sets = [_admissible_images(ring, lam_a, mj) for mj in lam_m]

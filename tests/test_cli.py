@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -358,6 +359,14 @@ def test_verify_suite_passes(capsys, suite):
     assert doc["result"]["passed"] is True
     assert all(c["passed"] for c in doc["result"]["checks"])
     assert "PASS" in err
+
+
+def test_verify_exact_digest_pinned(capsys):
+    """The exact suite's report is deterministic, so its bytes are pinned.
+    curves-small is not: its detail line prints an np.roots float."""
+    assert main(["verify", "--suite", "exact"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("7bbdfda6b00f6e0a")
 
 
 def test_verify_reports_byte_identical():

@@ -13,7 +13,12 @@ from cokernel_lab.algebra import (
     poly_mod,
 )
 from cokernel_lab.chainring import (
+    ChainRing,
     LocalTables,
+    _extend_span,
+    _module_elements,
+    _set_type,
+    _span_type,
     bfs_submodules,
     brute_force_aut_order,
     brute_hom_count,
@@ -230,6 +235,50 @@ def test_submodule_counts_vector_space_case():
     counts = enumerate_submodules_chain(ring, (1, 1, 1))
     # subspace counts of F_3^3 by dimension
     assert counts == {(): 1, (1,): 13, (1, 1): 13, (1, 1, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        enumerate_submodules_chain,
+        bfs_submodules,
+        lambda ring, lam: brute_hom_count(ring, (2,), lam),
+        lambda ring, lam: brute_surj_count(ring, (2,), lam),
+    ],
+    ids=["enumerate_submodules_chain", "bfs_submodules", "brute_hom_count", "brute_surj_count"],
+)
+def test_oracles_refuse_parts_outside_one_to_e(oracle):
+    """Over F_3[t]/(t^2), a part 3 or 0 names no module C/(t^part)."""
+    ring = ChainRing(3, 1, 2)
+    with pytest.raises(ValueError, match=r"part 3 outside 1\.\.e, e = 2"):
+        oracle(ring, (3,))
+    with pytest.raises(ValueError, match=r"part 0 outside 1\.\.e, e = 2"):
+        oracle(ring, (2, 0))
+
+
+@pytest.mark.parametrize(
+    "l, d, e, ambient",
+    [
+        (3, 1, 2, (2, 1)),
+        (3, 1, 3, (3, 2)),
+        (3, 1, 3, (3, 1, 1)),
+        (5, 1, 2, (2, 2)),
+        (3, 2, 2, (2, 1)),
+    ],
+)
+def test_span_type_matches_closed_span(l, d, e, ambient):
+    """_span_type of random rows, with pivots that need not be monic and more
+    rows than columns, against the type of the span closed element by
+    element."""
+    ring = chain_ring_for(_spec(l, d, e))
+    elements = _module_elements(ring, ambient)
+    rng = random.Random(l**d * 100 + e * 10 + len(ambient))
+    for _ in range(40):
+        rows = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
+        span = frozenset({tuple(ring.zero for _ in ambient)})
+        for g in rows:
+            span = _extend_span(ring, ambient, span, g)
+        assert _span_type(rows, ambient, ring) == _set_type(ring, ambient, span), rows
 
 
 def test_hom_equals_sum_of_surjections():

@@ -57,11 +57,8 @@ def test_tables_match_poly_arithmetic(modulus):
     for a, b in pairs:
         assert elems[ring.field_mul[a][b]] == poly_mod(elems[a] * elems[b], modulus)
         assert elems[ring.field_sub[a][b]] == poly_mod(elems[a] - elems[b], modulus)
-    one = Poly.one(l)
     for a, x in enumerate(elems):
         assert elems[ring.field_neg[a]] == poly_mod(-x, modulus)
-        if a:
-            assert poly_mod(x * elems[ring.field_inv[a]], modulus) == one
     # the tables do not shadow the chain-ring operations
     assert ring.mul((2,), (3,)) == (ring.field_mul[2][3],)
 
