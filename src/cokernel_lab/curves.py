@@ -184,20 +184,55 @@ def sample_curve(q: int, g: int, rng) -> tuple[int, ...]:
             return f
 
 
-def all_squarefree_monic(q: int, degree: int):
+def _monic_rows(q: int, degree: int, codes: np.ndarray) -> np.ndarray:
+    """Coefficients, low degree first, of the monic polynomials of the given
+    degree whose lower base-q digits are codes: one row per code."""
+    rows = np.ones((len(codes), degree + 1), dtype=np.int64)
+    rows[:, :degree] = codes[:, None] // q ** np.arange(degree) % q
+    return rows
+
+
+def _times(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Row-wise products mod q of two arrays of coefficient rows."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
+    for i in range(a.shape[1]):
+        out[:, i : i + b.shape[1]] += a[:, i, None] * b
+    return out % q
+
+
+def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
+    """Every squarefree monic f of the given degree over F_q, coefficients
+    low degree first, in ascending order of code.
+
+    f fails to be squarefree exactly when f = h^2 k with h and k monic and
+    deg h = j >= 1, so a sieve marks the lower digits of each such product,
+    q^(degree - j) of them for each j; rows are built DIGIT_BLOCK digits at
+    a time."""
     _validate_q(q)
+    if degree < 0:
+        raise ValueError(f"census degree = {degree} must be >= 0")
     # q >= 3, so q^degree > CENSUS_CAP whenever degree exceeds the cap's bit
     # length, and the power is only computed when it is small
     if degree > CENSUS_CAP.bit_length() or q**degree > CENSUS_CAP:
         raise ValueError(
             f"census of {q}^{degree} monic polynomials exceeds CENSUS_CAP = {CENSUS_CAP}"
         )
-    top = q**degree
+    place = q ** np.arange(degree)
+    block = max(1, DIGIT_BLOCK // (degree + 1))
+    divisible = np.zeros(q**degree, dtype=bool)
+    for j in range(1, degree // 2 + 1):
+        # a pair (h, k) is coded by the lower digits of k below those of h
+        split = q ** (degree - 2 * j)
+        pairs = split * q**j
+        for start in range(0, pairs, block):
+            codes = np.arange(start, min(start + block, pairs))
+            h = _monic_rows(q, j, codes // split)
+            k = _monic_rows(q, degree - 2 * j, codes % split)
+            divisible[_times(_times(h, h, q), k, q)[:, :degree] @ place] = True
+    free = np.flatnonzero(~divisible)
     out = []
-    for code in range(top, 2 * top):
-        f = Poly.from_code(q, code)
-        if _is_squarefree(f):
-            out.append(f.coeffs)
+    for start in range(0, len(free), block):
+        out += map(tuple, _monic_rows(q, degree, free[start : start + block]).tolist())
     return out
 
 
@@ -239,12 +274,20 @@ def _tally(
         streams = worker_streams("cokernel-lab-curves", seed, trials, workers)
         fs = (sample_curve(q, g, rng) for rng, count in streams for _ in range(count))
     fs = iter(fs)
+    # curves with equal counts N_1..N_g have equal P_C, so each distinct
+    # count vector is reduced once: to P_C and its multiplicities
+    reductions = {}
     tally = Counter()
     while chunk := list(islice(fs, CURVE_CHUNK)):
         for f, counts in zip(chunk, point_counts(chunk, q, g).tolist()):
-            sample = CurveSample(q, g, tuple(f), char_poly_from_counts(counts, q, g))
-            reduced = Poly(l, sample.char_poly)
-            mults = tuple(factor_multiplicity(reduced, p) for p in polys)
+            key = tuple(counts)
+            if key not in reductions:
+                char_poly = char_poly_from_counts(counts, q, g)
+                reduced = Poly(l, char_poly)
+                mults = tuple(factor_multiplicity(reduced, p) for p in polys)
+                reductions[key] = char_poly, mults
+            char_poly, mults = reductions[key]
+            sample = CurveSample(q, g, tuple(f), char_poly)
             if on_sample is not None:
                 on_sample(sample, mults)
             tally[mults] += 1

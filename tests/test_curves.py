@@ -184,6 +184,32 @@ def test_census_cap():
         with pytest.raises(ValueError, match="CENSUS_CAP"):
             all_squarefree_monic(q, degree)
     assert 7**7 <= CENSUS_CAP
+    with pytest.raises(ValueError, match="degree = -1"):
+        all_squarefree_monic(5, -1)
+    assert all_squarefree_monic(5, 0) == [(1,)]
+
+
+def test_census_sieve_against_gcd_oracle(monkeypatch):
+    """The sieve gives the squarefree monic f that the per-code gcd(f, f')
+    test accepts, in the same order, q^n - q^(n-1) of them for n >= 2, also
+    with the digit block shrunk so that the sieve and the output span many
+    blocks."""
+    from cokernel_lab import curves
+    from cokernel_lab.curves import _is_squarefree
+
+    for q in (3, 5, 7, 11, 13):
+        for n in range(1, 10):
+            if q**n > 2 * 10**4:
+                break
+            codes = (Poly.from_code(q, code) for code in range(q**n, 2 * q**n))
+            oracle = [f.coeffs for f in codes if _is_squarefree(f)]
+            assert len(oracle) == (q if n == 1 else q**n - q ** (n - 1))
+            for digit_block in (curves.DIGIT_BLOCK, 64):
+                with monkeypatch.context() as patch:
+                    patch.setattr(curves, "DIGIT_BLOCK", digit_block)
+                    census = all_squarefree_monic(q, n)
+                assert census == oracle, (q, n, digit_block)
+                assert all(type(c) is int for f in census for c in f)
 
 
 def test_census_deterministic():
@@ -214,27 +240,38 @@ def test_independence_stats_shape():
 
 
 def test_stats_match_direct_census_count():
-    """Both statistics on the exhaustive (1, 5) census at l = 3 equal a
-    direct count of multiplicities over the census."""
+    """Both statistics on the exhaustive (1, 5) and (2, 5) censuses at l = 3
+    equal a direct count of multiplicities over the census, and the curves
+    handed to on_sample are the census in order, each with the P_C and
+    multiplicities of the per-curve route."""
     from cokernel_lab.algebra import factor_multiplicity
 
-    l, q, g = 3, 5, 1
+    l, q = 3, 5
     a, b = Poly(l, (2, 1)), Poly(l, (0, 1))
-    census = all_squarefree_monic(q, 2 * g + 1)
-    mults = []
-    for f in census:
-        reduced = Poly(l, curve_sample_from_f(f, q, g).char_poly)
-        mults.append((factor_multiplicity(reduced, a), factor_multiplicity(reduced, b)))
-    for m in range(3):
-        table = [[0, 0], [0, 0]]
-        for mult_a, mult_b in mults:
-            table[mult_a != m][mult_b != 0] += 1
-        stats = independence_stats(l, (a, m), (b, 0), q, g, 0, 0, exhaustive=True)
-        assert stats["table"] == table
-        rep = divisibility_stats(l, [(a, m)], q, g, 0, 0, exhaustive=True)
-        assert (rep.hits, rep.trials) == (sum(ma == m for ma, _ in mults), len(census))
-        joint = divisibility_stats(l, [(a, m), (b, 0)], q, g, 0, 0, exhaustive=True)
-        assert joint.hits == table[0][0]
+    for g in (1, 2):
+        census = all_squarefree_monic(q, 2 * g + 1)
+        direct = []
+        for f in census:
+            char_poly = curve_sample_from_f(f, q, g).char_poly
+            reduced = Poly(l, char_poly)
+            mults = (factor_multiplicity(reduced, a), factor_multiplicity(reduced, b))
+            direct.append((f, char_poly, mults))
+        mults = [m for _, _, m in direct]
+        for m in range(3):
+            table = [[0, 0], [0, 0]]
+            for mult_a, mult_b in mults:
+                table[mult_a != m][mult_b != 0] += 1
+            stats = independence_stats(l, (a, m), (b, 0), q, g, 0, 0, exhaustive=True)
+            assert stats["table"] == table
+            rep = divisibility_stats(l, [(a, m)], q, g, 0, 0, exhaustive=True)
+            assert (rep.hits, rep.trials) == (sum(ma == m for ma, _ in mults), len(census))
+            seen = []
+            joint = divisibility_stats(
+                l, [(a, m), (b, 0)], q, g, 0, 0, exhaustive=True,
+                on_sample=lambda s, ms: seen.append((s.f, s.char_poly, ms)),
+            )
+            assert joint.hits == table[0][0]
+            assert seen == direct, (g, m)
 
 
 def test_reciprocal_partners_divide_equally_in_census():
