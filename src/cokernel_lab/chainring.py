@@ -1,41 +1,45 @@
-"""Chain-ring machinery shared by the counting, sampling and curve layers.
+"""The one finite-ring layer, shared by the counting, sampling and curve
+layers, and the oracles that check the closed forms in modules.
 
 Every local ring F_l[X]/(p^e) is a chain ring with uniformizer p: each
 element has one p-adic expansion sum_{i<e} c_i(X) p^i with deg c_i < deg p.
-This module provides the one finite-ring layer: the powers of X written in
-those p-adic digits, which give the multiplication tensor of each local
-ring and, for e = 1, the digits, structure constants and Frobenius map of
-each field F_{l^d} (field_products), which the point counting of curves
-and the residue fields of the ChainRing oracle both read; the cokernel
-classifier (valuation elimination on the p-adic digits, batched over the
-draws, for every local ring); and the independent oracles for the closed
-forms in modules: exact arithmetic on F_Q[t]/(t^e), Q = l^deg(p), a
-canonical-form enumeration of submodules, a BFS lattice walk and
-element-level brute-force counters.
+This module holds one table of the powers of X written in those p-adic
+digits.  It gives the multiplication tensor of each local ring
+(LocalTables) and, for e = 1, the digits, structure constants and
+Frobenius map of each field F_{l^d} (field_products), which the point
+counting of curves reads.  LocalTables classifies cokernels for every local
+ring by a valuation elimination on the p-adic digits, batched over the
+draws.  The independent oracles for the closed forms in modules run on the
+same tables: a canonical-form enumeration of submodules, each candidate
+typed by that elimination; a BFS lattice walk and element-level brute-force
+counters on element codes; and a brute-force |Aut| by determinants over
+F_l.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import prod
 
 import numpy as np
 
 from .algebra import LocalRingSpec, Poly, find_irreducible
-from .modules import Partition
+from .modules import MAX_MODULE_SIZE, Partition
 
 __all__ = [
     "MAX_RING_SIZE",
     "field_products",
-    "ChainRing",
-    "chain_ring_for",
-    "enumerate_submodules_chain",
     "LOCAL_RING_CAP",
     "LocalTables",
     "local_tables_for",
+    "ORACLE_ELEMENT_CAP",
+    "enumerate_submodules_chain",
     "bfs_submodules",
     "brute_hom_count",
     "brute_surj_count",
+    "MAX_AUT_ENDOMORPHISMS",
     "brute_force_aut_order",
 ]
 
@@ -56,10 +60,9 @@ def field_products(l: int, d: int):
     row a d + b, so that x y has the digits sum_ab x_a y_b structure[a d + b]
     mod l; and frobenius, of shape (Q,), the code of x^l at each code x:
     x^l = sum_j x_j X^(jl), since x_j^l = x_j.  They serve point counting
-    over F_{q^d} and the residue fields of the ChainRing oracle, all read off
-    the digits of X^k mod f, and are not kept here: chain_ring_for and
-    curves._orbit_tables cache what they build from them.  A field above
-    MAX_RING_SIZE is refused before f is sought."""
+    over F_{q^d}, all read off the digits of X^k mod f, and are not kept
+    here: curves._orbit_tables caches what it builds from them.  A field
+    above MAX_RING_SIZE is refused before f is sought."""
     _refuse_above_cap(l, d)
     powers = _x_power_digits(find_irreducible(l, d), 1, max(2 * d - 1, l * (d - 1) + 1))
     place = l ** np.arange(d)
@@ -95,185 +98,6 @@ def _x_power_digits(p: Poly, e: int, count: int):
         carry = np.concatenate([[[0]], top[:-1]])
         rows[k] = (np.concatenate([carry, rows[k - 1, :, :-1]], axis=1) - top * low) % l
     return rows.reshape(count, d * e)
-
-
-class ChainRing:
-    """F_Q[t]/(t^e) with Q = l^d: elements are length-e tuples of F_Q codes,
-    low first, added and multiplied through F_Q code tables."""
-
-    def __init__(self, l: int, d: int, e: int):
-        self.Q = l**d
-        self.e = e
-        self.zero = (0,) * e
-        digits, structure, _ = field_products(l, d)
-        powers = l ** np.arange(d)
-        # field_sub[a][b] is the code of a - b, field_mul[a][b] of a b
-        self.field_sub = ((digits[:, None] - digits[None]) % l @ powers).tolist()
-        self.field_neg = (-digits % l @ powers).tolist()
-        pairs = (digits[:, None, :, None] * digits[None, :, None]).reshape(-1, d * d)
-        self.field_mul = (pairs @ structure % l @ powers).reshape(self.Q, -1).tolist()
-
-    def elements(self):
-        return [tuple(reversed(t)) for t in product(range(self.Q), repeat=self.e)]
-
-    def add(self, x, y):
-        sub, neg = self.field_sub, self.field_neg
-        return tuple(sub[a][neg[b]] for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        sub = self.field_sub
-        return tuple(sub[a][b] for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        sub, neg, mul = self.field_sub, self.field_neg, self.field_mul
-        out = [0] * self.e
-        for i, xi in enumerate(x):
-            if xi:
-                # out + xi * y, as out - (-xi) * y
-                row = mul[neg[xi]]
-                for j in range(self.e - i):
-                    yj = y[j]
-                    if yj:
-                        out[i + j] = sub[out[i + j]][row[yj]]
-        return tuple(out)
-
-    def shift_up(self, x, i: int):
-        if i == 0:
-            return x
-        if i >= self.e:
-            return self.zero
-        return (0,) * i + x[: self.e - i]
-
-    def shift_down(self, x, i: int):
-        if i == 0:
-            return x
-        return x[i:] + (0,) * i
-
-
-@lru_cache(maxsize=None)
-def chain_ring_for(spec: LocalRingSpec) -> ChainRing:
-    return ChainRing(spec.l, spec.residue_degree, spec.e)
-
-
-def _trunc(x, lam: int):
-    if lam >= len(x):
-        return x
-    return x[:lam] + (0,) * (len(x) - lam)
-
-
-def _vector_space_submodule_counts(Q: int, k: int) -> dict:
-    """Subspace counts of F_Q^k grouped by dimension, via reduced-echelon
-    pivot profiles: a pivot set S contributes one free field entry for every
-    (pivot column, later non-pivot column) pair."""
-    counts = {}
-    for r in range(k + 1):
-        total = 0
-        for pivots in combinations(range(k), r):
-            pivot_set = set(pivots)
-            free = sum(
-                sum(1 for c2 in range(c + 1, k) if c2 not in pivot_set)
-                for c in pivots
-            )
-            total += Q**free
-        counts[(1,) * r if r else ()] = total
-    return counts
-
-
-def _refuse_parts_outside(ring: ChainRing, lam: tuple) -> None:
-    """The oracles read a type lam as ⊕_c C/(t^lam[c]) over C = F_Q[t]/(t^e),
-    so every part must lie in 1..e."""
-    for part in lam:
-        if not 1 <= part <= ring.e:
-            raise ValueError(f"type {tuple(lam)} has part {part} outside 1..e, e = {ring.e}")
-
-
-def _span_type(rows, ambient, ring: ChainRing) -> tuple:
-    """Isomorphism type of the span of the rows inside ⊕_c C/(t^ambient[c]),
-    C = F_Q[t]/(t^e), parts descending.
-
-    Multiplying coordinate c by t^(e - ambient[c]) embeds that module in C^k.
-    There each step takes an entry u t^v of least valuation as its pivot,
-    replaces each other row whose entry b t^v in the pivot's column is
-    nonzero by u * row - b * (pivot row), and drops the pivot's row and
-    column, until no row, no column or no nonzero entry is left.  The unit u
-    keeps the row span, and the pivot row is then cleared by column
-    operations, an automorphism of C^k, so the span is ⊕_i C/(t^(e - v_i)).
-    v never falls, so the parts come out descending."""
-    e = ring.e
-    rows = [[ring.shift_up(x, e - lam) for x, lam in zip(r, ambient)] for r in rows]
-    parts = []
-    while rows and rows[0]:
-        # the first nonzero digit, level by level, is an entry of least
-        # valuation
-        pivots = (
-            (v, i, j)
-            for v in range(e)
-            for i, r in enumerate(rows)
-            for j, x in enumerate(r)
-            if x[v]
-        )
-        v, i, j = next(pivots, (e, 0, 0))
-        if v == e:
-            break
-        parts.append(e - v)
-        pivot = rows.pop(i)
-        u = ring.shift_down(pivot.pop(j), v)
-        for r in rows:
-            b = ring.shift_down(r.pop(j), v)
-            if b != ring.zero:
-                r[:] = [ring.sub(ring.mul(u, x), ring.mul(b, y)) for x, y in zip(r, pivot)]
-    return tuple(parts)
-
-
-def enumerate_submodules_chain(ring: ChainRing, ambient: tuple) -> dict:
-    """All submodules of the ambient module ⊕_c C/(t^ambient[c]), grouped by
-    isomorphism type (partition tuple), with exact multiplicities.
-
-    Submodules correspond bijectively to canonical row sets: one row per
-    pivot coordinate c with pivot t^{v_c}, later entries reduced modulo
-    t^{v_{c'}} (modulo t^{ambient[c']} at non-pivot coordinates), subject to
-    the closure condition that t^{ambient[c]-v_c} times each row lies in the
-    span of the later rows.  The combinations sum_c a_c row_c with a_c in
-    F_Q[t], deg a_c < ambient[c] - v_c, are Q^(sum_c (ambient[c] - v_c))
-    distinct elements of the span, and they are the whole span exactly when
-    the closure condition holds.  So one _span_type per candidate decides it,
-    by the size of the type, and gives its type.
-    """
-    _refuse_parts_outside(ring, ambient)
-    k = len(ambient)
-    if k == 0:
-        return {(): 1}
-    Q = ring.Q
-    if all(a == 1 for a in ambient):
-        return _vector_space_submodule_counts(Q, k)
-    counts: dict = {}
-    choices = [list(range(lam)) + [None] for lam in ambient]
-    field_codes = list(range(Q))
-    for v in product(*choices):
-        active = [c for c in range(k) if v[c] is not None]
-        size = sum(ambient[c] - v[c] for c in active)
-        slots = []
-        for c in active:
-            for c2 in range(c + 1, k):
-                n = ambient[c2] if v[c2] is None else v[c2]
-                for pos in range(n):
-                    slots.append((c, c2, pos))
-        for assignment in product(field_codes, repeat=len(slots)):
-            rows = {}
-            for c in active:
-                row = [ring.zero] * k
-                row[c] = tuple(
-                    1 if i == v[c] else 0 for i in range(ring.e)
-                )
-                rows[c] = row
-            for (c, c2, pos), code in zip(slots, assignment):
-                if code:
-                    old = rows[c][c2]
-                    rows[c][c2] = old[:pos] + (code,) + old[pos + 1 :]
-            t = _span_type(list(rows.values()), ambient, ring)
-            if sum(t) == size:
-                counts[t] = counts.get(t, 0) + 1
-    return counts
 
 
 class LocalTables:
@@ -358,11 +182,16 @@ class LocalTables:
         (B, n, n), parts descending, classified in chunks of draws whose
         arrays hold about 2^20 entries at most."""
         batch, n, _ = codes.shape
-        step = max(1, (1 << 20) // (n * self.m * max(n, self.m)))
+        step = self._chunk(n)
         out = []
         for start in range(0, batch, step):
             out += self._partitions(self.coordinates(codes[start : start + step]))
         return out
+
+    def _chunk(self, n: int) -> int:
+        """Draws of n x n matrices per chunk, so that the arrays of the
+        elimination hold about 2^20 entries at most."""
+        return max(1, (1 << 20) // (n * self.m * max(n, self.m)))
 
     def _partitions(self, A) -> list[tuple]:
         """Partitions of the cokernels of the matrices of chain digits A
@@ -429,33 +258,165 @@ def local_tables_for(spec: LocalRingSpec) -> LocalTables:
     return LocalTables(spec)
 
 
-def _module_elements(ring: ChainRing, ambient: tuple):
-    """The elements of ⊕_c C/(t^ambient[c]): coordinate c is a ring element
-    whose digits from ambient[c] on are zero."""
-    per_coord = [[x for x in ring.elements() if not any(x[lam:])] for lam in ambient]
-    return [tuple(v) for v in product(*per_coord)]
+# perfbench's _run_bfs reaches the oracles' tables under this name
+chain_ring_for = local_tables_for
 
 
-def _extend_span(ring: ChainRing, ambient: tuple, span: frozenset, g) -> frozenset:
-    ring_elems = ring.elements()
-    out = set()
-    for s in span:
-        for r in ring_elems:
-            v = tuple(
-                _trunc(ring.add(sc, ring.mul(r, gc)), lam)
-                for sc, gc, lam in zip(s, g, ambient)
+# The element-level oracles list every element of the module they read and
+# tabulate R/(p^top) twice over, top its largest part.  The largest module
+# that the tests, verify and perfbench give them has 9^3 = 729 elements:
+# type (2, 1) over F_9[t]/(t^2).
+ORACLE_ELEMENT_CAP = 3**6
+
+
+def _refuse_parts_outside(ring: LocalTables, lam: tuple) -> None:
+    """The oracles read a type lam as ⊕_c R/(p^lam[c]), so every part must
+    lie in 1..e."""
+    for part in lam:
+        if not 1 <= part <= ring.e:
+            raise ValueError(f"type {tuple(lam)} has part {part} outside 1..e, e = {ring.e}")
+
+
+def _refuse_above(ring: LocalTables, lam: tuple, cap: int) -> None:
+    size = ring.l ** (ring.d * sum(lam))
+    if size > cap:
+        raise ValueError(f"module of size {size} exceeds the cap {cap}")
+
+
+def _vector_space_submodule_counts(Q: int, k: int) -> dict:
+    """Subspace counts of F_Q^k grouped by dimension, via reduced-echelon
+    pivot profiles: a pivot set S contributes one free field entry for every
+    (pivot column, later non-pivot column) pair."""
+    counts = {}
+    for r in range(k + 1):
+        total = 0
+        for pivots in combinations(range(k), r):
+            pivot_set = set(pivots)
+            free = sum(
+                sum(1 for c2 in range(c + 1, k) if c2 not in pivot_set)
+                for c in pivots
             )
-            out.add(v)
-    return frozenset(out)
+            total += Q**free
+        counts[(1,) * r if r else ()] = total
+    return counts
 
 
-def bfs_submodules(ring: ChainRing, ambient: tuple) -> dict:
+def _span_types(ring: LocalTables, A) -> list[tuple]:
+    """Isomorphism types of the row spans of the n x n matrices of chain
+    digits A (B, n, n, m), parts descending.  The elimination of _partitions
+    keeps the row span up to an automorphism of R^n and ends with the span
+    ⊕_i p^(v_i) R ≅ ⊕_i R/(p^(e - v_i)) over its n pivot valuations v_i, of
+    which it returns the nonzero ones, descending: v = 0 gives a part e, and
+    v = e none."""
+    e, n = ring.e, A.shape[1]
+    return [
+        (e,) * (n - len(coker)) + tuple(e - v for v in reversed(coker) if v < e)
+        for coker in ring._partitions(A)
+    ]
+
+
+def enumerate_submodules_chain(ring: LocalTables, ambient: tuple) -> dict:
+    """All submodules of the ambient module ⊕_c R/(p^ambient[c]), grouped by
+    isomorphism type (partition tuple), with exact multiplicities.
+
+    Submodules correspond bijectively to canonical row sets: one row per
+    pivot coordinate c with pivot p^{v_c}, later entries reduced modulo
+    p^{v_{c'}} (modulo p^{ambient[c']} at non-pivot coordinates), subject to
+    the closure condition that p^{ambient[c]-v_c} times each row lies in the
+    span of the later rows.  An entry reduced modulo p^n is one whose chain
+    digits from block n on are zero, so every lower digit runs over F_l.
+    The combinations sum_c a_c row_c, a_c over the residues of R modulo
+    p^(ambient[c] - v_c), are Q^(sum_c (ambient[c] - v_c)) distinct elements
+    of the span, and they are the whole span exactly when the closure
+    condition holds.  So the span's type decides each candidate, by its
+    size, and gives its type.
+
+    Multiplying coordinate c by p^(e - ambient[c]) embeds the ambient module
+    in R^k, so each profile's candidates are built as k x k matrices of
+    chain digits, padded with zero rows, and typed in chunks by _span_types.
+    """
+    _refuse_parts_outside(ring, ambient)
+    _refuse_above(ring, ambient, MAX_MODULE_SIZE)
+    k = len(ambient)
+    if k == 0:
+        return {(): 1}
+    l, d, e, m = ring.l, ring.d, ring.e, ring.m
+    if all(a == 1 for a in ambient):
+        return _vector_space_submodule_counts(l**d, k)
+    step = ring._chunk(k)
+    counts: dict = {}
+    choices = [list(range(lam)) + [None] for lam in ambient]
+    for v in product(*choices):
+        active = [c for c in range(k) if v[c] is not None]
+        size = sum(ambient[c] - v[c] for c in active)
+        base = np.zeros((k, k, m))
+        # (row, column, chain digit) of each free digit
+        free = []
+        for r, c in enumerate(active):
+            base[r, c, (v[c] + e - ambient[c]) * d] = 1
+            for c2 in range(c + 1, k):
+                n = ambient[c2] if v[c2] is None else v[c2]
+                low = (e - ambient[c2]) * d
+                free += [(r, c2, low + i) for i in range(n * d)]
+        rows, cols, digits = np.array(free, dtype=np.intp).reshape(-1, 3).T
+        place = l ** np.arange(len(free))
+        total = l ** len(free)
+        for start in range(0, total, step):
+            codes = np.arange(start, min(start + step, total))
+            A = np.repeat(base[None], len(codes), axis=0)
+            A[:, rows, cols, digits] = codes[:, None] // place % l
+            for t, count in Counter(_span_types(ring, A)).items():
+                if sum(t) == size:
+                    counts[t] = counts.get(t, 0) + count
+    return counts
+
+
+def _element_tables(ring: LocalTables, ambient: tuple):
+    """Addition and multiplication tables, as lists of lists, of the codes
+    of R/(p^top), top the largest part of ambient, after the refusals of the
+    element-level oracles.
+
+    The code of an element is the base-l number of its chain digits,
+    sum_i Q^i (block i), so that the code of x mod p^lam is x % Q^lam and
+    that of p x is x Q % Q^e.  A product mod p^top keeps the digits below
+    block top of the product in R, so the first top d digits of the tensor
+    times give it."""
+    _refuse_parts_outside(ring, ambient)
+    _refuse_above(ring, ambient, ORACLE_ELEMENT_CAP)
+    l, m = ring.l, ring.m
+    n = ring.d * max(ambient, default=1)
+    place = l ** np.arange(n)
+    digits = np.arange(l**n)[:, None] // place % l
+    times = ring.times.reshape(m, m, m)[:n, :n, :n].astype(np.int64)
+    add = [((digits + x) % l @ place).tolist() for x in digits]
+    # by_x[x] maps the digits of y to those of x y, before the reduction
+    by_x = np.tensordot(digits, times, 1)
+    mul = [(digits @ t % l @ place).tolist() for t in by_x]
+    return add, mul
+
+
+def _module_elements(mods):
+    """The elements of ⊕_c R/(p^lam_c) as tuples of codes, coordinate c
+    below mods[c] = Q^lam_c."""
+    return list(product(*(range(n) for n in mods)))
+
+
+def _extend_span(add, mul, mods, span: frozenset, g) -> frozenset:
+    """The submodule generated by the submodule span and g: span + R g."""
+    multiples = {tuple(mul[r][x] % n for x, n in zip(g, mods)) for r in range(len(mul))}
+    return frozenset(
+        tuple(add[a][b] for a, b in zip(s, w)) for s in span for w in multiples
+    )
+
+
+def bfs_submodules(ring: LocalTables, ambient: tuple) -> dict:
     """Element-level submodule enumeration by closing spans, used as an
     independent oracle for the canonical enumeration."""
-    _refuse_parts_outside(ring, ambient)
-    zero_vec = tuple(ring.zero for _ in ambient)
-    elements = _module_elements(ring, ambient)
-    start = frozenset({zero_vec})
+    add, mul = _element_tables(ring, ambient)
+    Q = ring.l**ring.d
+    mods = [Q**lam for lam in ambient]
+    elements = _module_elements(mods)
+    start = frozenset({(0,) * len(ambient)})
     seen = {start}
     frontier = [start]
     while frontier:
@@ -464,78 +425,83 @@ def bfs_submodules(ring: ChainRing, ambient: tuple) -> dict:
             for g in elements:
                 if g in span:
                     continue
-                bigger = _extend_span(ring, ambient, span, g)
+                bigger = _extend_span(add, mul, mods, span, g)
                 if bigger not in seen:
                     seen.add(bigger)
                     nxt.append(bigger)
         frontier = nxt
     counts: dict = {}
     for span in seen:
-        t = _set_type(ring, ambient, span)
+        t = _set_type(Q, mods, span)
         counts[t] = counts.get(t, 0) + 1
     return counts
 
 
-def _set_type(ring: ChainRing, ambient: tuple, span: frozenset) -> tuple:
+def _set_type(Q: int, mods, span) -> tuple:
+    """The type of a submodule, given as a set of code tuples, from the
+    sizes of its images under p, p^2, ..."""
     logs = []
     cur = span
-    for i in range(ring.e + 1):
-        size = len(cur)
+    while True:
         s = 0
-        while ring.Q**s < size:
+        while Q**s < len(cur):
             s += 1
         logs.append(s)
-        if size == 1:
+        if len(cur) == 1:
             break
-        cur = {
-            tuple(_trunc(ring.shift_up(c, 1), lam) for c, lam in zip(v, ambient))
-            for v in cur
-        }
+        cur = {tuple(x * Q % n for x, n in zip(v, mods)) for v in cur}
     return _type_from_layers(logs)
 
 
 def _type_from_layers(logs) -> tuple:
-    """The partition of a module M over F_Q[t]/(t^e) from its layer sizes
-    logs[i] = log_Q |t^i M|, listed until the first 0 (or through i = e):
+    """The partition of a module M over R from its layer sizes
+    logs[i] = log_Q |p^i M|, listed until the first 0 (or through i = e):
     logs[i] - logs[i+1] counts the parts above i, so the nonzero
     differences form the conjugate partition."""
     diffs = (a - b for a, b in zip(logs, logs[1:] + [0]))
     return Partition(tuple(x for x in diffs if x)).conjugate().parts
 
 
-def _admissible_images(ring: ChainRing, ambient: tuple, order: int):
-    """Elements of the ambient module killed by t^order."""
-    out = []
-    for v in _module_elements(ring, ambient):
-        killed = all(
-            _trunc(ring.shift_up(c, order), lam) == ring.zero
-            for c, lam in zip(v, ambient)
-        )
-        if killed:
-            out.append(v)
-    return out
+def _admissible_images(Q: int, mods, order: int):
+    """Elements of the ambient module killed by p^order."""
+    return [
+        v
+        for v in _module_elements(mods)
+        if all(x * Q**order % n == 0 for x, n in zip(v, mods))
+    ]
 
 
-def brute_hom_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
+def brute_hom_count(ring: LocalTables, lam_m: tuple, lam_a: tuple) -> int:
     _refuse_parts_outside(ring, lam_m)
     _refuse_parts_outside(ring, lam_a)
+    _refuse_above(ring, lam_a, ORACLE_ELEMENT_CAP)
+    Q = ring.l**ring.d
+    mods = [Q**lam for lam in lam_a]
     total = 1
     for mj in lam_m:
-        total *= len(_admissible_images(ring, lam_a, mj))
+        total *= len(_admissible_images(Q, mods, mj))
     return total
 
 
-def brute_surj_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
+def brute_surj_count(ring: LocalTables, lam_m: tuple, lam_a: tuple) -> int:
+    """Surjections M -> A, counted by closing the span of the generators'
+    images over every homomorphism; at most ORACLE_ELEMENT_CAP
+    homomorphisms are walked."""
     _refuse_parts_outside(ring, lam_m)
-    _refuse_parts_outside(ring, lam_a)
-    zero_vec = tuple(ring.zero for _ in lam_a)
-    full_size = ring.Q ** sum(lam_a)
-    image_sets = [_admissible_images(ring, lam_a, mj) for mj in lam_m]
+    add, mul = _element_tables(ring, lam_a)
+    Q = ring.l**ring.d
+    mods = [Q**lam for lam in lam_a]
+    image_sets = [_admissible_images(Q, mods, mj) for mj in lam_m]
+    homs = prod(len(images) for images in image_sets)
+    if homs > ORACLE_ELEMENT_CAP:
+        raise ValueError(f"{homs} homomorphisms exceed the cap {ORACLE_ELEMENT_CAP}")
+    zero = frozenset({(0,) * len(lam_a)})
+    full_size = Q ** sum(lam_a)
     count = 0
     for images in product(*image_sets):
-        span = frozenset({zero_vec})
+        span = zero
         for g in images:
-            span = _extend_span(ring, lam_a, span, g)
+            span = _extend_span(add, mul, mods, span, g)
         if len(span) == full_size:
             count += 1
     return count
@@ -543,6 +509,9 @@ def brute_surj_count(ring: ChainRing, lam_m: tuple, lam_a: tuple) -> int:
 
 # endomorphisms whose determinants are expanded in one numpy batch
 _AUT_CHUNK = 1 << 18
+# the most endomorphisms brute_force_aut_order walks: the 3^16 of type
+# (1, 1, 1, 1) over F_3, the largest case of acceptance criterion 3
+MAX_AUT_ENDOMORPHISMS = 3**16
 
 
 @lru_cache(maxsize=None)
@@ -553,7 +522,8 @@ def brute_force_aut_order(l: int, lam: tuple) -> int:
     The basis is {t^i g_j}; an endomorphism is determined by the generator
     images, whose coordinates at g_j2 range over t^{max(0, lam_j2 - lam_j)}
     times the local quotient.  Determinants are expanded by permutations, so
-    the total F_l dimension must stay small.
+    the total F_l dimension must stay small, and a type with more than
+    MAX_AUT_ENDOMORPHISMS endomorphisms is refused before any is built.
     """
     lam = tuple(sorted(lam, reverse=True))
     m = sum(lam)
@@ -572,20 +542,29 @@ def brute_force_aut_order(l: int, lam: tuple) -> int:
                 slots.append((j, j2, s))
     P = len(slots)
     total = l**P
+    if total > MAX_AUT_ENDOMORPHISMS:
+        raise ValueError(
+            f"type {lam} over F_{l} has {l}^{P} endomorphisms, above "
+            f"MAX_AUT_ENDOMORPHISMS = 3^16"
+        )
     perms = [(p, _perm_sign(p)) for p in permutations(range(m))]
+    # the smallest integer type that holds an entry
+    dtype = np.min_scalar_type(l - 1)
     count = 0
     off = 0
     while off < total:
         size = min(_AUT_CHUNK, total - off)
         codes = np.arange(off, off + size, dtype=np.int64)
-        M = np.zeros((size, m, m), dtype=np.int16)
+        M = np.zeros((size, m, m), dtype=dtype)
         for idx, (j, j2, s) in enumerate(slots):
-            digit = ((codes // (l**idx)) % l).astype(np.int16)
+            digit = ((codes // (l**idx)) % l).astype(dtype)
             for i in range(lam[j]):
                 if s + i < lam[j2]:
                     M[:, base_idx[(j2, s + i)], base_idx[(j, i)]] = digit
-        # entries < l <= 5 and m <= 5, so signed products and their sum stay
-        # far below the int32 range; one final mod suffices
+        # entries < l, and a term is nonzero only on the permutations that
+        # the slots fill; over every type within MAX_AUT_ENDOMORPHISMS their
+        # count times (l-1)^m stays below 3^16, so signed products and their
+        # sum stay in the int32 range and one final mod suffices
         det = np.zeros(size, dtype=np.int32)
         for p, sign in perms:
             term = M[:, 0, p[0]].astype(np.int32)

@@ -9,8 +9,8 @@ from .algebra import Poly, RingSpec
 from .chainring import (
     bfs_submodules,
     brute_force_aut_order,
-    chain_ring_for,
     enumerate_submodules_chain,
+    local_tables_for,
 )
 from .measure import (
     local_ring_with_residue_size,
@@ -55,7 +55,7 @@ def _suite_exact() -> list[dict]:
     ok = True
     worst = ""
     for l, d, e, lam in [(3, 1, 2, (2, 1)), (3, 1, 3, (3, 1)), (5, 1, 2, (2, 1)), (3, 2, 2, (2,))]:
-        ring = chain_ring_for(local_ring_with_residue_size(l**d, e))
+        ring = local_tables_for(local_ring_with_residue_size(l**d, e))
         fast = enumerate_submodules_chain(ring, lam)
         slow = bfs_submodules(ring, lam)
         if fast != slow:
@@ -82,7 +82,7 @@ def _suite_exact() -> list[dict]:
         if got != expect:
             ok = False
             worst = f"moment({Q},{e},{k}) = {got} != {expect}"
-    ring = chain_ring_for(local_ring_with_residue_size(3, 2))
+    ring = local_tables_for(local_ring_with_residue_size(3, 2))
     n_sub = sum(enumerate_submodules_chain(ring, (2, 2)).values())
     if n_sub != moment_rank(3, 2, 2):
         ok = False

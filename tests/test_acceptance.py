@@ -8,8 +8,8 @@ from fractions import Fraction
 from cokernel_lab.algebra import LocalRingSpec, Poly, RingSpec, find_irreducible
 from cokernel_lab.chainring import (
     brute_force_aut_order,
-    chain_ring_for,
     enumerate_submodules_chain,
+    local_tables_for,
 )
 from cokernel_lab.curves import (
     all_squarefree_monic,
@@ -156,7 +156,7 @@ def test_criterion_4_moment_equals_submodule_census():
                 local = local_ring_with_residue_size(Q, e)
                 census = sum(
                     enumerate_submodules_chain(
-                        chain_ring_for(local), (e,) * k
+                        local_tables_for(local), (e,) * k
                     ).values()
                 )
                 closed = moment_rank(Q, e, k)

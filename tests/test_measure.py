@@ -24,8 +24,8 @@ from cokernel_lab.measure import (
 )
 from cokernel_lab.chainring import (
     brute_force_aut_order,
-    chain_ring_for,
     enumerate_submodules_chain,
+    local_tables_for,
 )
 from cokernel_lab.modules import (
     ModuleType,
@@ -158,7 +158,7 @@ def test_moment_rank_examples():
 def test_moment_rank_matches_enumeration():
     for Q, e, k in [(3, 1, 3), (3, 2, 2), (5, 1, 2), (9, 1, 2), (3, 3, 1)]:
         local = local_ring_with_residue_size(Q, e)
-        census = enumerate_submodules_chain(chain_ring_for(local), (e,) * k)
+        census = enumerate_submodules_chain(local_tables_for(local), (e,) * k)
         assert moment_rank(Q, e, k) == sum(census.values())
 
 
@@ -177,7 +177,7 @@ def test_submodule_count_matches_enumeration():
         (3, 2, (3, 2)),
         (3, 3, (2, 1)),
     ]:
-        ring = chain_ring_for(_spec(l, d, lam[0]))
+        ring = local_tables_for(_spec(l, d, lam[0]))
         census = enumerate_submodules_chain(ring, lam)
         assert dict(submodule_counts(l**d, lam)) == census, (l, d, lam)
 

@@ -12,19 +12,22 @@ from cokernel_lab.algebra import (
     find_irreducible,
     poly_mod,
 )
+from cokernel_lab import chainring
 from cokernel_lab.chainring import (
-    ChainRing,
+    MAX_AUT_ENDOMORPHISMS,
+    ORACLE_ELEMENT_CAP,
     LocalTables,
+    _element_tables,
     _extend_span,
     _module_elements,
     _set_type,
-    _span_type,
+    _span_types,
     bfs_submodules,
     brute_force_aut_order,
     brute_hom_count,
     brute_surj_count,
-    chain_ring_for,
     enumerate_submodules_chain,
+    local_tables_for,
 )
 from cokernel_lab.modules import (
     MAX_MODULE_SIZE,
@@ -186,10 +189,30 @@ def test_aut_order_brute_force_sweep():
             e = max(lam) if lam else 1
             closed = aut_order(_mt(l, 1, e, lam))
             assert closed == brute_force_aut_order(l, lam), lam
+    # entries beyond the int16 range: 65536 wraps to 0
+    assert brute_force_aut_order(65537, (1,)) == 65536
+
+
+def test_brute_force_aut_order_refuses_unbounded_walks(monkeypatch):
+    """3^25 and 13^25 endomorphisms of F_l^5, and the 3^17 of type
+    (2, 1, 1, 1), are refused by name before the permutations of the
+    determinant expansion are listed; 3^16, criterion 3's (1, 1, 1, 1), is
+    the bound."""
+
+    def listed(*args):
+        raise AssertionError("permutations listed before the refusal")
+
+    monkeypatch.setattr(chainring, "permutations", listed)
+    for l, P in [(3, 25), (13, 25)]:
+        with pytest.raises(ValueError, match=rf"{l}\^{P} endomorphisms, above MAX_AUT_ENDOMORPHISMS"):
+            brute_force_aut_order(l, (1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match=r"3\^17 endomorphisms"):
+        brute_force_aut_order(3, (2, 1, 1, 1))
+    assert MAX_AUT_ENDOMORPHISMS == 3**16
 
 
 def test_hom_count_matches_brute_force():
-    ring = chain_ring_for(_spec(3, 1, 2))
+    ring = local_tables_for(_spec(3, 1, 2))
     for lam_m in [(1,), (2,), (2, 1)]:
         for lam_a in [(1,), (2,), (1, 1)]:
             assert hom_count(
@@ -198,7 +221,7 @@ def test_hom_count_matches_brute_force():
 
 
 def test_surj_count_matches_brute_force():
-    ring = chain_ring_for(_spec(3, 1, 2))
+    ring = local_tables_for(_spec(3, 1, 2))
     for lam_m in [(1,), (2,), (2, 1), (2, 2)]:
         for lam_a in [(1,), (2,), (1, 1)]:
             assert surj_count(
@@ -221,7 +244,7 @@ def test_submodule_enumeration_matches_bfs():
         (3, 2, 1, (1, 1)),
     ]
     for l, d, e, lam in cases:
-        ring = chain_ring_for(_spec(l, d, e))
+        ring = local_tables_for(_spec(l, d, e))
         assert enumerate_submodules_chain(ring, lam) == bfs_submodules(ring, lam), (
             l,
             d,
@@ -231,7 +254,7 @@ def test_submodule_enumeration_matches_bfs():
 
 
 def test_submodule_counts_vector_space_case():
-    ring = chain_ring_for(_spec(3, 1, 1))
+    ring = local_tables_for(_spec(3, 1, 1))
     counts = enumerate_submodules_chain(ring, (1, 1, 1))
     # subspace counts of F_3^3 by dimension
     assert counts == {(): 1, (1,): 13, (1, 1): 13, (1, 1, 1): 1}
@@ -248,8 +271,8 @@ def test_submodule_counts_vector_space_case():
     ids=["enumerate_submodules_chain", "bfs_submodules", "brute_hom_count", "brute_surj_count"],
 )
 def test_oracles_refuse_parts_outside_one_to_e(oracle):
-    """Over F_3[t]/(t^2), a part 3 or 0 names no module C/(t^part)."""
-    ring = ChainRing(3, 1, 2)
+    """Over F_3[X]/(X^2), a part 3 or 0 names no module R/(X^part)."""
+    ring = LocalTables(_spec(3, 1, 2))
     with pytest.raises(ValueError, match=r"part 3 outside 1\.\.e, e = 2"):
         oracle(ring, (3,))
     with pytest.raises(ValueError, match=r"part 0 outside 1\.\.e, e = 2"):
@@ -267,18 +290,54 @@ def test_oracles_refuse_parts_outside_one_to_e(oracle):
     ],
 )
 def test_span_type_matches_closed_span(l, d, e, ambient):
-    """_span_type of random rows, with pivots that need not be monic and more
-    rows than columns, against the type of the span closed element by
-    element."""
-    ring = chain_ring_for(_spec(l, d, e))
-    elements = _module_elements(ring, ambient)
+    """The batched span typing of random rows, with pivots that need not be
+    monic and more rows than columns, against the type of the span closed
+    element by element on codes.  Coordinate c of a row is embedded in R by
+    p^(e - ambient[c]), that is times Q^(e - ambient[c]) on codes, and the
+    rows are padded with zeros to 3 x 3 matrices of chain digits."""
+    ring = local_tables_for(_spec(l, d, e))
+    Q = l**d
+    mods = [Q**lam for lam in ambient]
+    add, mul = _element_tables(ring, ambient)
+    elements = _module_elements(mods)
     rng = random.Random(l**d * 100 + e * 10 + len(ambient))
-    for _ in range(40):
+    place = l ** np.arange(ring.m)
+    A = np.zeros((40, 3, 3, ring.m))
+    want = []
+    for trial in range(40):
         rows = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
-        span = frozenset({tuple(ring.zero for _ in ambient)})
-        for g in rows:
-            span = _extend_span(ring, ambient, span, g)
-        assert _span_type(rows, ambient, ring) == _set_type(ring, ambient, span), rows
+        span = frozenset({(0,) * len(ambient)})
+        for i, g in enumerate(rows):
+            span = _extend_span(add, mul, mods, span, g)
+            for c, (x, lam) in enumerate(zip(g, ambient)):
+                A[trial, i, c] = x * Q ** (e - lam) // place % l
+        want.append(_set_type(Q, mods, span))
+    assert _span_types(ring, A) == want
+
+
+def test_oracles_refuse_modules_above_their_caps():
+    """The canonical enumeration refuses a module above MAX_MODULE_SIZE as
+    enumerate_submodules does, and the element-level oracles one above
+    ORACLE_ELEMENT_CAP, before anything is listed or tabulated; the surjection
+    count also refuses to walk more than ORACLE_ELEMENT_CAP homomorphisms."""
+    ring = local_tables_for(_spec(3, 1, 2))
+    with pytest.raises(ValueError, match=rf"^module of size {3**12} exceeds") as chain:
+        enumerate_submodules_chain(ring, (2,) * 6)
+    with pytest.raises(ValueError) as closed:
+        enumerate_submodules(_mt(3, 1, 2, (2,) * 6))
+    assert str(chain.value) == str(closed.value)
+    big = (2, 2, 2, 1)  # 3^7 = 2187 elements
+    assert ORACLE_ELEMENT_CAP == 729
+    for oracle in (
+        bfs_submodules,
+        lambda ring, lam: brute_hom_count(ring, (1,), lam),
+        lambda ring, lam: brute_surj_count(ring, (1,), lam),
+    ):
+        with pytest.raises(ValueError, match=r"module of size 2187 exceeds the cap 729"):
+            oracle(ring, big)
+    # Hom(F_3^7, F_3^2) has 3^14 elements
+    with pytest.raises(ValueError, match=r"4782969 homomorphisms exceed the cap 729"):
+        brute_surj_count(ring, (1,) * 7, (1, 1))
 
 
 def test_hom_equals_sum_of_surjections():
