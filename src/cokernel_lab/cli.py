@@ -32,6 +32,10 @@ SCHEMA_VERSION = 1
 
 WORKERS_HELP = "seeded streams to split the trials over; the draws run in one process"
 
+# CPython's default cap on the digits of an int converted to a string; an
+# exact value with more digits is refused naming its input
+MAX_PRINTED_DIGITS = 4300
+
 
 def parse_poly_text(text: str, l: int, a=None) -> Poly:
     """Parse human polynomial syntax like "X^2+2", "X-1", or "X-a" (with the
@@ -90,7 +94,18 @@ def ring_json(ring: RingSpec) -> dict:
     }
 
 
-def measure_value_json(v: MeasureValue) -> dict:
+def _printable(n: int, what: str) -> int:
+    if abs(n) >= 10**MAX_PRINTED_DIGITS:
+        raise ValueError(
+            f"{what} has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} digits"
+        )
+    return n
+
+
+def measure_value_json(v: MeasureValue, what: str) -> dict:
+    """The report of a value; what names it and its input."""
+    for n in (v.rational.numerator, v.rational.denominator):
+        _printable(n, f"the exact {what}")
     return {
         "rational": f"{v.rational.numerator}/{v.rational.denominator}",
         "eta_factors": list(v.eta_factors),
@@ -166,7 +181,7 @@ def _cmd_measure(args) -> int:
     manifest = _manifest(args, {"ring": ring_json(ring), "types": types})
     _emit(
         manifest,
-        measure_value_json(v),
+        measure_value_json(v, f"mass of --types {args.types}"),
         f"mu = {v.rational} * eta{list(v.eta_factors)} = {v.numeric():.9f}",
     )
     return 0
@@ -195,14 +210,14 @@ def _cmd_rank_dist(args) -> int:
     )
     _emit(
         manifest,
-        measure_value_json(v),
+        measure_value_json(v, f"rank mass at --m {args.m}"),
         f"rank mass = {v.rational} * eta({local.Q}) = {v.numeric():.9f}",
     )
     return 0
 
 
 def _cmd_moments(args) -> int:
-    value = moment_rank(args.Q, args.e, args.k)
+    value = _printable(moment_rank(args.Q, args.e, args.k), f"moment at --k {args.k}")
     manifest = _manifest(args, {"Q": args.Q, "e": args.e, "k": args.k})
     _emit(manifest, {"moment": value}, f"moment_{args.k} = {value}")
     return 0
@@ -240,7 +255,7 @@ def _cmd_density(args) -> int:
         },
         hypotheses={"eta_product_gt_half": hyp},
     )
-    result = measure_value_json(v)
+    result = measure_value_json(v, f"density of --cond {' '.join(args.cond)}")
     result["hypothesis_eta_gt_half"] = hyp
     _emit(manifest, result, f"density = {v.rational} * eta = {v.numeric():.6f}")
     return 0
@@ -352,7 +367,9 @@ def _cmd_simulate_curves(args) -> int:
             "trials": report.trials,
             "hits": report.hits,
             "empirical": report.empirical,
-            "predicted": measure_value_json(report.predicted),
+            "predicted": measure_value_json(
+                report.predicted, f"predicted density of --cond {' '.join(args.cond)}"
+            ),
             "std_error": report.std_error,
         },
         f"empirical = {report.empirical:.4f}, predicted = {report.predicted_value:.4f} "

@@ -308,13 +308,14 @@ def divisibility_stats(
     """Empirical frequency of the joint exact-divisibility event
     P_i^{m_i} || P_C mod l over sampled curves, with the exact prediction."""
     conds = validate_conditions(l, q, conditions)
+    # first, so that a condition the exact layer refuses draws no curve
+    predicted = divisor_density(l, conds)
     polys = [p for p, _ in conds]
     targets = tuple(m for _, m in conds)
     tally = _tally(l, polys, q, g, trials, seed, workers, exhaustive, on_sample)
     hits = tally[targets]
     total = sum(tally.values())
     emp = hits / total
-    predicted = divisor_density(l, conds)
     return DensityReport(
         l=l,
         q=q,

@@ -29,6 +29,7 @@ from .modules import (
 
 __all__ = [
     "MeasureValue",
+    "MAX_TYPE_LENGTH",
     "EtaEval",
     "eta",
     "qbinom",
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# The rank distributions and moments list the module types of one length
+# (the sum of the parts, log_Q of the size) and refuse a length above this:
+# 32 has 8349 partitions, and a moment module (e,) * k of length e k <= 32
+# at most C(12, 4) = 495 submodule types.  Past it the listing recurses as
+# deep as the length, runs for minutes, and gives rationals with thousands
+# of digits; the tests, verify and perfbench ask for lengths up to 18.
+MAX_TYPE_LENGTH = 32
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,9 @@ def eta(Q: int, tol: float = DEFAULT_TOL) -> EtaEval:
         raise ValueError("field size must be at least 2")
     if not (tol > 0 and isfinite(tol)):
         raise ValueError(f"tolerance tol = {tol} must be a positive finite number")
-    # |log tail| <= sum_{u>depth} Q^-u / (1 - Q^-1) bounds the value error
+    # the truncated product is at most 1 and the tail takes off at most
+    # 1 - prod_{u>depth} (1 - Q^-u) <= sum_{u>depth} Q^-u, which is
+    # Q^-(depth+1) / (1 - 1/Q): that sum bounds the value error
     depth = 0
     while Q ** -(depth + 1) / (1 - 1 / Q) >= tol:
         depth += 1
@@ -173,6 +183,7 @@ def rank_distribution(local: LocalRingSpec, m: int) -> MeasureValue:
     Q = local.Q
     if m % local.residue_degree:
         return MeasureValue(Fraction(0), (Q,))
+    _refuse_long_rank(m, local.residue_degree)
     ring = RingSpec((local,))
     total = Fraction(0)
     for t in enumerate_module_types(ring, m):
@@ -193,6 +204,7 @@ def rank_distribution_partition_form(
         raise ValueError("rank must be nonnegative")
     if m % residue_degree:
         return MeasureValue(Fraction(0), (Q,))
+    _refuse_long_rank(m, residue_degree)
     total = Fraction(0)
     for lam in partitions_of(m // residue_degree, e):
         aut = Q ** sum(c * c for c in Partition(lam).conjugate().parts)
@@ -203,6 +215,16 @@ def rank_distribution_partition_form(
     return MeasureValue(total, (Q,))
 
 
+def _refuse_long_rank(m: int, residue_degree: int) -> None:
+    """Refuses a rank m, divisible by the residue degree, whose modules
+    have length m / residue_degree above MAX_TYPE_LENGTH."""
+    if m // residue_degree > MAX_TYPE_LENGTH:
+        raise ValueError(
+            f"rank m = {m} over residue degree {residue_degree} lists modules of "
+            f"length {m // residue_degree}, above MAX_TYPE_LENGTH = {MAX_TYPE_LENGTH}"
+        )
+
+
 def moment_rank(Q: int, e: int, k: int) -> int:
     """The k-th moment of Q^rank: the number of submodules of the rank-k free
     module over the chain quotient with exponent e."""
@@ -211,6 +233,11 @@ def moment_rank(Q: int, e: int, k: int) -> int:
         raise ValueError(f"exponent e = {e} must be >= 1")
     if k < 0:
         raise ValueError("moment order must be nonnegative")
+    if e * k > MAX_TYPE_LENGTH:
+        raise ValueError(
+            f"moment k = {k} with e = {e} counts the submodules of a module of "
+            f"length {e * k}, above MAX_TYPE_LENGTH = {MAX_TYPE_LENGTH}"
+        )
     return sum(count for _, count in submodule_counts(Q, (e,) * k))
 
 

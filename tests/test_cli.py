@@ -271,6 +271,24 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("simulate", "curves", "--l", "5", "--q", "13", "--g", "5", "--cond", "X-1:0",
           "--trials", "3000"),
          "genus g = 5 with q = 13 counts points over F_{13^5}, above MAX_RING_SIZE"),
+        # refused before any type is listed: these recursed past Python's
+        # limit, ran for minutes, or gave values too long to print
+        (("moments", "--Q", "3", "--e", "1", "--k", "1200"),
+         "moment k = 1200 with e = 1 counts the submodules of a module of length 1200, "
+         "above MAX_TYPE_LENGTH = 32"),
+        (("rank-dist", "--Q", "3", "--e", "1", "--m", "1200"),
+         "rank m = 1200 over residue degree 1 lists modules of length 1200, "
+         "above MAX_TYPE_LENGTH = 32"),
+        (("density", "--l", "3", "--cond", "X:700"),
+         "rank m = 1400 over residue degree 1 lists modules of length 1400"),
+        (("rank-dist", "--Q", "3", "--e", "3", "--m", "120"),
+         "lists modules of length 120, above MAX_TYPE_LENGTH = 32"),
+        (("moments", "--Q", "3", "--e", "2", "--k", "200"),
+         "a module of length 400, above MAX_TYPE_LENGTH = 32"),
+        # mu itself is unbounded; its report is refused before it is printed
+        (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":100000}]}',
+          "--types", "[[100000]]"),
+         "the exact mass of --types [[100000]] has more than MAX_PRINTED_DIGITS = 4300 digits"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -316,6 +334,25 @@ def test_genus_refused_before_any_draw(capsys, monkeypatch):
         assert doc is None
         assert f"genus g = {g} with q = {q}" in err
         assert "MAX_RING_SIZE = 28561" in err
+    assert calls == []
+
+
+def test_long_condition_refused_before_any_draw(capsys, monkeypatch):
+    """A condition whose predicted density lists modules longer than
+    MAX_TYPE_LENGTH exits 1 naming the bound before any curve is drawn or
+    counted."""
+    from cokernel_lab import curves
+
+    calls = []
+    monkeypatch.setattr(curves, "sample_curve", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
+    code, doc, err = run_cli(
+        capsys, "simulate", "curves", "--l", "3", "--q", "13", "--g", "4",
+        "--cond", "X^2+X+2:700", "--trials", "20000",
+    )
+    assert code == 1
+    assert doc is None
+    assert "rank m = 2800 over residue degree 2 lists modules of length 1400" in err
     assert calls == []
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cokernel_lab.algebra import LocalRingSpec, Poly, RingSpec, find_irreducible
+from cokernel_lab import measure
 from cokernel_lab.measure import (
+    MAX_TYPE_LENGTH,
     MeasureValue,
     c_constant,
     divisor_density,
@@ -44,6 +46,16 @@ def test_eta_values():
     assert abs(eta(3).value - 0.5601260779) < 1e-8
     assert abs(eta(9).value - 0.8765603543) < 1e-8
     assert eta(3, 1e-3).depth < eta(3, 1e-12).depth
+
+
+@pytest.mark.parametrize("Q", [2, 3, 9, 25])
+def test_eta_value_within_tol(Q):
+    """The truncation stops once sum_{u>depth} Q^-u < tol, which bounds the
+    value error 1 - prod_{u>depth} (1 - Q^-u) even at a coarse tol; at
+    eta(3, 0.5), depth 0, the error is 0.44."""
+    exact = eta(Q, 1e-15).value
+    for tol in (0.9, 0.5, 0.1, 1e-3, 1e-6):
+        assert abs(eta(Q, tol).value - exact) <= tol, tol
 
 
 def test_eta_validation():
@@ -153,6 +165,35 @@ def test_moment_rank_examples():
     assert moment_rank(5, 2, 0) == 1
     assert moment_rank(3, 2, 1) == 3
     assert moment_rank(3, 2, 2) == 23
+
+
+def test_exact_layer_refuses_types_above_max_length(monkeypatch):
+    """A rank or moment whose modules are longer than MAX_TYPE_LENGTH is
+    refused by name before any type or submodule type is listed; the
+    longest ones allowed still run."""
+
+    def listed(*args):
+        raise AssertionError("types listed before the refusal")
+
+    assert MAX_TYPE_LENGTH == 32
+    assert moment_rank(3, 1, 32) == sum(qbinom(32, k, 3) for k in range(33))
+    assert rank_distribution(_spec(3, 1, 3), 32) == rank_distribution_partition_form(3, 3, 32)
+    for name in ("enumerate_module_types", "partitions_of", "submodule_counts"):
+        monkeypatch.setattr(measure, name, listed)
+    long_rank = r"lists modules of length 33, above MAX_TYPE_LENGTH = 32"
+    with pytest.raises(ValueError, match=rf"rank m = 33 over residue degree 1 {long_rank}"):
+        rank_distribution(_spec(3, 1, 3), 33)
+    with pytest.raises(ValueError, match=rf"rank m = 66 over residue degree 2 {long_rank}"):
+        rank_distribution_partition_form(9, 4, 66, 2)
+    # the density of X^700 is the rank mass at m = 1400 over F_3[X]/(X^701)
+    with pytest.raises(ValueError, match=r"rank m = 1400 .* length 1400, above MAX_TYPE"):
+        divisor_density(3, [(Poly.x(3), 700)])
+    with pytest.raises(ValueError, match=r"moment k = 11 with e = 3 .* length 33, above"):
+        moment_rank(3, 3, 11)
+    with pytest.raises(ValueError, match=r"moment k = 1200 with e = 1 .* length 1200"):
+        moment_rank(3, 1, 1200)
+    # a rank the residue degree does not divide lists nothing and has mass 0
+    assert rank_distribution(_spec(3, 2, 1), 1201).rational == 0
 
 
 def test_moment_rank_matches_enumeration():

@@ -17,9 +17,10 @@ from cokernel_lab.chainring import (
     MAX_AUT_ENDOMORPHISMS,
     ORACLE_ELEMENT_CAP,
     LocalTables,
+    _cyclic,
     _element_tables,
-    _extend_span,
     _module_elements,
+    _module_sum,
     _set_type,
     _span_types,
     bfs_submodules,
@@ -242,6 +243,10 @@ def test_submodule_enumeration_matches_bfs():
         (5, 1, 2, (2, 1)),
         (3, 2, 2, (2,)),
         (3, 2, 1, (1, 1)),
+        (3, 1, 3, (3, 2)),
+        (3, 1, 3, (3, 1, 1)),
+        (5, 1, 2, (2, 2)),
+        (3, 2, 2, (2, 1)),
     ]
     for l, d, e, lam in cases:
         ring = local_tables_for(_spec(l, d, e))
@@ -291,10 +296,11 @@ def test_oracles_refuse_parts_outside_one_to_e(oracle):
 )
 def test_span_type_matches_closed_span(l, d, e, ambient):
     """The batched span typing of random rows, with pivots that need not be
-    monic and more rows than columns, against the type of the span closed
-    element by element on codes.  Coordinate c of a row is embedded in R by
-    p^(e - ambient[c]), that is times Q^(e - ambient[c]) on codes, and the
-    rows are padded with zeros to 3 x 3 matrices of chain digits."""
+    monic and more rows than columns, against the type of the span formed
+    on codes as the sum of the rows' cyclic submodules.  Coordinate c of a
+    row is embedded in R by p^(e - ambient[c]), that is times
+    Q^(e - ambient[c]) on codes, and the rows are padded with zeros to 3 x 3
+    matrices of chain digits."""
     ring = local_tables_for(_spec(l, d, e))
     Q = l**d
     mods = [Q**lam for lam in ambient]
@@ -308,7 +314,7 @@ def test_span_type_matches_closed_span(l, d, e, ambient):
         rows = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
         span = frozenset({(0,) * len(ambient)})
         for i, g in enumerate(rows):
-            span = _extend_span(add, mul, mods, span, g)
+            span = _module_sum(add, span, _cyclic(mul, mods, g))
             for c, (x, lam) in enumerate(zip(g, ambient)):
                 A[trial, i, c] = x * Q ** (e - lam) // place % l
         want.append(_set_type(Q, mods, span))
