@@ -7,7 +7,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import sqrt
 
 import numpy as np
@@ -27,6 +26,7 @@ __all__ = [
     "CurveSample",
     "DensityReport",
     "sample_curve",
+    "sample_curves",
     "point_counts",
     "char_poly_from_counts",
     "curve_sample_from_f",
@@ -36,7 +36,7 @@ __all__ = [
     "weil_root_error",
 ]
 
-# all_squarefree_monic iterates over q^(2g+1) polynomials, at most this many
+# the census sieve iterates over q^(2g+1) polynomials, at most this many
 CENSUS_CAP = 10**7
 # point_counts evaluates at most this many digits in one block; a block
 # much larger than the cache costs more per curve
@@ -175,13 +175,53 @@ def _is_squarefree(f: Poly) -> bool:
     return poly_gcd(f, deriv).degree == 0
 
 
+def _squarefree(row, q: int, inv) -> bool:
+    """Whether gcd(f, f') = 1 over F_q for the monic f whose coefficients,
+    low degree first, are the list row; inv[c] is the inverse of c mod q.
+    Euclid on lists of coefficients high degree first."""
+    a = row[::-1]
+    n = len(a) - 1
+    b = [(n - i) * c % q for i, c in enumerate(a[:-1])]
+    while True:
+        while b and not b[0]:
+            del b[0]
+        if not b:
+            return len(a) == 1
+        # a mod b, b scaled to be monic: each step clears the leading term of
+        # a, and the remainder is left in a's last len(b) - 1 places
+        lead = inv[b[0]]
+        tail = [c * lead % q for c in b[1:]]
+        for i in range(len(a) - len(b) + 1):
+            t = a[i]
+            if t:
+                for j, c in enumerate(tail, i + 1):
+                    a[j] = (a[j] - t * c) % q
+        a, b = b, a[len(a) - len(b) + 1 :]
+
+
+def sample_curves(q: int, g: int, rng, count: int) -> np.ndarray:
+    """count uniform monic squarefree f of degree 2g+1 by rejection on
+    gcd(f, f'): an int64 array of shape (count, 2g+2), coefficients low
+    degree first, holding the curves of count calls of sample_curve.
+
+    Each block draws one row per curve still missing, so every row drawn is
+    tested, in order, as the one-draw route tests it, and rng ends where
+    that route leaves it: numpy draws a (k, n) block as k draws of n."""
+    _validate_q(q)
+    inv = [0] + [pow(c, -1, q) for c in range(1, q)]
+    rows = np.ones((count, 2 * g + 2), dtype=np.int64)
+    kept = 0
+    while kept < count:
+        block = rng.integers(0, q, (count - kept, 2 * g + 1))
+        block = block[[_squarefree(row + [1], q, inv) for row in block.tolist()]]
+        rows[kept : kept + len(block), :-1] = block
+        kept += len(block)
+    return rows
+
+
 def sample_curve(q: int, g: int, rng) -> tuple[int, ...]:
     """Uniform monic squarefree f of degree 2g+1 by rejection on gcd(f, f')."""
-    _validate_q(q)
-    while True:
-        f = tuple(int(x) for x in rng.integers(0, q, 2 * g + 1)) + (1,)
-        if _is_squarefree(Poly(q, f)):
-            return f
+    return tuple(sample_curves(q, g, rng, 1)[0].tolist())
 
 
 def _monic_rows(q: int, degree: int, codes: np.ndarray) -> np.ndarray:
@@ -200,14 +240,13 @@ def _times(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out % q
 
 
-def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
-    """Every squarefree monic f of the given degree over F_q, coefficients
-    low degree first, in ascending order of code.
+def _squarefree_codes(q: int, degree: int) -> np.ndarray:
+    """The lower base-q digits, as ascending int64 codes, of every
+    squarefree monic f of the given degree over F_q.
 
     f fails to be squarefree exactly when f = h^2 k with h and k monic and
     deg h = j >= 1, so a sieve marks the lower digits of each such product,
-    q^(degree - j) of them for each j; rows are built DIGIT_BLOCK digits at
-    a time."""
+    q^(degree - j) of them for each j, DIGIT_BLOCK digits at a time."""
     _validate_q(q)
     if degree < 0:
         raise ValueError(f"census degree = {degree} must be >= 0")
@@ -229,7 +268,15 @@ def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
             h = _monic_rows(q, j, codes // split)
             k = _monic_rows(q, degree - 2 * j, codes % split)
             divisible[_times(_times(h, h, q), k, q)[:, :degree] @ place] = True
-    free = np.flatnonzero(~divisible)
+    return np.flatnonzero(~divisible)
+
+
+def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
+    """Every squarefree monic f of the given degree over F_q, coefficients
+    low degree first, in ascending order of code; rows are built
+    DIGIT_BLOCK digits at a time."""
+    free = _squarefree_codes(q, degree)
+    block = max(1, DIGIT_BLOCK // (degree + 1))
     out = []
     for start in range(0, len(free), block):
         out += map(tuple, _monic_rows(q, degree, free[start : start + block]).tolist())
@@ -269,28 +316,36 @@ def _tally(
             f"above MAX_RING_SIZE = {MAX_RING_SIZE} elements"
         )
     if exhaustive:
-        fs = all_squarefree_monic(q, 2 * g + 1)
+        degree = 2 * g + 1
+        codes = _squarefree_codes(q, degree)
+        chunks = (
+            _monic_rows(q, degree, codes[start : start + CURVE_CHUNK])
+            for start in range(0, len(codes), CURVE_CHUNK)
+        )
     else:
         streams = worker_streams("cokernel-lab-curves", seed, trials, workers)
-        fs = (sample_curve(q, g, rng) for rng, count in streams for _ in range(count))
-    fs = iter(fs)
+        chunks = (
+            sample_curves(q, g, rng, min(CURVE_CHUNK, count - start))
+            for rng, count in streams
+            for start in range(0, count, CURVE_CHUNK)
+        )
     # curves with equal counts N_1..N_g have equal P_C, so each distinct
     # count vector is reduced once: to P_C and its multiplicities
     reductions = {}
     tally = Counter()
-    while chunk := list(islice(fs, CURVE_CHUNK)):
-        for f, counts in zip(chunk, point_counts(chunk, q, g).tolist()):
-            key = tuple(counts)
+    for fs in chunks:
+        keys = list(map(tuple, point_counts(fs, q, g).tolist()))
+        for key, number in Counter(keys).items():
             if key not in reductions:
-                char_poly = char_poly_from_counts(counts, q, g)
+                char_poly = char_poly_from_counts(key, q, g)
                 reduced = Poly(l, char_poly)
                 mults = tuple(factor_multiplicity(reduced, p) for p in polys)
                 reductions[key] = char_poly, mults
-            char_poly, mults = reductions[key]
-            sample = CurveSample(q, g, tuple(f), char_poly)
-            if on_sample is not None:
-                on_sample(sample, mults)
-            tally[mults] += 1
+            tally[reductions[key][1]] += number
+        if on_sample is not None:
+            for f, key in zip(fs.tolist(), keys):
+                char_poly, mults = reductions[key]
+                on_sample(CurveSample(q, g, tuple(f), char_poly), mults)
     return tally
 
 

@@ -291,7 +291,11 @@ def divisor_density(l: int, conditions, q: int | None = None) -> MeasureValue:
         elif q is not None and partner in (None, p):
             value = _self_paired_density(p, m, q)
         else:
-            value = rank_distribution(local, 2 * m * p.degree)
+            try:
+                value = rank_distribution(local, 2 * m * p.degree)
+            except ValueError as err:
+                # the length refusal, with the condition that asked for it
+                raise ValueError(f"condition {p} with multiplicity {m}: {err}") from err
         counted[p.coeffs] = m
         out = out * value
     return out

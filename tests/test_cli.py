@@ -323,7 +323,7 @@ def test_genus_refused_before_any_draw(capsys, monkeypatch):
     from cokernel_lab import curves
 
     calls = []
-    monkeypatch.setattr(curves, "sample_curve", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "sample_curves", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
     for q, g in ((13, 5), (3, 100000)):
         code, doc, err = run_cli(
@@ -344,7 +344,7 @@ def test_long_condition_refused_before_any_draw(capsys, monkeypatch):
     from cokernel_lab import curves
 
     calls = []
-    monkeypatch.setattr(curves, "sample_curve", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "sample_curves", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
     code, doc, err = run_cli(
         capsys, "simulate", "curves", "--l", "3", "--q", "13", "--g", "4",
@@ -354,6 +354,45 @@ def test_long_condition_refused_before_any_draw(capsys, monkeypatch):
     assert doc is None
     assert "rank m = 2800 over residue degree 2 lists modules of length 1400" in err
     assert calls == []
+
+
+def test_long_condition_named_among_several(capsys):
+    """The length refusal names the condition that asked for it and its
+    multiplicity, whichever place the condition has among the others."""
+    for conds in (("X:700", "X+1:1"), ("X+1:1", "X:700")):
+        argv = ["density", "--l", "3"]
+        for cond in conds:
+            argv += ["--cond", cond]
+        code, doc, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert doc is None
+        assert (
+            "condition Poly(l=3, coeffs=[0, 1]) with multiplicity 700: rank m = 1400 "
+            "over residue degree 1 lists modules of length 1400" in err
+        )
+        assert "coeffs=[1, 1]" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "2", "--cond", "X-1:1",
+          "--trials", "3000", "--seed", "4", "--workers", "2"),
+         "72b347dfd767fa9e"),
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "2", "--cond", "X-1:0",
+          "--exhaustive"),
+         "e1342f9531e022c7"),
+    ],
+    ids=["seeded", "census"],
+)
+def test_curve_csv_bytes_pinned(capsys, tmp_path, argv, prefix):
+    """The per-curve CSV of a two-worker seeded (2, 5) run and of the (2, 5)
+    census: every curve, P_C and multiplicity in stream order, pinned by
+    its sha256."""
+    csv_path = tmp_path / "curves.csv"
+    code, _, _ = run_cli(capsys, *argv, "--emit-csv", str(csv_path))
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest().startswith(prefix)
 
 
 def test_manifest_started_before_the_run(capsys, monkeypatch):

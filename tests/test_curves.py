@@ -133,6 +133,81 @@ def test_newton_integrality_guard():
         char_poly_from_counts([7, 8], 5, 2)
 
 
+def _one_draw_curve(q, g, rng):
+    """The one-draw route: one draw of 2g+1 coefficients per attempt, kept
+    when gcd(f, f') = 1 over Poly."""
+    from cokernel_lab.curves import _is_squarefree
+
+    while True:
+        f = tuple(int(x) for x in rng.integers(0, q, 2 * g + 1)) + (1,)
+        if _is_squarefree(Poly(q, f)):
+            return f
+
+
+@pytest.mark.parametrize("g, q", [(1, 3), (1, 5), (2, 5), (2, 7), (3, 7), (3, 11), (4, 13)])
+def test_sample_curves_match_one_draw_route(g, q):
+    """Each worker stream's block draws give the curves of the one-draw
+    route, in order, and leave the generator where that route leaves it:
+    numpy must draw a (k, n) block as k draws of n, buffered 32-bit half
+    included."""
+    from cokernel_lab.curves import sample_curves
+    from cokernel_lab.montecarlo import worker_streams
+
+    for seed in range(50):
+        for trials, workers in ((30, 1), (30, 2), (7, 2)):
+            blocks = worker_streams("cokernel-lab-curves", seed, trials, workers)
+            singles = worker_streams("cokernel-lab-curves", seed, trials, workers)
+            for (rng, count), (oracle_rng, _) in zip(blocks, singles):
+                got = sample_curves(q, g, rng, count).tolist()
+                want = [list(_one_draw_curve(q, g, oracle_rng)) for _ in range(count)]
+                assert got == want, (seed, trials, workers)
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_curve_chunks_do_not_move_the_stream(monkeypatch):
+    """Seeded streams and the census cut into chunks of 7 curves hand
+    on_sample the curves, P_C and multiplicities of one-chunk runs."""
+    from cokernel_lab import curves
+
+    l, q, g = 3, 5, 2
+    conds = [(Poly(l, (2, 1)), 1)]
+
+    def seen(trials, workers, exhaustive):
+        out = []
+        divisibility_stats(
+            l, conds, q, g, trials, 3, workers, exhaustive,
+            on_sample=lambda s, ms: out.append((s.f, s.char_poly, ms)),
+        )
+        return out
+
+    cases = ((40, 1, False), (41, 3, False), (0, 1, True))
+    whole = [seen(*case) for case in cases]
+    monkeypatch.setattr(curves, "CURVE_CHUNK", 7)
+    assert [seen(*case) for case in cases] == whole
+    assert [len(w) for w in whole] == [40, 41, 2500]
+
+
+def test_squarefree_where_the_derivative_drops_degree():
+    """f' loses its leading term when q divides deg f, and is zero when
+    every exponent of f is a multiple of q."""
+    from cokernel_lab.curves import _is_squarefree, _squarefree
+
+    cases = [
+        ((0, 0, 0, 0, 0, 1), 5, False),  # X^5 = X * X^4
+        ((3, 0, 0, 0, 0, 1), 5, False),  # X^5 + 3 = (X + 3)^5, f' = 0
+        ((3, 1, 0, 0, 0, 1), 5, True),  # X^5 + X + 3, f' = 1
+        ((1, 0, 0, 1, 0, 0, 1), 3, False),  # f = (X^2 + X + 1)^3, f' = 0
+        ((1, 2, 0, 1), 3, True),  # X^3 + 2X + 1, f' = 2
+        ((0, 0, 1, 1), 3, False),  # X^2 (X + 1)
+        ((1,), 3, True),
+        ((2, 1), 7, True),
+    ]
+    for f, q, want in cases:
+        inv = [0] + [pow(c, -1, q) for c in range(1, q)]
+        assert _is_squarefree(Poly(q, f)) is want, f
+        assert _squarefree(list(f), q, inv) is want, f
+
+
 def test_sample_curve_squarefree_and_monic():
     import numpy as np
 
@@ -190,20 +265,24 @@ def test_census_cap():
 
 
 def test_census_sieve_against_gcd_oracle(monkeypatch):
-    """The sieve gives the squarefree monic f that the per-code gcd(f, f')
-    test accepts, in the same order, q^n - q^(n-1) of them for n >= 2, also
+    """The sieve and the sampler's list Euclid give the squarefree monic f
+    that the per-code Poly gcd(f, f') test accepts, in the same order, q^n - q^(n-1) of them for n >= 2, also
     with the digit block shrunk so that the sieve and the output span many
     blocks."""
     from cokernel_lab import curves
-    from cokernel_lab.curves import _is_squarefree
+    from cokernel_lab.curves import _is_squarefree, _squarefree
 
     for q in (3, 5, 7, 11, 13):
+        inv = [0] + [pow(c, -1, q) for c in range(1, q)]
         for n in range(1, 10):
             if q**n > 2 * 10**4:
                 break
-            codes = (Poly.from_code(q, code) for code in range(q**n, 2 * q**n))
+            codes = [Poly.from_code(q, code) for code in range(q**n, 2 * q**n)]
             oracle = [f.coeffs for f in codes if _is_squarefree(f)]
             assert len(oracle) == (q if n == 1 else q**n - q ** (n - 1))
+            # the list Euclid of the sampler, n a multiple of q included
+            fast = [f.coeffs for f in codes if _squarefree(list(f.coeffs), q, inv)]
+            assert fast == oracle, (q, n)
             for digit_block in (curves.DIGIT_BLOCK, 64):
                 with monkeypatch.context() as patch:
                     patch.setattr(curves, "DIGIT_BLOCK", digit_block)
