@@ -1,6 +1,10 @@
 """Exact arithmetic on dense polynomials over prime fields F_l, and the
 quotient rings F_l[X]/(p^e) together with their CRT products.
 
+Primality and prime powers are read off one trial-division routine,
+_prime_factors; it and the irreducibility test refuse, by named bounds,
+inputs whose work would be unbounded before that work starts.
+
 Polynomials are stored as coefficient tuples, low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  All coefficients
 are canonical residues in [0, l).
@@ -12,6 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
+    "MAX_TRIAL_DIVISOR",
+    "MAX_POLY_DEGREE",
     "Poly",
     "LocalRingSpec",
     "RingSpec",
@@ -23,19 +29,57 @@ __all__ = [
 ]
 
 
+# _prime_factors divides by every integer up to this bound and refuses a
+# number that has no factor up to it and is above its square: about 10^6
+# divisions, a fraction of a second.  Every l, q and Q of the tests, verify
+# and perfbench is far below it.
+MAX_TRIAL_DIVISOR = 2**20
+# The largest degree of an irreducible p that LocalRingSpec tests, that
+# find_irreducible scans for, or that cli.parse_poly_text reads: Rabin's
+# test costs about degree^3 log l, and over F_3 the scan of degree 32 takes
+# 0.2 s.  The tests, verify and perfbench use degrees up to 4.
+MAX_POLY_DEGREE = 32
+
+
+def check_degree(what: str, d: int) -> None:
+    """Refuses a degree d above MAX_POLY_DEGREE, naming what has it."""
+    if d > MAX_POLY_DEGREE:
+        raise ValueError(f"{what} has degree {d}, above MAX_POLY_DEGREE = {MAX_POLY_DEGREE}")
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; [] for n < 2."""
+    out = []
+    m, d = n, 2
+    while d * d <= m:
+        if d > MAX_TRIAL_DIVISOR:
+            raise ValueError(
+                f"trial division of {n} up to MAX_TRIAL_DIVISOR = {MAX_TRIAL_DIVISOR} "
+                "leaves a cofactor above its square"
+            )
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_factors(n) == [n]
+
+
+def _prime_power(Q: int) -> tuple[int, int]:
+    """The prime l and the exponent d >= 1 with Q = l^d."""
+    primes = _prime_factors(Q)
+    if len(primes) != 1:
+        raise ValueError(f"Q = {Q} is not a prime power")
+    l, d = primes[0], 1
+    while l**d < Q:
+        d += 1
+    return l, d
 
 
 def _normalize(coeffs, l: int) -> tuple[int, ...]:
@@ -84,10 +128,6 @@ class Poly:
     @classmethod
     def x(cls, l: int) -> "Poly":
         return cls(l, (0, 1))
-
-    @classmethod
-    def const(cls, l: int, c: int) -> "Poly":
-        return cls(l, (c,))
 
     @classmethod
     def from_code(cls, l: int, code: int) -> "Poly":
@@ -195,20 +235,6 @@ def _pow_mod(base: Poly, exp: int, modulus: Poly) -> Poly:
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(p: Poly) -> bool:
     """Rabin's test: p of degree n is irreducible over F_l iff
     X^(l^n) = X mod p and gcd(X^(l^(n/t)) - X, p) = 1 for primes t | n.
@@ -245,6 +271,7 @@ def factor_multiplicity(f: Poly, p: Poly) -> int:
 @lru_cache(maxsize=None)
 def find_irreducible(l: int, d: int) -> Poly:
     """Smallest monic irreducible of degree d over F_l, by coefficient order."""
+    check_degree(f"the extension F_{l}^{d} of F_{l}", d)
     if d == 1:
         return Poly.x(l)
     for code in range(l**d, 2 * l**d):
@@ -271,6 +298,7 @@ class LocalRingSpec:
             raise ValueError("exponent must be >= 1")
         if not self.p.is_monic():
             raise ValueError("p must be monic")
+        check_degree("p", self.p.degree)
         if not is_irreducible(self.p):
             raise ValueError(f"p = {self.p} is reducible over F_{self.l}")
 
@@ -328,7 +356,3 @@ class RingSpec:
         for f in self.factors:
             n *= f.size
         return n
-
-    @classmethod
-    def local(cls, l: int, p: Poly, e: int) -> "RingSpec":
-        return cls((LocalRingSpec(l, p, e),))

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 
 from . import __version__
-from .algebra import LocalRingSpec, Poly, RingSpec
+from .algebra import LocalRingSpec, Poly, RingSpec, check_degree
 from .measure import (
     MeasureValue,
     divisor_density,
@@ -39,7 +39,8 @@ MAX_PRINTED_DIGITS = 4300
 
 def parse_poly_text(text: str, l: int, a=None) -> Poly:
     """Parse human polynomial syntax like "X^2+2", "X-1", or "X-a" (with the
-    symbol a supplied separately)."""
+    symbol a supplied separately). A term above MAX_POLY_DEGREE is refused
+    before the coefficient list is built."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -60,6 +61,7 @@ def parse_poly_text(text: str, l: int, a=None) -> Poly:
         else:
             deg = 1
         coeffs[deg] = coeffs.get(deg, 0) + sign * coeff
+    check_degree(f"polynomial {text!r}", max(coeffs))
     return Poly(l, [coeffs.get(deg, 0) for deg in range(max(coeffs) + 1)])
 
 

@@ -13,17 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, isqrt
+from math import isfinite
 
-from .algebra import LocalRingSpec, Poly, RingSpec, find_irreducible, is_prime
+from .algebra import (
+    LocalRingSpec,
+    Poly,
+    RingSpec,
+    _prime_power,
+    find_irreducible,
+    is_prime,
+)
 from .modules import (
     ModuleType,
     Partition,
     aut_order,
-    d_invariant,
     enumerate_module_types,
     partitions_of,
-    qbinom,
     submodule_counts,
 )
 
@@ -32,7 +37,6 @@ __all__ = [
     "MAX_TYPE_LENGTH",
     "EtaEval",
     "eta",
-    "qbinom",
     "c_constant",
     "mu",
     "rank_distribution",
@@ -41,7 +45,6 @@ __all__ = [
     "divisor_density",
     "divisor_density_hypothesis",
     "prediction_applies_at_q",
-    "independence_prediction",
     "local_ring_with_residue_size",
 ]
 
@@ -168,10 +171,10 @@ def c_constant(ring: RingSpec, j) -> MeasureValue:
 
 
 def mu(t: ModuleType) -> MeasureValue:
-    """Mass of the isomorphism class under the limiting cokernel measure."""
-    j = tuple(
-        d_invariant(lam, f.e) for lam, f in zip(t.local_types, t.ring.factors)
-    )
+    """Mass of the isomorphism class under the limiting cokernel measure: the
+    stratum of each factor is its number of parts equal to e, the
+    Tor-difference invariant for these rings."""
+    j = tuple(lam.parts.count(f.e) for lam, f in zip(t.local_types, t.ring.factors))
     return c_constant(t.ring, j) * Fraction(1, aut_order(t))
 
 
@@ -357,30 +360,6 @@ def divisor_density_hypothesis(l: int, conditions) -> bool:
     for p, _ in conds:
         prod *= eta(l**p.degree, DEFAULT_TOL).value
     return prod > 0.5
-
-
-def independence_prediction(ring: RingSpec, local_types) -> tuple:
-    """Joint mass and the product of per-factor masses; equal exactly."""
-    t = ModuleType(ring, tuple(local_types))
-    joint = mu(t)
-    product = MeasureValue(Fraction(1))
-    for lam, f in zip(t.local_types, ring.factors):
-        product = product * mu(ModuleType(RingSpec((f,)), (lam,)))
-    if joint != product:
-        raise AssertionError("joint mass does not factor over the CRT factors")
-    return joint, product
-
-
-def _prime_power(Q: int) -> tuple[int, int]:
-    """The prime l and the exponent d >= 1 with Q = l^d."""
-    if Q >= 2:
-        l = next((p for p in range(2, isqrt(Q) + 1) if Q % p == 0), Q)
-        d = 0
-        while Q % l**(d + 1) == 0:
-            d += 1
-        if l**d == Q:
-            return l, d
-    raise ValueError(f"Q = {Q} is not a prime power")
 
 
 @lru_cache(maxsize=None)

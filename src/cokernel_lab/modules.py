@@ -23,7 +23,6 @@ __all__ = [
     "MAX_MODULE_SIZE",
     "snf_invariant_factors",
     "coker_type",
-    "d_invariant",
     "aut_order",
     "hom_count",
     "qbinom",
@@ -103,10 +102,6 @@ class ModuleType:
         for t, f in zip(self.local_types, self.ring.factors):
             n *= f.Q**t.size
         return n
-
-    @classmethod
-    def trivial(cls, ring: RingSpec) -> "ModuleType":
-        return cls(ring, tuple(Partition(()) for _ in ring.factors))
 
 
 def snf_invariant_factors(mat) -> list[Poly]:
@@ -195,14 +190,6 @@ def coker_type(ring: RingSpec, rows) -> ModuleType:
         parts.sort(reverse=True)
         types.append(Partition(tuple(parts)))
     return ModuleType(ring, tuple(types))
-
-
-def d_invariant(lam: Partition, e: int) -> int:
-    """Number of parts equal to e; the Tor-difference invariant for these
-    rings."""
-    if lam.parts and lam.parts[0] > e:
-        raise ValueError("partition part exceeds the ring exponent")
-    return sum(1 for p in lam.parts if p == e)
 
 
 def _local_aut_order(parts: tuple[int, ...], Q: int) -> int:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .algebra import RingSpec
 from .chainring import local_tables_for
-from .measure import c_constant, local_ring_with_residue_size, mu, qbinom
-from .modules import ModuleType, Partition, enumerate_module_types, surj_count
+from .measure import c_constant, local_ring_with_residue_size, mu
+from .modules import ModuleType, Partition, enumerate_module_types, qbinom, surj_count
 
 __all__ = [
     "SampleConfig",
@@ -68,9 +68,6 @@ class EmpiricalDist:
     counts: dict
     total: int
     config: SampleConfig = field(repr=False, default=None)
-
-    def frequency(self, t: ModuleType) -> float:
-        return self.counts.get(t, 0) / self.total
 
 
 def _check_workers(workers: int) -> None:

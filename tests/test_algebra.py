@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cokernel_lab import algebra
 from cokernel_lab.algebra import (
+    MAX_POLY_DEGREE,
+    MAX_TRIAL_DIVISOR,
     LocalRingSpec,
     Poly,
     RingSpec,
@@ -22,6 +25,35 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert not is_prime(1)
     assert not is_prime(0)
+    assert not is_prime(-7)
+
+
+class _Watched(int):
+    """An int that fails when divided by a number above MAX_TRIAL_DIVISOR."""
+
+    def __mod__(self, d):
+        if d > MAX_TRIAL_DIVISOR:
+            raise AssertionError(f"divided by {d}, past MAX_TRIAL_DIVISOR")
+        return int(self) % d
+
+
+def test_trial_division_refuses_above_its_bound():
+    """A number with no factor up to MAX_TRIAL_DIVISOR and above its square
+    is refused by name before any division past the bound; below the
+    square, or with small factors, the answer is exact."""
+    assert MAX_TRIAL_DIVISOR == 2**20
+    with pytest.raises(ValueError, match=r"trial division of 1000000000000000003 up to MAX_TRIAL_DIVISOR = 1048576 leaves"):
+        is_prime(_Watched(10**18 + 3))
+    # a small factor leaves the cofactor 2^61 - 1, itself above 2^40
+    for n in (3 * (2**61 - 1), (2**20 + 7) ** 2):
+        with pytest.raises(ValueError, match=rf"trial division of {n} up to MAX_TRIAL_DIVISOR"):
+            algebra._prime_power(n)
+    assert is_prime(2**31 - 1)
+    assert algebra._prime_factors(2 * 3**5 * (2**31 - 1)) == [2, 3, 2**31 - 1]
+    assert algebra._prime_power(3**96) == (3, 96)
+    for Q in (0, 1, 6, -9):
+        with pytest.raises(ValueError, match=rf"Q = {Q} is not a prime power"):
+            algebra._prime_power(Q)
 
 
 def test_poly_normalization_strips_leading_zeros():
@@ -136,6 +168,24 @@ def test_factor_multiplicity_roundtrip(l, m, code):
     for _ in range(m):
         f = f * p
     assert factor_multiplicity(f, p) == m
+
+
+def test_degree_refused_above_its_bound(monkeypatch):
+    """A p or a residue degree above MAX_POLY_DEGREE is refused by name
+    before Rabin's test runs; MAX_POLY_DEGREE itself is allowed."""
+
+    def tested(*args):
+        raise AssertionError("Rabin's test ran before the refusal")
+
+    assert MAX_POLY_DEGREE == 32
+    monkeypatch.setattr(algebra, "is_irreducible", tested)
+    long_p = Poly(3, (2, 1) + (0,) * 31 + (1,))
+    with pytest.raises(ValueError, match="p has degree 33, above MAX_POLY_DEGREE = 32"):
+        LocalRingSpec(3, long_p, 1)
+    with pytest.raises(ValueError, match="F_3\\^96 of F_3 has degree 96, above MAX_POLY_DEGREE"):
+        find_irreducible(3, 96)
+    monkeypatch.setattr(algebra, "is_irreducible", lambda p: True)
+    assert LocalRingSpec(3, Poly(3, (2, 1) + (0,) * 30 + (1,)), 1).residue_degree == 32
 
 
 def test_local_ring_spec_derived_fields():

@@ -289,6 +289,27 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":100000}]}',
           "--types", "[[100000]]"),
          "the exact mass of --types [[100000]] has more than MAX_PRINTED_DIGITS = 4300 digits"),
+        # refused by the trial-division bound, not divided by every integer
+        # up to 10^9: 10^18 + 3 is prime
+        (("moments", "--Q", "1000000000000000003", "--e", "1", "--k", "1"),
+         "trial division of 1000000000000000003 up to MAX_TRIAL_DIVISOR = 1048576"),
+        (("density", "--l", "1000000000000000003", "--cond", "X-1:0"),
+         "trial division of 1000000000000000003 up to MAX_TRIAL_DIVISOR = 1048576"),
+        (("simulate", "curves", "--l", "1000000000000000003", "--q", "5", "--g", "1",
+          "--cond", "X-1:0", "--trials", "3"),
+         "trial division of 1000000000000000003 up to MAX_TRIAL_DIVISOR = 1048576"),
+        # refused by the degree bound before Rabin's test or the coefficient list
+        (("density", "--l", "3", "--cond", "X^2000+X+2:0"),
+         "polynomial 'X^2000+X+2' has degree 2000, above MAX_POLY_DEGREE = 32"),
+        (("rank-dist", "--l", "3", "--p", "X^3000+X+2", "--e", "1", "--m", "0"),
+         "polynomial 'X^3000+X+2' has degree 3000, above MAX_POLY_DEGREE = 32"),
+        (("simulate", "curves", "--l", "3", "--q", "13", "--g", "4",
+          "--cond", "X^600+X+2:0", "--trials", "2"),
+         "polynomial 'X^600+X+2' has degree 600, above MAX_POLY_DEGREE = 32"),
+        (("density", "--l", "3", "--cond", "X^99999999999:1"),
+         "polynomial 'X^99999999999' has degree 99999999999, above MAX_POLY_DEGREE = 32"),
+        (("rank-dist", "--Q", str(3**96), "--e", "1", "--m", "0"),
+         "the extension F_3^96 of F_3 has degree 96, above MAX_POLY_DEGREE = 32"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

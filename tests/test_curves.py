@@ -31,7 +31,7 @@ def _naive_counts(f, q, g):
         for x in elems:
             val = Poly(q, ())
             for c in reversed(f):
-                val = poly_mod(val * x + Poly.const(q, c), modulus)
+                val = poly_mod(val * x + Poly(q, (c,)), modulus)
             if val.is_zero():
                 n_pts += 1
             elif val.coeffs in squares:

@@ -15,12 +15,10 @@ from cokernel_lab.measure import (
     divisor_density,
     divisor_density_hypothesis,
     eta,
-    independence_prediction,
     local_ring_with_residue_size,
     prediction_applies_at_q,
     moment_rank,
     mu,
-    qbinom,
     rank_distribution,
     rank_distribution_partition_form,
 )
@@ -34,7 +32,9 @@ from cokernel_lab.modules import (
     Partition,
     enumerate_module_types,
     partitions_of,
+    qbinom,
     submodule_counts,
+    surj_count,
 )
 
 
@@ -118,7 +118,7 @@ def test_c_constant_values():
 
 def test_mu_trivial_module():
     ring = RingSpec((_spec(3, 1, 2),))
-    t = ModuleType.trivial(ring)
+    t = ModuleType(ring, ((),))
     assert mu(t) == c_constant(ring, (0,))
 
 
@@ -245,6 +245,72 @@ def test_normalization_total_mass():
         for t in enumerate_module_types(ring, m):
             total += mu(t).numeric()
     assert abs(total - 1.0) < 1e-6
+
+
+# the moment sums run over the modules of length (log_Q of the size) up to this
+MOMENT_LENGTH = 23
+
+
+def _moment_sum(local: LocalRingSpec, a: tuple) -> MeasureValue:
+    """sum_B mu(B) #Sur(B, A) over the modules B of length up to
+    MOMENT_LENGTH over the local ring, exactly: one eta(Q) factor."""
+    ring = RingSpec((local,))
+    target = ModuleType(ring, (a,))
+    total = MeasureValue(Fraction(0), (local.Q,))
+    for n in range(MOMENT_LENGTH + 1):
+        for b in enumerate_module_types(ring, n * local.residue_degree):
+            total = total + mu(b) * surj_count(b, target)
+    return total
+
+
+def _moment_tail(Q: int, e: int, size_a: int) -> float:
+    """A bound on the part of sum_B mu(B) #Sur(B, A) over the B longer than
+    MOMENT_LENGTH. With lam' the conjugate of B's partition (at most e
+    parts, summing to the length n): mu(B) = c_j / |Aut B| with
+    c_j = eta / prod_{k<=j} (1 - Q^-k) <= 1 and Macdonald's
+    |Aut B| >= Q^(sum lam'_i^2) eta^e, sum lam'_i^2 >= n^2 / e; B has at
+    most n generators, so #Sur(B, A) <= |A|^n; and at most (n + 1)^(e - 1)
+    partitions of n have parts at most e. The terms
+    eta^-e (n + 1)^(e - 1) |A|^n Q^(-n^2 / e) past MOMENT_LENGTH fall by
+    at least half each step, so twice the first bounds their sum."""
+    n = MOMENT_LENGTH + 1
+    ratio = ((n + 2) / (n + 1)) ** (e - 1) * size_a * Q ** (-(2 * n + 1) / e)
+    assert ratio <= 0.5
+    first = (n + 1) ** (e - 1) * size_a**n * Q ** (-(n * n) / e)
+    return 2 * first / eta(Q, 1e-13).value ** e
+
+
+def test_moment_identity_sums_to_one():
+    """The paper's route to its densities: the limiting measure is pinned
+    down by its moments, sum_B mu(B) #Sur(B, A) = 1 for every finite A
+    (Lipnowski-Tsimerman; Wood, Amer. J. Math. 141 (2019)). The sum up to
+    MOMENT_LENGTH lies below 1 by at most the bound on the omitted tail."""
+    for Q, e in [(3, 1), (3, 2), (5, 2), (9, 2), (3, 3)]:
+        local = local_ring_with_residue_size(Q, e)
+        for a in dict.fromkeys([(1,), (e,), (e, 1)]):
+            s = _moment_sum(local, a).numeric(1e-13)
+            tail = _moment_tail(Q, e, Q ** sum(a))
+            assert -1e-12 <= 1 - s <= tail + 1e-12, (Q, e, a, s, tail)
+
+
+def test_moment_identity_factors_over_crt():
+    """Over a CRT product the moment sum is the product of the local sums,
+    exactly: mu and #Sur both factor over the local factors."""
+    f1, f2 = _spec(3, 1, 1), _spec(3, 2, 2)
+    ring = RingSpec((f1, f2))
+    a1, a2 = (1, 1), (2, 1)
+    target = ModuleType(ring, (a1, a2))
+    local_types = [
+        [lam for n in range(MOMENT_LENGTH + 1) for lam in partitions_of(n, f.e)]
+        for f in (f1, f2)
+    ]
+    joint = MeasureValue(Fraction(0), (f1.Q, f2.Q))
+    for lam1, lam2 in itertools.product(*local_types):
+        b = ModuleType(ring, (lam1, lam2))
+        joint = joint + mu(b) * surj_count(b, target)
+    assert joint == _moment_sum(f1, a1) * _moment_sum(f2, a2)
+    tail = _moment_tail(3, 1, 3**2) + _moment_tail(9, 2, 9**3)
+    assert -1e-12 <= 1 - joint.numeric(1e-13) <= tail + 1e-12
 
 
 def test_rank_distribution_tail_monotone():
@@ -426,22 +492,18 @@ def test_prediction_applies_at_q():
 
 
 def test_independence_prediction_factors():
+    """The joint mass over a CRT product is the product of the per-factor
+    masses, exactly."""
     l = 3
-    ring = RingSpec(
-        (
-            LocalRingSpec(l, Poly(l, (2, 1)), 1),
-            LocalRingSpec(l, Poly(l, (1, 1)), 1),
+    f1, f2 = LocalRingSpec(l, Poly(l, (2, 1)), 1), LocalRingSpec(l, Poly(l, (1, 1)), 1)
+    ring = RingSpec((f1, f2))
+    for lam1, lam2, rational in (((), (), 1), ((1,), (), Fraction(3, 4))):
+        joint = mu(ModuleType(ring, (lam1, lam2)))
+        assert joint == mu(ModuleType(RingSpec((f1,)), (lam1,))) * mu(
+            ModuleType(RingSpec((f2,)), (lam2,))
         )
-    )
-    joint, product = independence_prediction(
-        ring, (Partition(()), Partition(()))
-    )
-    assert joint == product
-    assert joint.rational == 1
-    assert joint.eta_factors == (3, 3)
-    joint2, _ = independence_prediction(ring, (Partition((1,)), Partition(())))
-    assert joint2.rational == Fraction(3, 4)
-    assert joint2.eta_factors == (3, 3)
+        assert joint.rational == rational
+        assert joint.eta_factors == (3, 3)
 
 
 def test_local_ring_with_residue_size():
