@@ -2,8 +2,9 @@
 quotient rings F_l[X]/(p^e) together with their CRT products.
 
 Primality and prime powers are read off one trial-division routine,
-_prime_factors; it and the irreducibility test refuse, by named bounds,
-inputs whose work would be unbounded before that work starts.
+_prime_factors; it, the irreducibility test and the scan for an
+irreducible refuse, by named bounds, inputs whose work would be unbounded
+before that work starts.
 
 Polynomials are stored as coefficient tuples, low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  All coefficients
@@ -18,6 +19,7 @@ from functools import lru_cache
 __all__ = [
     "MAX_TRIAL_DIVISOR",
     "MAX_POLY_DEGREE",
+    "MAX_IRREDUCIBLE_CANDIDATES",
     "Poly",
     "LocalRingSpec",
     "RingSpec",
@@ -39,6 +41,11 @@ MAX_TRIAL_DIVISOR = 2**20
 # test costs about degree^3 log l, and over F_3 the scan of degree 32 takes
 # 0.2 s.  The tests, verify and perfbench use degrees up to 4.
 MAX_POLY_DEGREE = 32
+# The most candidates find_irreducible tests before it refuses: the scan
+# meets an irreducible within about d candidates, unless every X^d + c is
+# reducible (d = 3 with l = 2 mod 3, d = 4 with l = 3 mod 4, ...), when it
+# needs more than l.  At (1000003, 4) each Rabin test costs about 0.3 ms.
+MAX_IRREDUCIBLE_CANDIDATES = 1024
 
 
 def check_degree(what: str, d: int) -> None:
@@ -270,15 +277,20 @@ def factor_multiplicity(f: Poly, p: Poly) -> int:
 
 @lru_cache(maxsize=None)
 def find_irreducible(l: int, d: int) -> Poly:
-    """Smallest monic irreducible of degree d over F_l, by coefficient order."""
+    """Smallest monic irreducible of degree d over F_l, by coefficient order,
+    among the first MAX_IRREDUCIBLE_CANDIDATES monic polynomials."""
     check_degree(f"the extension F_{l}^{d} of F_{l}", d)
     if d == 1:
         return Poly.x(l)
-    for code in range(l**d, 2 * l**d):
+    # an irreducible lies below 2 l^d, so the scan never leaves degree d
+    for code in range(l**d, l**d + MAX_IRREDUCIBLE_CANDIDATES):
         cand = Poly.from_code(l, code)
         if is_irreducible(cand):
             return cand
-    raise RuntimeError("unreachable: irreducibles exist in every degree")
+    raise ValueError(
+        f"no irreducible of degree {d} over F_{l} among the first "
+        f"MAX_IRREDUCIBLE_CANDIDATES = {MAX_IRREDUCIBLE_CANDIDATES} monic polynomials"
+    )
 
 
 @dataclass(frozen=True)
@@ -312,20 +324,8 @@ class LocalRingSpec:
         return self.l ** self.p.degree
 
     @property
-    def modulus(self) -> Poly:
-        return _local_modulus(self)
-
-    @property
     def size(self) -> int:
         return self.Q**self.e
-
-
-@lru_cache(maxsize=None)
-def _local_modulus(spec: LocalRingSpec) -> Poly:
-    m = Poly.one(spec.l)
-    for _ in range(spec.e):
-        m = m * spec.p
-    return m
 
 
 @dataclass(frozen=True)

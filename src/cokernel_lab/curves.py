@@ -11,7 +11,7 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import Poly, factor_multiplicity, is_prime, poly_gcd
+from .algebra import Poly, factor_multiplicity, is_prime
 from .chainring import MAX_RING_SIZE, field_products
 from .measure import (
     MeasureValue,
@@ -20,7 +20,7 @@ from .measure import (
     divisor_density_hypothesis,
     prediction_applies_at_q,
 )
-from .montecarlo import worker_streams
+from .montecarlo import _check_workers, worker_streams
 
 __all__ = [
     "CurveSample",
@@ -170,11 +170,6 @@ def curve_sample_from_f(f, q: int, g: int) -> CurveSample:
     return CurveSample(q, g, tuple(f), char_poly_from_counts(counts, q, g))
 
 
-def _is_squarefree(f: Poly) -> bool:
-    deriv = Poly(f.l, [i * c for i, c in enumerate(f.coeffs)][1:])
-    return poly_gcd(f, deriv).degree == 0
-
-
 def _squarefree(row, q: int, inv) -> bool:
     """Whether gcd(f, f') = 1 over F_q for the monic f whose coefficients,
     low degree first, are the list row; inv[c] is the inverse of c mod q.
@@ -308,6 +303,7 @@ def _tally(
     l: the census of squarefree monic f, or the seeded worker streams."""
     if g < 1:
         raise ValueError(f"genus g = {g} must be >= 1")
+    _check_workers(workers)
     # q >= 3, so q^g > MAX_RING_SIZE whenever g exceeds the cap's bit length,
     # and the power is only computed when it is small
     if g > MAX_RING_SIZE.bit_length() or q**g > MAX_RING_SIZE:

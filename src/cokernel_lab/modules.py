@@ -105,19 +105,16 @@ class ModuleType:
 
 
 def snf_invariant_factors(mat) -> list[Poly]:
-    """Smith normal form diagonal of a matrix over F_l[X]: monic invariant
-    factors with d_1 | d_2 | ..., zeros last for rank deficiency."""
-    if not mat or not mat[0]:
-        return []
-    nr, nc = len(mat), len(mat[0])
+    """Smith normal form diagonal of a square matrix over F_l[X]: monic
+    invariant factors with d_1 | d_2 | ..., zeros last for rank deficiency."""
+    n = len(mat)
     M = [list(row) for row in mat]
-    r = min(nr, nc)
-    for t in range(r):
+    for t in range(n):
         while True:
             bd = None
             bi = bj = -1
-            for i in range(t, nr):
-                for j in range(t, nc):
+            for i in range(t, n):
+                for j in range(t, n):
                     p = M[i][j]
                     if not p.is_zero() and (bd is None or p.degree < bd):
                         bd = p.degree
@@ -131,64 +128,55 @@ def snf_invariant_factors(mat) -> list[Poly]:
                     row[t], row[bj] = row[bj], row[t]
             piv = M[t][t]
             dirty = False
-            for i in range(t + 1, nr):
+            for i in range(t + 1, n):
                 if not M[i][t].is_zero():
                     q, rem = poly_divmod(M[i][t], piv)
-                    M[i] = [M[i][j] - q * M[t][j] for j in range(nc)]
+                    M[i] = [M[i][j] - q * M[t][j] for j in range(n)]
                     if not rem.is_zero():
                         dirty = True
-            for j in range(t + 1, nc):
+            for j in range(t + 1, n):
                 if not M[t][j].is_zero():
                     q, rem = poly_divmod(M[t][j], piv)
-                    for i in range(t, nr):
+                    for i in range(t, n):
                         M[i][j] = M[i][j] - q * M[i][t]
                     if not rem.is_zero():
                         dirty = True
             if dirty:
                 continue
             bad = -1
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
+            for i in range(t + 1, n):
+                for j in range(t + 1, n):
                     if not poly_divmod(M[i][j], piv)[1].is_zero():
                         bad = i
                         break
                 if bad >= 0:
                     break
             if bad >= 0:
-                M[t] = [M[t][j] + M[bad][j] for j in range(nc)]
+                M[t] = [M[t][j] + M[bad][j] for j in range(n)]
                 continue
             break
         if bd is None:
             break
-    return [M[i][i].monic() for i in range(r)]
+    return [M[i][i].monic() for i in range(n)]
 
 
 def coker_type(ring: RingSpec, rows) -> ModuleType:
     """Isomorphism class of the cokernel of a square matrix over the ring,
-    given as one F_l[X] lift per entry: per local factor the block
-    [A | p^e I] is put in Smith normal form, which gives the cokernel over
-    F_l[X]/(p^e) for any lift of A, and the parts are the p-multiplicities
-    of the invariant factors."""
+    given as one F_l[X] lift per entry.  One Smith form of the lift,
+    F_l[X]^n / A = ⊕ F_l[X]/(d_i), serves every local factor: over
+    F_l[X]/(p^e) the summand of d_i becomes F_l[X]/(p^min(v_p(d_i), e)),
+    and that of d_i = 0 the whole ring.  As d_1 | d_2 | ..., the parts
+    ascend along the diagonal."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("cokernel classification requires a square matrix")
     if any(x.l != ring.l for row in rows for x in row):
         raise ValueError("entry ring mismatch")
+    diag = snf_invariant_factors(rows)[::-1]
     types = []
     for f in ring.factors:
-        modulus = f.modulus
-        block = [
-            list(row) + [modulus if i == j else Poly.zero(ring.l) for j in range(n)]
-            for i, row in enumerate(rows)
-        ]
-        diag = snf_invariant_factors(block)
-        parts = []
-        for d in diag:
-            m = factor_multiplicity(d, f.p)
-            if m:
-                parts.append(m)
-        parts.sort(reverse=True)
-        types.append(Partition(tuple(parts)))
+        parts = (f.e if d.is_zero() else min(factor_multiplicity(d, f.p), f.e) for d in diag)
+        types.append(Partition(tuple(m for m in parts if m)))
     return ModuleType(ring, tuple(types))
 
 

@@ -188,12 +188,32 @@ def test_degree_refused_above_its_bound(monkeypatch):
     assert LocalRingSpec(3, Poly(3, (2, 1) + (0,) * 30 + (1,)), 1).residue_degree == 32
 
 
+def test_find_irreducible_refuses_at_its_candidate_cap(monkeypatch):
+    """A scan that meets no irreducible stops after MAX_IRREDUCIBLE_CANDIDATES
+    tests and names the cap; a degree whose X^d + c are all reducible still
+    finds the first irreducible past them below it."""
+    tested = []
+
+    def never(p):
+        tested.append(p)
+        return False
+
+    assert find_irreducible(101, 3) == Poly(101, (1, 1, 0, 1))
+    monkeypatch.setattr(algebra, "is_irreducible", never)
+    with pytest.raises(
+        ValueError,
+        match="no irreducible of degree 2 over F_7 among the first "
+        "MAX_IRREDUCIBLE_CANDIDATES = 1024 monic polynomials",
+    ):
+        algebra.find_irreducible.__wrapped__(7, 2)
+    assert len(tested) == algebra.MAX_IRREDUCIBLE_CANDIDATES
+
+
 def test_local_ring_spec_derived_fields():
     spec = LocalRingSpec(3, find_irreducible(3, 2), 2)
     assert spec.residue_degree == 2
     assert spec.Q == 9
     assert spec.size == 81
-    assert spec.modulus.degree == 4
 
 
 def test_local_ring_spec_validation():

@@ -310,6 +310,18 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
          "polynomial 'X^99999999999' has degree 99999999999, above MAX_POLY_DEGREE = 32"),
         (("rank-dist", "--Q", str(3**96), "--e", "1", "--m", "0"),
          "the extension F_3^96 of F_3 has degree 96, above MAX_POLY_DEGREE = 32"),
+        # 1000003 = 3 mod 4, so every X^4 + c is reducible: the scan for an
+        # irreducible quartic stops at its cap instead of running for minutes
+        (("rank-dist", "--Q", str(1000003**4), "--e", "1", "--m", "0"),
+         "no irreducible of degree 4 over F_1000003 among the first "
+         "MAX_IRREDUCIBLE_CANDIDATES = 1024"),
+        # the census draws no stream, and is refused as the seeded route is
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X-1:0",
+          "--exhaustive", "--workers", "0"),
+         "worker count must be positive"),
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X-1:0",
+          "--exhaustive", "--workers", "100"),
+         "worker count 100 exceeds MAX_WORKERS = 64"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

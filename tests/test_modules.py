@@ -12,7 +12,7 @@ from cokernel_lab.algebra import (
     find_irreducible,
     poly_mod,
 )
-from cokernel_lab import chainring
+from cokernel_lab import chainring, modules
 from cokernel_lab.chainring import (
     MAX_AUT_ENDOMORPHISMS,
     ORACLE_ELEMENT_CAP,
@@ -174,6 +174,65 @@ def test_coker_type_crt_product_ring():
     t = coker_type(ring, [[p1]])
     assert t.local_types[0].parts == (1,)
     assert t.local_types[1].parts == ()
+
+
+def _three_factor_ring():
+    """F_3[X]/(X^2) x F_3[X]/((X+1)^2) x F_3[X]/(X^2+1)."""
+    l = 3
+    return RingSpec(
+        (
+            LocalRingSpec(l, Poly(l, (0, 1)), 2),
+            LocalRingSpec(l, Poly(l, (1, 1)), 2),
+            LocalRingSpec(l, Poly(l, (1, 0, 1)), 1),
+        )
+    )
+
+
+def test_coker_type_reads_every_crt_factor_off_one_smith_form():
+    """Lifts of degree up to 7, above each factor's modulus and the product
+    modulus of degree 6: factor by factor, coker_type gives the table
+    classifier's partition of the matrix reduced into that factor."""
+    l = 3
+    ring = _three_factor_ring()
+    rng = random.Random(20)
+    moduli = []
+    for f in ring.factors:
+        m = Poly.one(l)
+        for _ in range(f.e):
+            m = m * f.p
+        moduli.append(m)
+    seen = set()
+    for _ in range(120):
+        n = rng.randrange(1, 5)
+        rows = [
+            [Poly(l, [rng.randrange(l) for _ in range(rng.randrange(9))]) for _ in range(n)]
+            for _ in range(n)
+        ]
+        got = coker_type(ring, rows).local_types
+        for f, modulus, lam in zip(ring.factors, moduli, got):
+            codes = [
+                [sum(c * l**i for i, c in enumerate(poly_mod(x, modulus).coeffs)) for x in row]
+                for row in rows
+            ]
+            assert [lam.parts] == local_tables_for(f).coker_partition(np.array([codes]))
+            seen.add(lam.parts)
+    # full parts (d_i = 0 or p^e | d_i), capped ones and empty ones all occur
+    assert {(), (1,), (2,), (2, 1)} <= seen
+
+
+def test_coker_type_runs_one_smith_form_per_matrix(monkeypatch):
+    """Three local factors, one Smith form of the lifted matrix."""
+    l = 3
+    ring = _three_factor_ring()
+    calls = []
+    snf = modules.snf_invariant_factors
+    monkeypatch.setattr(
+        modules, "snf_invariant_factors", lambda mat: calls.append(mat) or snf(mat)
+    )
+    x = Poly.x(l)
+    coker_type(ring, [[x * x, x], [Poly.zero(l), x + Poly.one(l)]])
+    coker_type(ring, [[Poly.zero(l)]])
+    assert len(calls) == 2
 
 
 def test_aut_order_hand_values():
@@ -479,7 +538,7 @@ def test_chain_classifier_agrees_with_snf(l, p, e):
     def entry():
         # a random element times p^v for a random v, so every valuation occurs
         x = Poly.from_code(l, rng.randrange(spec.size))
-        f = poly_mod(x * p_powers[rng.randrange(e + 1)], spec.modulus)
+        f = poly_mod(x * p_powers[rng.randrange(e + 1)], p_powers[e])
         return sum(c * l**i for i, c in enumerate(f.coeffs))
 
     for n in range(1, 9):
@@ -569,12 +628,15 @@ def test_to_chain_rows_are_p_adic_digits(l, p, e):
     tables = LocalTables(spec)
     d = spec.residue_degree
     assert tables.to_chain.shape == (d * e, d * e)
+    modulus = Poly.one(l)
+    for _ in range(e):
+        modulus = modulus * spec.p
     for k, row in enumerate(tables.to_chain.tolist()):
         assert all(0 <= c < l for c in row)
         x = Poly.zero(l)
         for i in reversed(range(e)):
             x = x * spec.p + Poly(l, row[i * d : (i + 1) * d])
-        assert x == poly_mod(Poly(l, (0,) * k + (1,)), spec.modulus), k
+        assert x == poly_mod(Poly(l, (0,) * k + (1,)), modulus), k
 
 
 def test_module_size_cap():
