@@ -231,20 +231,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _pow_mod(base: Poly, exp: int, modulus: Poly) -> Poly:
-    result = Poly.one(base.l)
-    base = poly_mod(base, modulus)
-    while exp:
-        if exp & 1:
-            result = poly_mod(result * base, modulus)
-        base = poly_mod(base * base, modulus)
-        exp >>= 1
-    return result
-
-
 def is_irreducible(p: Poly) -> bool:
     """Rabin's test: p of degree n is irreducible over F_l iff
     X^(l^n) = X mod p and gcd(X^(l^(n/t)) - X, p) = 1 for primes t | n.
+    It runs on lists of coefficients, low degree first: those of p made
+    monic, and those of residues mod p, n of them each.
     """
     n = p.degree
     if n < 1:
@@ -252,12 +243,58 @@ def is_irreducible(p: Poly) -> bool:
     if n == 1:
         return True
     l = p.l
-    x = Poly.x(l)
+    inv = pow(p.leading(), -1, l)
+    monic = [c * inv % l for c in p.coeffs]
+    x = [0, 1] + [0] * (n - 2)
     for t in _prime_factors(n):
-        h = _pow_mod(x, l ** (n // t), p) - poly_mod(x, p)
-        if poly_gcd(h, p).degree != 0:
+        h = _pow_mod(x, l ** (n // t), monic, l)
+        h[1] = (h[1] - 1) % l
+        if _gcd_degree(monic, h, l) != 0:
             return False
-    return (_pow_mod(x, l**n, p) - poly_mod(x, p)).is_zero()
+    return _pow_mod(x, l**n, monic, l) == x
+
+
+def _pow_mod(base: list, exp: int, monic: list, l: int) -> list:
+    """base^exp mod the monic polynomial, by squaring, on residue lists."""
+    result = [1] + [0] * (len(base) - 1)
+    while exp:
+        if exp & 1:
+            result = _mul_mod(result, base, monic, l)
+        base = _mul_mod(base, base, monic, l)
+        exp >>= 1
+    return result
+
+
+def _mul_mod(a: list, b: list, monic: list, l: int) -> list:
+    """a b mod the monic polynomial of degree n, for residue lists of length
+    n: each term c X^k with k >= n becomes -c X^(k-n) (monic - X^n)."""
+    n = len(a)
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    for k in range(2 * n - 2, n - 1, -1):
+        c = out[k] % l
+        if c:
+            for j, mj in enumerate(monic[:n], k - n):
+                out[j] -= c * mj
+    return [c % l for c in out[:n]]
+
+
+def _gcd_degree(a: list, b: list, l: int) -> int:
+    """The degree of gcd(a, b), a nonzero, by Euclid on coefficient lists;
+    the remainder of a by b is left in the low len(b) - 1 places of a."""
+    a, b = list(_normalize(a, l)), list(_normalize(b, l))
+    while b:
+        inv = pow(b[-1], -1, l)
+        for k in range(len(a) - 1, len(b) - 2, -1):
+            c = a[k] * inv % l
+            if c:
+                for j, bj in enumerate(b, k - len(b) + 1):
+                    a[j] = (a[j] - c * bj) % l
+        a, b = b, list(_normalize(a[: len(b) - 1], l))
+    return len(a) - 1
 
 
 def factor_multiplicity(f: Poly, p: Poly) -> int:

@@ -10,17 +10,22 @@ Frobenius map of each field F_{l^d} (field_products), which the point
 counting of curves reads.  LocalTables classifies cokernels for every local
 ring by a valuation elimination on the p-adic digits, batched over the
 draws.  The independent oracles for the closed forms in modules run on the
-same tables: a canonical-form enumeration of submodules, each candidate
-typed by that elimination; element-level brute-force counters on element
-codes, which build every submodule as a sum of cyclic submodules; and a
-brute-force |Aut| by determinants over F_l.
+same tables: a canonical-form enumeration of submodules, whose candidates
+from every pivot profile are typed by that elimination in chunks that may
+cross from one profile into the next; element-level brute-force counters,
+on which an element is one integer code, the base-l number of all its chain
+digits, so that addition, multiplication by p and the cyclic submodules
+R g are table lookups and a submodule is a frozenset of codes, built as a
+sum of cyclic submodules; and a brute-force |Aut| by determinants over
+F_l, which walks only the slots outside the last column when the last part
+is 1 and tests that column's cofactors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import prod
 
 import numpy as np
@@ -180,7 +185,7 @@ class LocalTables:
     def coker_partition(self, codes) -> list[tuple]:
         """Partition of coker of each n x n code matrix in the array
         (B, n, n), parts descending, classified in chunks of draws whose
-        arrays hold about 2^20 entries at most."""
+        arrays hold about 2^18 entries at most."""
         batch, n, _ = codes.shape
         step = self._chunk(n)
         out = []
@@ -190,8 +195,8 @@ class LocalTables:
 
     def _chunk(self, n: int) -> int:
         """Draws of n x n matrices per chunk, so that the arrays of the
-        elimination hold about 2^20 entries at most."""
-        return max(1, (1 << 20) // (n * self.m * max(n, self.m)))
+        elimination hold about 2^18 entries at most."""
+        return max(1, (1 << 18) // (n * self.m * max(n, self.m)))
 
     def _partitions(self, A) -> list[tuple]:
         """Partitions of the cokernels of the matrices of chain digits A
@@ -332,8 +337,11 @@ def enumerate_submodules_chain(ring: LocalTables, ambient: tuple) -> dict:
     size, and gives its type.
 
     Multiplying coordinate c by p^(e - ambient[c]) embeds the ambient module
-    in R^k, so each profile's candidates are built as k x k matrices of
-    chain digits, padded with zero rows, and typed in chunks by _span_types.
+    in R^k, so the candidates are built as k x k matrices of chain digits,
+    padded with zero rows.  Every pivot profile's candidates are numbered in
+    turn, and each chunk of LocalTables._chunk(k) consecutive numbers, which
+    may span several profiles, is typed by one _span_types call, each
+    candidate against the size of its own profile.
     """
     _refuse_parts_outside(ring, ambient)
     _refuse_above(ring, ambient, MAX_MODULE_SIZE)
@@ -343,74 +351,96 @@ def enumerate_submodules_chain(ring: LocalTables, ambient: tuple) -> dict:
     l, d, e, m = ring.l, ring.d, ring.e, ring.m
     if all(a == 1 for a in ambient):
         return _vector_space_submodule_counts(l**d, k)
-    step = ring._chunk(k)
-    counts: dict = {}
-    choices = [list(range(lam)) + [None] for lam in ambient]
-    for v in product(*choices):
+    # per profile: its span size, and its pivot entries and its free entries
+    # as (row, column, chain digit) index arrays
+    profiles = []
+    for v in product(*(list(range(lam)) + [None] for lam in ambient)):
         active = [c for c in range(k) if v[c] is not None]
         size = sum(ambient[c] - v[c] for c in active)
-        base = np.zeros((k, k, m))
-        # (row, column, chain digit) of each free digit
+        pivots = [(r, c, (v[c] + e - ambient[c]) * d) for r, c in enumerate(active)]
         free = []
         for r, c in enumerate(active):
-            base[r, c, (v[c] + e - ambient[c]) * d] = 1
             for c2 in range(c + 1, k):
                 n = ambient[c2] if v[c2] is None else v[c2]
                 low = (e - ambient[c2]) * d
                 free += [(r, c2, low + i) for i in range(n * d)]
-        rows, cols, digits = np.array(free, dtype=np.intp).reshape(-1, 3).T
-        place = l ** np.arange(len(free))
-        total = l ** len(free)
-        for start in range(0, total, step):
-            codes = np.arange(start, min(start + step, total))
-            A = np.repeat(base[None], len(codes), axis=0)
-            A[:, rows, cols, digits] = codes[:, None] // place % l
-            for t, count in Counter(_span_types(ring, A)).items():
-                if sum(t) == size:
-                    counts[t] = counts.get(t, 0) + count
-    return counts
+        pivots = np.array(pivots, dtype=np.intp).reshape(-1, 3).T
+        free = np.array(free, dtype=np.intp).reshape(-1, 3).T
+        profiles.append((size, tuple(pivots), tuple(free)))
+    # candidate number starts[i] + x is the code x of profile i, whose base-l
+    # digits fill its free entries
+    starts = list(accumulate((l ** len(free[0]) for *_, free in profiles), initial=0))
+    step = ring._chunk(k)
+    counts = Counter()
+    for lo in range(0, starts[-1], step):
+        hi = min(lo + step, starts[-1])
+        A = np.zeros((hi - lo, k, k, m))
+        sizes = np.empty(hi - lo, dtype=np.int64)
+        for (size, pivots, free), first, end in zip(profiles, starts, starts[1:]):
+            if end <= lo or first >= hi:
+                continue
+            a, b = max(lo, first), min(hi, end)
+            part = A[a - lo : b - lo]
+            part[(slice(None),) + pivots] = 1
+            codes = np.arange(a - first, b - first)
+            part[(slice(None),) + free] = codes[:, None] // l ** np.arange(len(free[0])) % l
+            sizes[a - lo : b - lo] = size
+        counts.update(t for t, size in zip(_span_types(ring, A), sizes.tolist()) if sum(t) == size)
+    return dict(counts)
 
 
 def _element_tables(ring: LocalTables, ambient: tuple):
-    """Addition and multiplication tables, as lists of lists, of the codes
-    of R/(p^top), top the largest part of ambient, after the refusals of the
-    element-level oracles.
+    """The tables of the element-level oracles for ⊕_c R/(p^ambient[c]),
+    after their refusals, on element codes: add, N lists of N codes with
+    add[a][b] the code of a + b; cyclic, N frozensets with cyclic[g] the
+    cyclic submodule R g; and times_p, N codes with times_p[x] the code of
+    p x.  N is the size of the module, at most ORACLE_ELEMENT_CAP.
 
-    The code of an element is the base-l number of its chain digits,
-    sum_i Q^i (block i), so that the code of x mod p^lam is x % Q^lam and
-    that of p x is x Q % Q^e.  A product mod p^top keeps the digits below
-    block top of the product in R, so the first top d digits of the tensor
-    times give it."""
+    A coordinate of R/(p^lam) is coded by the base-l number of its chain
+    digits, sum_i Q^i (block i), so that x mod p^lam is x % Q^lam and p x
+    is x Q % Q^lam.  An element is the base-l number of all its chain
+    digits, its coordinates in mixed radix with the last coordinate lowest,
+    so the codes run in the lexicographic order of the coordinates.
+    Addition adds the digits mod l.  The products r x_c, r over R/(p^top),
+    top the largest part, are read off the product table of R/(p^top),
+    whose products keep the digits below block top of the products in R,
+    the first top d digits of the tensor times."""
     _refuse_parts_outside(ring, ambient)
     _refuse_above(ring, ambient, ORACLE_ELEMENT_CAP)
-    l, m = ring.l, ring.m
-    n = ring.d * max(ambient, default=1)
-    place = l ** np.arange(n)
-    digits = np.arange(l**n)[:, None] // place % l
+    l, d, m = ring.l, ring.d, ring.m
+    Q = l**d
+    mods = np.array([Q**lam for lam in ambient], dtype=np.int64)
+    # place[c] = prod_{c' > c} mods[c']
+    place = np.ones_like(mods)
+    place[:-1] = np.cumprod(mods[:0:-1])[::-1]
+    size = int(np.prod(mods))
+    codes = np.arange(size)
+    digits = codes[:, None] // l ** np.arange(d * sum(ambient)) % l
+    add = np.zeros((size, size), dtype=np.int64)
+    for i, column in enumerate(digits.T):
+        add += np.add.outer(column, column) % l * l**i
+    coords = codes[:, None] // place % mods
+    n = d * max(ambient, default=1)
+    ring_digits = np.arange(l**n)[:, None] // l ** np.arange(n) % l
     times = ring.times.reshape(m, m, m)[:n, :n, :n].astype(np.int64)
-    add = [((digits + x) % l @ place).tolist() for x in digits]
-    # by_x[x] maps the digits of y to those of x y, before the reduction
-    by_x = np.tensordot(digits, times, 1)
-    mul = [(digits @ t % l @ place).tolist() for t in by_x]
-    return add, mul
-
-
-def _module_elements(mods):
-    """The elements of ⊕_c R/(p^lam_c) as tuples of codes, coordinate c
-    below mods[c] = Q^lam_c."""
-    return list(product(*(range(n) for n in mods)))
-
-
-def _cyclic(mul, mods, g) -> frozenset:
-    """The cyclic submodule R g, read off the multiplication table."""
-    return frozenset(tuple(row[x] % n for x, n in zip(g, mods)) for row in mul)
+    # mul[r, x] is the code of r x in R/(p^top): by_r[r] maps the digits of
+    # x to those of r x, before the reduction
+    by_r = np.tensordot(ring_digits, times, 1)
+    mul = ring_digits @ by_r % l @ l ** np.arange(n)
+    cyclic = mul[:, coords] % mods @ place
+    times_p = coords * Q % mods @ place
+    return add.tolist(), list(map(frozenset, cyclic.T.tolist())), times_p.tolist()
 
 
 def _module_sum(add, span: frozenset, cyclic: frozenset) -> frozenset:
-    """The submodule span + cyclic, read off the addition table."""
-    return frozenset(
-        tuple(add[a][b] for a, b in zip(s, w)) for s in span for w in cyclic
-    )
+    """The submodule span + cyclic, read off the addition table as a union
+    of cosets b + span, one for each b of cyclic that the cosets so far
+    miss."""
+    total = set(span)
+    for b in cyclic:
+        if b not in total:
+            total.update(map(add[b].__getitem__, span))
+    return frozenset(total)
 
 
 def bfs_submodules(ring: LocalTables, ambient: tuple) -> dict:
@@ -421,20 +451,18 @@ def bfs_submodules(ring: LocalTables, ambient: tuple) -> dict:
     sums of the subsets of the distinct cyclic submodules are every
     submodule.  They are built by summing in one cyclic submodule at a time:
     after C_1, ..., C_j the set holds the sums of the subsets of those j.
-    It keeps the name of the breadth-first walk it replaced, because
-    perfbench, its tracer and the verify check submodule-census-bfs call it
-    by that name."""
-    add, mul = _element_tables(ring, ambient)
-    Q = ring.l**ring.d
-    mods = [Q**lam for lam in ambient]
-    subs = {frozenset({(0,) * len(ambient)})}
-    for c in {_cyclic(mul, mods, g) for g in _module_elements(mods)}:
+    A submodule is a frozenset of element codes.  It keeps the name of the
+    breadth-first walk it replaced, because perfbench, its tracer and the
+    verify check submodule-census-bfs call it by that name."""
+    add, cyclic, times_p = _element_tables(ring, ambient)
+    subs = {frozenset({0})}
+    for c in set(cyclic):
         subs |= {_module_sum(add, s, c) for s in subs if not c <= s}
-    return dict(Counter(_set_type(Q, mods, s) for s in subs))
+    return dict(Counter(_set_type(ring.l**ring.d, times_p, s) for s in subs))
 
 
-def _set_type(Q: int, mods, span) -> tuple:
-    """The type of a submodule M, given as a set of code tuples, from its
+def _set_type(Q: int, times_p, span) -> tuple:
+    """The type of a submodule M, given as a set of element codes, from its
     layer sizes logs[i] = log_Q |p^i M|, listed until p^i M = 0:
     logs[i] - logs[i+1] counts the parts above i, so the nonzero
     differences form the conjugate partition."""
@@ -445,30 +473,25 @@ def _set_type(Q: int, mods, span) -> tuple:
         while Q**s < len(cur):
             s += 1
         logs.append(s)
-        cur = {tuple(x * Q % n for x, n in zip(v, mods)) for v in cur}
+        cur = set(map(times_p.__getitem__, cur))
     diffs = (a - b for a, b in zip(logs, logs[1:] + [0]))
     return Partition(tuple(x for x in diffs if x)).conjugate().parts
 
 
-def _admissible_images(Q: int, mods, order: int):
-    """Elements of the ambient module killed by p^order."""
-    return [
-        v
-        for v in _module_elements(mods)
-        if all(x * Q**order % n == 0 for x, n in zip(v, mods))
-    ]
+def _killed_by(times_p, order: int) -> list:
+    """Codes of the elements killed by p^order."""
+    images = list(range(len(times_p)))
+    for _ in range(order):
+        images = [times_p[x] for x in images]
+    return [x for x, y in enumerate(images) if y == 0]
 
 
 def brute_hom_count(ring: LocalTables, lam_m: tuple, lam_a: tuple) -> int:
+    """Homomorphisms M -> A, counted as the choices of an image killed by
+    p^lam_m[j] for each generator of M."""
     _refuse_parts_outside(ring, lam_m)
-    _refuse_parts_outside(ring, lam_a)
-    _refuse_above(ring, lam_a, ORACLE_ELEMENT_CAP)
-    Q = ring.l**ring.d
-    mods = [Q**lam for lam in lam_a]
-    total = 1
-    for mj in lam_m:
-        total *= len(_admissible_images(Q, mods, mj))
-    return total
+    times_p = _element_tables(ring, lam_a)[2]
+    return prod(len(_killed_by(times_p, mj)) for mj in lam_m)
 
 
 def brute_surj_count(ring: LocalTables, lam_m: tuple, lam_a: tuple) -> int:
@@ -476,43 +499,49 @@ def brute_surj_count(ring: LocalTables, lam_m: tuple, lam_a: tuple) -> int:
     the generators' images, the sum of their cyclic submodules; at most
     ORACLE_ELEMENT_CAP homomorphisms are walked."""
     _refuse_parts_outside(ring, lam_m)
-    add, mul = _element_tables(ring, lam_a)
-    Q = ring.l**ring.d
-    mods = [Q**lam for lam in lam_a]
-    image_sets = [_admissible_images(Q, mods, mj) for mj in lam_m]
+    add, cyclic, times_p = _element_tables(ring, lam_a)
+    image_sets = [_killed_by(times_p, mj) for mj in lam_m]
     homs = prod(len(images) for images in image_sets)
     if homs > ORACLE_ELEMENT_CAP:
         raise ValueError(f"{homs} homomorphisms exceed the cap {ORACLE_ELEMENT_CAP}")
-    cyclic_sets = [[_cyclic(mul, mods, g) for g in images] for images in image_sets]
-    zero = frozenset({(0,) * len(lam_a)})
-    full_size = Q ** sum(lam_a)
     count = 0
-    for cyclics in product(*cyclic_sets):
-        span = zero
-        for c in cyclics:
-            span = _module_sum(add, span, c)
-        if len(span) == full_size:
+    for images in product(*image_sets):
+        span = frozenset({0})
+        for g in images:
+            span = _module_sum(add, span, cyclic[g])
+        if len(span) == len(add):
             count += 1
     return count
 
 
-# endomorphisms whose determinants are expanded in one numpy batch
+# slot assignments whose minors are expanded in one numpy batch
 _AUT_CHUNK = 1 << 18
-# the most endomorphisms brute_force_aut_order walks: the 3^16 of type
-# (1, 1, 1, 1) over F_3, the largest case of acceptance criterion 3
+# the most endomorphisms, l^P for a type of P slots, that brute_force_aut_order
+# admits: the 3^16 of type (1, 1, 1, 1) over F_3, the largest case of
+# acceptance criterion 3.  It bounds l^P, though the walk covers only the
+# l^(P - s) assignments of the slots outside the cofactor column.
 MAX_AUT_ENDOMORPHISMS = 3**16
 
 
 @lru_cache(maxsize=None)
 def brute_force_aut_order(l: int, lam: tuple) -> int:
-    """Count automorphisms of ⊕_j F_l[t]/(t^lam[j]) by enumerating every
-    endomorphism and testing invertibility of its matrix on an F_l basis.
+    """Count automorphisms of ⊕_j F_l[t]/(t^lam[j]) as the endomorphisms
+    whose matrix on an F_l basis has a determinant nonzero mod l.
 
     The basis is {t^i g_j}; an endomorphism is determined by the generator
     images, whose coordinates at g_j2 range over t^{max(0, lam_j2 - lam_j)}
-    times the local quotient.  Determinants are expanded by permutations, so
-    the total F_l dimension must stay small, and a type with more than
-    MAX_AUT_ENDOMORPHISMS endomorphisms is refused before any is built.
+    times the local quotient, P slots over F_l in all.  When the last part
+    is 1, the image of its generator fills the last column of the matrix
+    alone, one slot per summand, s = len(lam) in all, so the determinant is
+    linear in those s slots with the column's cofactors as coefficients.
+    The walk then runs over the l^(P - s) assignments of the other slots,
+    and each whose cofactor vector is nonzero mod l counts the
+    l^s - l^(s-1) column values off the hyperplane it defines; otherwise
+    s = 0 and the walk tests the determinant itself.  No |Aut| formula is
+    used.  Determinants are expanded by permutations, so the total F_l
+    dimension must stay small, and a type with more than
+    MAX_AUT_ENDOMORPHISMS endomorphisms is refused before any permutation
+    is listed.
     """
     lam = tuple(sorted(lam, reverse=True))
     m = sum(lam)
@@ -530,42 +559,52 @@ def brute_force_aut_order(l: int, lam: tuple) -> int:
             for s in range(max(0, lj2 - lj), lj2):
                 slots.append((j, j2, s))
     P = len(slots)
-    total = l**P
-    if total > MAX_AUT_ENDOMORPHISMS:
+    if l**P > MAX_AUT_ENDOMORPHISMS:
         raise ValueError(
             f"type {lam} over F_{l} has {l}^{P} endomorphisms, above "
             f"MAX_AUT_ENDOMORPHISMS = 3^16"
         )
-    perms = [(p, _perm_sign(p)) for p in permutations(range(m))]
-    # the smallest integer type that holds an entry
-    dtype = np.min_scalar_type(l - 1)
+    # the slot at each filled (row, column) entry of the matrix
+    slot_at = {}
+    for idx, (j, j2, shift) in enumerate(slots):
+        for i in range(lam[j]):
+            if shift + i < lam[j2]:
+                slot_at[base_idx[(j2, shift + i)], base_idx[(j, i)]] = idx
+    # the slots of the last generator come last; for a part 1 they are the
+    # last column, and its cofactors are the minors off that column (their
+    # signs do not change whether the vector is zero)
+    s = len(lam) if lam[-1] == 1 else 0
+    if s:
+        minors = [
+            [r for r in range(m) if r != row] for row, col in slot_at if col == m - 1
+        ]
+    else:
+        minors = [list(range(m))]
+    # each minor as (sign, slots) terms: a term is nonzero only on the
+    # permutations that the slots fill
+    expansions = []
+    for rows in minors:
+        terms = []
+        for p in permutations(range(len(rows))):
+            entries = [(r, p[a]) for a, r in enumerate(rows)]
+            if all(entry in slot_at for entry in entries):
+                terms.append((_perm_sign(p), [slot_at[entry] for entry in entries]))
+        expansions.append(terms)
+    walk = l ** (P - s)
     count = 0
-    off = 0
-    while off < total:
-        size = min(_AUT_CHUNK, total - off)
-        codes = np.arange(off, off + size, dtype=np.int64)
-        M = np.zeros((size, m, m), dtype=dtype)
-        for idx, (j, j2, s) in enumerate(slots):
-            digit = ((codes // (l**idx)) % l).astype(dtype)
-            for i in range(lam[j]):
-                if s + i < lam[j2]:
-                    M[:, base_idx[(j2, s + i)], base_idx[(j, i)]] = digit
-        # entries < l, and a term is nonzero only on the permutations that
-        # the slots fill; over every type within MAX_AUT_ENDOMORPHISMS their
-        # count times (l-1)^m stays below 3^16, so signed products and their
-        # sum stay in the int32 range and one final mod suffices
-        det = np.zeros(size, dtype=np.int32)
-        for p, sign in perms:
-            term = M[:, 0, p[0]].astype(np.int32)
-            for r in range(1, m):
-                term = term * M[:, r, p[r]]
-            if sign > 0:
-                det += term
-            else:
-                det -= term
-        count += int(np.count_nonzero(det % l))
-        off += size
-    return count
+    for off in range(0, walk, _AUT_CHUNK):
+        # entries < l, so each term is below l^m <= l^P <= 3^16 and a minor,
+        # at most 5! terms, stays far inside int64
+        codes = np.arange(off, min(off + _AUT_CHUNK, walk), dtype=np.int64)
+        digits = [codes // l**idx % l for idx in range(P - s)]
+        invertible = np.zeros(len(codes), dtype=bool)
+        for terms in expansions:
+            det = np.zeros(len(codes), dtype=np.int64)
+            for sign, idxs in terms:
+                det += sign * prod(digits[idx] for idx in idxs)
+            invertible |= det % l != 0
+        count += int(np.count_nonzero(invertible))
+    return count * (l**s - l ** (s - 1) if s else 1)
 
 
 def _perm_sign(p) -> int:

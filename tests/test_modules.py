@@ -17,9 +17,7 @@ from cokernel_lab.chainring import (
     MAX_AUT_ENDOMORPHISMS,
     ORACLE_ELEMENT_CAP,
     LocalTables,
-    _cyclic,
     _element_tables,
-    _module_elements,
     _module_sum,
     _set_type,
     _span_types,
@@ -244,11 +242,17 @@ def test_aut_order_hand_values():
 
 
 def test_aut_order_brute_force_sweep():
-    for l in (3,):
-        for lam in [(), (1,), (2,), (1, 1), (2, 1), (2, 2), (3,), (3, 1), (1, 1, 1)]:
-            e = max(lam) if lam else 1
-            closed = aut_order(_mt(l, 1, e, lam))
-            assert closed == brute_force_aut_order(l, lam), lam
+    """Every type of size <= 3 over F_3, F_5 and F_7, and over F_3 the
+    types (2, 2), (3, 1), (2, 1, 1) and (3, 1, 1): a final part 1 takes the
+    cofactor column, also behind parts above 1, and (2, 2) walks every
+    endomorphism."""
+    small = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+    cases = [(l, lam) for l in (3, 5, 7) for lam in small]
+    cases += [(3, (2, 2)), (3, (3, 1)), (3, (2, 1, 1)), (3, (3, 1, 1))]
+    for l, lam in cases:
+        e = max(lam) if lam else 1
+        closed = aut_order(_mt(l, 1, e, lam))
+        assert closed == brute_force_aut_order(l, lam), (l, lam)
     # entries beyond the int16 range: 65536 wraps to 0
     assert brute_force_aut_order(65537, (1,)) == 65536
 
@@ -306,6 +310,10 @@ def test_submodule_enumeration_matches_bfs():
         (3, 1, 3, (3, 1, 1)),
         (5, 1, 2, (2, 2)),
         (3, 2, 2, (2, 1)),
+        (3, 1, 2, (2, 1, 1)),
+        (3, 1, 2, (2, 2, 1)),
+        (5, 1, 2, (2, 1, 1)),
+        (7, 1, 2, (2, 1)),
     ]
     for l, d, e, lam in cases:
         ring = local_tables_for(_spec(l, d, e))
@@ -315,6 +323,23 @@ def test_submodule_enumeration_matches_bfs():
             e,
             lam,
         )
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_submodule_enumeration_across_chunk_boundaries(monkeypatch, chunk):
+    """Chunks of 1 and of 7 candidates split pivot profiles and cross from
+    one profile into the next; the counts stay those of whole chunks.  In
+    the types (2, 2) and (3, 2) some candidates of a profile fail the
+    closure condition, so a chunk that typed the wrong candidates of a
+    profile would move the counts."""
+    cases = [(3, 1, 2, (2, 2)), (3, 1, 3, (3, 2)), (3, 1, 2, (2, 1, 1)), (3, 2, 2, (2, 1))]
+    want = [
+        enumerate_submodules_chain(local_tables_for(_spec(l, d, e)), lam)
+        for l, d, e, lam in cases
+    ]
+    monkeypatch.setattr(LocalTables, "_chunk", lambda self, n: chunk)
+    for (l, d, e, lam), counts in zip(cases, want):
+        assert enumerate_submodules_chain(local_tables_for(_spec(l, d, e)), lam) == counts
 
 
 def test_submodule_counts_vector_space_case():
@@ -356,27 +381,27 @@ def test_oracles_refuse_parts_outside_one_to_e(oracle):
 def test_span_type_matches_closed_span(l, d, e, ambient):
     """The batched span typing of random rows, with pivots that need not be
     monic and more rows than columns, against the type of the span formed
-    on codes as the sum of the rows' cyclic submodules.  Coordinate c of a
-    row is embedded in R by p^(e - ambient[c]), that is times
-    Q^(e - ambient[c]) on codes, and the rows are padded with zeros to 3 x 3
-    matrices of chain digits."""
+    on element codes as the sum of the rows' cyclic submodules.  Coordinate
+    c of a row is embedded in R by p^(e - ambient[c]), that is times
+    Q^(e - ambient[c]) on coordinate codes, and the rows are padded with
+    zeros to 3 x 3 matrices of chain digits."""
     ring = local_tables_for(_spec(l, d, e))
     Q = l**d
-    mods = [Q**lam for lam in ambient]
-    add, mul = _element_tables(ring, ambient)
-    elements = _module_elements(mods)
+    add, cyclic, times_p = _element_tables(ring, ambient)
     rng = random.Random(l**d * 100 + e * 10 + len(ambient))
     place = l ** np.arange(ring.m)
     A = np.zeros((40, 3, 3, ring.m))
     want = []
     for trial in range(40):
-        rows = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
-        span = frozenset({(0,) * len(ambient)})
+        rows = [rng.choice(range(len(add))) for _ in range(rng.randint(1, 3))]
+        span = frozenset({0})
         for i, g in enumerate(rows):
-            span = _module_sum(add, span, _cyclic(mul, mods, g))
-            for c, (x, lam) in enumerate(zip(g, ambient)):
-                A[trial, i, c] = x * Q ** (e - lam) // place % l
-        want.append(_set_type(Q, mods, span))
+            span = _module_sum(add, span, cyclic[g])
+            # the coordinate codes of g, the last coordinate lowest
+            for c in reversed(range(len(ambient))):
+                g, x = divmod(g, Q ** ambient[c])
+                A[trial, i, c] = x * Q ** (e - ambient[c]) // place % l
+        want.append(_set_type(Q, times_p, span))
     assert _span_types(ring, A) == want
 
 
@@ -577,8 +602,8 @@ def test_chain_classifier_refuses_residue_field_above_cap():
 
 def test_chunked_batch_agrees_with_single_matrices():
     # F_3[X]/(X^39), the largest power of X below LOCAL_RING_CAP = 2^63: at
-    # n = 16 a chunk holds 2^20 // (16 * 39 * 39) = 43 draws, so 100 draws
-    # span three chunks
+    # n = 16 a chunk holds 2^18 // (16 * 39 * 39) = 10 draws, so 100 draws
+    # span ten chunks
     l, e, n = 3, 39, 16
     tables = LocalTables(LocalRingSpec(l, Poly(l, (0, 1)), e))
     rng = np.random.default_rng(2)
