@@ -9,16 +9,19 @@ digits.  It gives the multiplication tensor of each local ring
 Frobenius map of each field F_{l^d} (field_products), which the point
 counting of curves reads.  LocalTables classifies cokernels for every local
 ring by a valuation elimination on the p-adic digits, batched over the
-draws.  The independent oracles for the closed forms in modules run on the
-same tables: a canonical-form enumeration of submodules, whose candidates
-from every pivot profile are typed by that elimination in chunks that may
-cross from one profile into the next; element-level brute-force counters,
-on which an element is one integer code, the base-l number of all its chain
-digits, so that addition, multiplication by p and the cyclic submodules
-R g are table lookups and a submodule is a frozenset of codes, built as a
-sum of cyclic submodules; and a brute-force |Aut| by determinants over
-F_l, which walks only the slots outside the last column when the last part
-is 1 and tests that column's cofactors.
+draws, which moves each draw's pivot to the front, so that the next matrix,
+the pivot row and its column are slices of the array, and reads the pivot
+row's products off one 2-D matmul.  The independent oracles for the closed
+forms in modules run on the same tables: a canonical-form enumeration of
+submodules, whose candidates from every pivot profile are typed by that
+elimination in chunks that may cross from one profile into the next;
+element-level brute-force counters, on which an element is one integer
+code, the base-l number of all its chain digits, so that addition,
+multiplication by p and the cyclic submodules R g are table lookups and a
+submodule is a frozenset of codes, built as a sum of cyclic submodules; and
+a brute-force |Aut| by determinants over F_l, which walks only the slots
+outside the last column when the last part is 1 and tests that column's
+cofactors.
 """
 
 from __future__ import annotations
@@ -125,10 +128,13 @@ class LocalTables:
     a code are the sum of K gathered rows mod l, and a single gather when
     K = 1, as for every ring of at most 2^13 elements.
 
-    The digits are float64, so that the products run as BLAS matmuls.  A
-    product sums m terms below l^2, and l < 2^15 (l^d <= MAX_RING_SIZE)
-    and m < 40 (l >= 3 and l^m < LOCAL_RING_CAP), so every sum stays below
-    2^36, far inside the 2^53 of exact float64 integers.
+    The digits are float64, so that the products run as BLAS matmuls.  The
+    largest sums are those of b * (pivot row) in _partitions, which reduces
+    them only after the subtraction: m terms, each a digit below l times a
+    sum of m products of two digits, so below m^2 (l-1)^3.  With l <= 28559
+    (l^d <= MAX_RING_SIZE) and l^m < LOCAL_RING_CAP that stays below 2^49,
+    its largest value at l = 28559, m = 4, inside the 2^53 of exact float64
+    integers and the 2^49 that _reduce needs.
     """
 
     def __init__(self, spec: LocalRingSpec):
@@ -200,57 +206,73 @@ class LocalTables:
 
     def _partitions(self, A) -> list[tuple]:
         """Partitions of the cokernels of the matrices of chain digits A
-        (B, n, n, m).  Each step takes in each draw an entry u p^v of least
-        valuation as its pivot, adds the part v, replaces every other row by
+        (B, n, n, m), which the elimination overwrites.  Each step takes in
+        each draw an entry u p^v of least valuation as its pivot, adds the
+        part v, and moves the pivot to (0, 0): column 0 into the pivot's
+        column, then row 0 into the pivot's row, which leaves the cokernel's
+        type unchanged.  It then replaces every other row by
         u * row - b * (pivot row), where b p^v is the row's entry in the
-        pivot's column, and drops the pivot's row and column: scaling a row
-        by the unit u leaves the cokernel unchanged, and the pivot row is
-        then cleared by column operations that touch nothing else."""
+        pivot's column, and drops row 0 and column 0, so the next matrix is
+        read off the slice A[:, 1:, 1:]: scaling a row by the unit u leaves
+        the cokernel unchanged, and the pivot row is then cleared by column
+        operations that touch nothing else.  The pivot's v is read off its
+        weight, and only a step in which some pivot has v > 0 divides u and
+        b by p^v.  b * (pivot row) is two products: the pivot row's entries
+        times every basis element, one 2-D matmul, which the draw's b then
+        combines in one batched matmul; those sums are reduced mod l only
+        after the subtraction."""
         l, d, e, m = self.l, self.d, self.e, self.m
         batch, n = A.shape[:2]
         draws = np.arange(batch)
         digit = np.arange(m)
         # a nonzero digit in block i weighs (d+1)^(e-1-i), more than all the
-        # later blocks together, so the heaviest entry has least valuation
+        # later blocks together, so the heaviest entry has least valuation v,
+        # and its weight lies in [(d+1)^(e-1-v), (d+1)^(e-v)), or is 0 for
+        # v = e; every weight is an integer below (d+1)^e <= 2^m, so exact
         weights = float(d + 1) ** (e - 1 - digit // d)
+        floors = float(d + 1) ** np.arange(e)
         vals = []
         for r in range(n, 0, -1):
-            heaviest = ((A != 0).reshape(-1, m) @ weights).reshape(batch, r * r)
-            pi, pj = np.divmod(heaviest.argmax(axis=1), r)
-            pivot_row = A[draws, pi]
-            pivot = pivot_row[draws, pj]
-            nonzero = pivot.reshape(batch, e, d).any(axis=-1)
-            v = np.where(nonzero.any(axis=-1), nonzero.argmax(axis=-1), e)
+            weight = ((A != 0).reshape(-1, m) @ weights).reshape(batch, r * r)
+            heaviest = weight.argmax(axis=1)
+            v = e - np.searchsorted(floors, weight[draws, heaviest], side="right")
             vals.append(v)
             if r == 1:
                 break
-            ar = np.arange(r - 1)
-            rows = ar + (ar >= pi[:, None])
-            cols = ar + (ar >= pj[:, None])
-            # x / p^v for x of valuation >= v: its digits below v d are zero,
-            # so a cyclic shift by v d digits brings zeros in at the top
-            down = (digit + v[:, None] * d) % m
-            u = np.take_along_axis(pivot, down, axis=-1)
-            b = np.take_along_axis(A[draws[:, None], rows, pj[:, None]], down[:, None], axis=-1)
+            pi, pj = np.divmod(heaviest, r)
+            u = A[draws, pi, pj]
+            column = A[draws, :, pj]
+            A[draws, :, pj] = A[:, :, 0]
+            row = A[draws, pi, 1:]
+            column[draws, pi] = column[:, 0]
+            A[draws, pi] = A[:, 0]
+            b = column[:, 1:]
+            if v.any():
+                # x / p^v for x of valuation >= v: its digits below v d are
+                # zero, so a cyclic shift by v d digits brings zeros in at
+                # the top
+                down = (digit + v[:, None] * d) % m
+                u = np.take_along_axis(u, down, axis=-1)
+                b = np.take_along_axis(b, down[:, None], axis=-1)
             times_u = _reduce(u @ self.times, l).reshape(batch, m, m)
-            times_b = _reduce(b.reshape(-1, m) @ self.times, l).reshape(batch, r - 1, m, m)
-            # one take at flat (draw, row, column) offsets is several times
-            # faster than indexing by three arrays
-            entries = (draws[:, None, None] * r + rows[:, :, None]) * r + cols[:, None, :]
-            rest = A.reshape(-1, m).take(entries, axis=0)
-            A = (rest.reshape(batch, -1, m) @ times_u).reshape(rest.shape)
-            A -= pivot_row[draws[:, None], cols][:, None] @ times_b
-            A = _reduce(A, l)
+            # times_row[draw, x, j m + z]: digit z of basis element x times
+            # the pivot row's entry j, since times is symmetric in its factors
+            times_row = (row.reshape(-1, m) @ self.times).reshape(batch, r - 1, m, m)
+            times_row = times_row.transpose(0, 2, 1, 3).reshape(batch, m, -1)
+            A = A[:, 1:, 1:].reshape(batch, -1, m) @ times_u
+            A -= (b @ times_row).reshape(A.shape)
+            A = _reduce(A, l).reshape(batch, r - 1, r - 1, m)
         parts = -np.sort(-np.stack(vals, axis=1), axis=1)
         sizes = np.count_nonzero(parts, axis=1).tolist()
         return [tuple(p[:k]) for p, k in zip(parts.tolist(), sizes)]
 
 
 def _reduce(x, l: int):
-    """x mod l, in place, for a float64 array of integers |x| < 2^36 with
-    l < 2^15: x / l is then within 2^-17 of k + f/l with 0 <= f < l, and
-    f/l is 0 or more than 2^-15 from an integer, so floor(x / l) is exact.
-    np.remainder gives the same but takes several times longer."""
+    """x mod l, in place, for a float64 array of integers |x| < 2^49 with
+    l < 2^15: x / l is then within |x / l| 2^-53 < 2^-4 / l of k + f/l with
+    0 <= f < l, and f/l is 0 (then x / l is exact) or at least 1/l from an
+    integer, so floor(x / l) is exact.  np.remainder gives the same but
+    takes several times longer."""
     q = x / l
     np.floor(q, out=q)
     q *= l

@@ -11,6 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from . import __version__
 from .algebra import LocalRingSpec, Poly, RingSpec, check_degree
@@ -397,7 +398,11 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by the later ones: parse_args keeps nothing in it between calls, since
+    each call fills a new namespace and no option has a mutable default."""
     parser = argparse.ArgumentParser(prog="cokernel-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 

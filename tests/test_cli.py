@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from cokernel_lab.algebra import Poly
-from cokernel_lab.cli import main, parse_poly_text
+from cokernel_lab.cli import build_parser, main, parse_poly_text
 
 try:
     from importlib.resources import files
@@ -476,6 +476,38 @@ def test_verify_exact_digest_pinned(capsys):
     assert main(["verify", "--suite", "exact"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest().startswith("7bbdfda6b00f6e0a")
+
+
+def test_verify_montecarlo_digest_pinned(capsys):
+    """The montecarlo suite's report at seed 7 reads seeded counts only, so
+    its bytes are pinned: a change to the sampling or to the elimination
+    that classifies the draws shows here."""
+    assert main(["verify", "--suite", "montecarlo", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("c0df47436d71f601")
+
+
+def test_parser_built_once_and_stateless(capsys):
+    build_parser.cache_clear()
+    first = ("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2", "--trials", "5")
+    code, doc, _ = run_cli(capsys, *first, "--seed", "3", "--workers", "2")
+    assert code == 0
+    assert (doc["manifest"]["seed"], doc["manifest"]["config"]["workers"]) == (3, 2)
+    # the second call takes the defaults again, not the first call's values
+    code, doc, _ = run_cli(capsys, *first)
+    assert code == 0
+    assert (doc["manifest"]["seed"], doc["manifest"]["config"]["workers"]) == (0, 1)
+    # an appended option starts from an empty list on every call
+    for conds in (["X-1:0", "X+1:1"], ["X-1:0"]):
+        code, doc, _ = run_cli(capsys, "density", "--l", "3", *(f"--cond={c}" for c in conds))
+        assert code == 0
+        assert len(doc["manifest"]["config"]["conditions"]) == len(conds)
+    # a refused call leaves the parser usable
+    assert main(["eta", "--Q", "3", "--bogus"]) == 1
+    assert main(["eta", "--Q", "3"]) == 0
+    capsys.readouterr()
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_verify_reports_byte_identical():

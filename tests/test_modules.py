@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -613,6 +614,102 @@ def test_chunked_batch_agrees_with_single_matrices():
     got = tables.coker_partition(codes)
     assert got == [tables.coker_partition(mat[None])[0] for mat in codes]
     assert len(set(got)) > 10
+
+
+def _valued_codes(spec, seed):
+    """v -> the code of a random unit of R = F_l[X]/(p^e) times p^v, and 0
+    for v = e."""
+    l, e = spec.l, spec.e
+    rng = random.Random(seed)
+    p_powers = [Poly.one(l)]
+    for _ in range(e):
+        p_powers.append(p_powers[-1] * spec.p)
+
+    def code(v):
+        x = Poly.from_code(l, rng.randrange(spec.size))
+        while poly_mod(x, spec.p).is_zero():
+            x = Poly.from_code(l, rng.randrange(spec.size))
+        f = poly_mod(x * p_powers[v], p_powers[e])
+        return sum(c * l**i for i, c in enumerate(f.coeffs))
+
+    return code
+
+
+@pytest.mark.parametrize(
+    "l, p, e",
+    [(3, (1, 0, 1), 3), (3, (2, 1, 1), 3), (11, (0, 1), 3), (5, (0, 1), 5)],
+    ids=["F9[t]/(t^3)", "F3[X]/((X^2+X+2)^3)", "F11[X]/(X^3)", "F5[X]/(X^5)"],
+)
+def test_pivot_move_on_crafted_batches(l, p, e):
+    """The elimination moves each pivot to (0, 0).  Each batch holds, for
+    every least valuation v0 < e, matrices whose only entries of valuation
+    v0 sit at (0, 0), in row 0 only, in column 0 only or at (n-1, n-1), all
+    other entries of higher valuation; so in the first step some draws
+    have a unit pivot and others not, and only those are shifted.  The
+    zero matrix and p times random matrices ride along."""
+    spec = LocalRingSpec(l, Poly(l, p), e)
+    tables = LocalTables(spec)
+    code = _valued_codes(spec, 17)
+    rng = random.Random(23)
+    for n in range(2, 6):
+        places = {
+            "corner": [(0, 0)],
+            "row 0": [(0, j) for j in rng.sample(range(1, n), rng.randint(1, n - 1))],
+            "column 0": [(i, 0) for i in rng.sample(range(1, n), rng.randint(1, n - 1))],
+            "last": [(n - 1, n - 1)],
+        }
+        mats = []
+        for least in places.values():
+            for v0 in range(e):
+                mat = [[code(rng.randint(v0 + 1, e)) for _ in range(n)] for _ in range(n)]
+                for i, j in least:
+                    mat[i][j] = code(v0)
+                mats.append(mat)
+        mats.append([[0] * n for _ in range(n)])
+        mats += [[[code(rng.randint(1, e)) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+        got = tables.coker_partition(np.array(mats))
+        assert got == [_snf_partition(spec, mat) for mat in mats], n
+
+
+@pytest.mark.parametrize("p", [(0, 1), (1, 1)], ids=["X^4", "(X+1)^4"])
+def test_largest_prime_field_stays_exact(p):
+    """F_28559[X]/(p^4): 28559 is the largest prime below MAX_RING_SIZE, and
+    its fourth power lies below LOCAL_RING_CAP, so the bound m^2 (l-1)^3 on
+    the elimination's unreduced sums is largest here, below 2^49 with
+    m = 4.  (With d = 1 the product tensor holds only 0 and 1, so the sums
+    stay below m (l-1)^2.)  Over (X+1)^4 the digits of a code are not its
+    chain digits.  Half the draws have entries of random valuations; the
+    other half are U D V, U and V uniform and D diagonal with entries p^v,
+    whose cokernels show only if every cancellation is exact.  All match
+    the Smith form."""
+    l, e = 28559, 4
+    spec = LocalRingSpec(l, Poly(l, p), e)
+    tables = LocalTables(spec)
+    code = _valued_codes(spec, 29)
+    rng = random.Random(31)
+    modulus = Poly.one(l)
+    for _ in range(e):
+        modulus = modulus * spec.p
+
+    def uniform(n):
+        return [[Poly.from_code(l, rng.randrange(spec.size)) for _ in range(n)] for _ in range(n)]
+
+    mats = []
+    for k in range(80):
+        n = 1 + k % 4
+        if k % 2:
+            mat = [[code(rng.randint(0, e)) for _ in range(n)] for _ in range(n)]
+        else:
+            U, V = uniform(n), uniform(n)
+            D = [Poly.from_code(l, code(rng.randint(0, e))) for _ in range(n)]
+            mat = [[0] * n for _ in range(n)]
+            for i, j in product(range(n), repeat=2):
+                x = poly_mod(sum((U[i][c] * D[c] * V[c][j] for c in range(n)), Poly.zero(l)), modulus)
+                mat[i][j] = sum(c * l**t for t, c in enumerate(x.coeffs))
+        mats.append(mat)
+    for n in range(1, 5):
+        batch = [mat for mat in mats if len(mat) == n]
+        assert tables.coker_partition(np.array(batch)) == [_snf_partition(spec, mat) for mat in batch]
 
 
 @pytest.mark.parametrize(

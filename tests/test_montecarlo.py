@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,38 @@ def test_seed_reproducibility_and_worker_invariance():
     d4b = sample_cokernels(c4)
     assert d4a.counts == d4b.counts
     assert d4a.total == d1a.total == 2000
+
+
+# The rings of the cokernel benchmark: CRT factors (l, p low degree first,
+# e) and the sha256 prefix of their seeded counts in test_seeded_counts_pinned
+SEEDED_COUNT_DIGESTS = {
+    "F3[X]/(X^2)": (((3, (0, 1), 2),), "fdeff36dba11f2f4"),
+    "F3[X]/(X^2)xF3[X]/(X+1)": (((3, (0, 1), 2), (3, (1, 1), 1)), "aef9ea3947633cd8"),
+    "F9[t]/(t^3)": (((3, (1, 0, 1), 3),), "3490b93425b5fcef"),
+    "F11[X]/(X^3)": (((11, (0, 1), 3),), "db2a202fb9cd3c58"),
+    "F9[t]/(t^4)": (((3, (1, 0, 1), 4),), "74d499a04c94ee83"),
+    "F3[X]/(X^8)": (((3, (0, 1), 8),), "9c80cd9b3c1cd088"),
+    "F5[X]/(X^5)": (((5, (0, 1), 5),), "0e32e274f688a676"),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_COUNT_DIGESTS)
+def test_seeded_counts_pinned(name):
+    """The counts of 200 seeded draws at every n from 3 to 8, with one and
+    two workers and seeds 1 and 2, hashed in that order: a change to the
+    draws or to their classification that moves one count shows here."""
+    factors, digest = SEEDED_COUNT_DIGESTS[name]
+    ring = RingSpec(tuple(LocalRingSpec(l, Poly(l, p), e) for l, p, e in factors))
+    h = hashlib.sha256()
+    for n in range(3, 9):
+        for workers in (1, 2):
+            for seed in (1, 2):
+                dist = sample_cokernels(SampleConfig(ring, n, 200, seed, workers=workers))
+                counts = sorted(
+                    (tuple(lam.parts for lam in t.local_types), c) for t, c in dist.counts.items()
+                )
+                h.update(repr((n, workers, seed, counts)).encode())
+    assert h.hexdigest().startswith(digest)
 
 
 def test_different_seeds_differ():
