@@ -8,7 +8,9 @@ before that work starts.
 
 Polynomials are stored as coefficient tuples, low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  All coefficients
-are canonical residues in [0, l).
+are canonical residues in [0, l).  One long division on such sequences,
+_divmod, with Euclid's gcd on top of it, serves Poly division and gcd,
+multiplicities, Rabin's test and the curve sampler's squarefree test.
 """
 
 from __future__ import annotations
@@ -196,27 +198,45 @@ class Poly:
         return f"Poly(l={self.l}, coeffs={list(self.coeffs)})"
 
 
+def _divmod(a, b, l: int) -> tuple[list[int], tuple[int, ...]]:
+    """Quotient and remainder of a by b over F_l, for normalized sequences
+    of residues low degree first, b nonzero: the quotient as a list and the
+    remainder as a tuple, both normalized."""
+    n = len(b) - 1
+    inv = pow(b[-1], -1, l)
+    low = b[:n]
+    rem = list(a)
+    quot = [0] * max(0, len(rem) - n)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + n] * inv % l
+        if c:
+            quot[i] = c
+            # reduced at once: residues below 257 are CPython's shared small
+            # ints, so no step allocates
+            for j, bj in enumerate(low, i):
+                rem[j] = (rem[j] - c * bj) % l
+    del rem[n:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, tuple(rem)
+
+
+def _gcd(a, b, l: int) -> tuple[int, ...]:
+    """A gcd of a and b over F_l, up to a unit, by Euclid on coefficient
+    sequences low degree first; normalized, and empty when a = b = 0."""
+    a, b = _normalize(a, l), _normalize(b, l)
+    while b:
+        a, b = b, _divmod(a, b, l)[1]
+    return a
+
+
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b."""
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    l = a.l
-    if a.degree < b.degree:
-        return Poly.zero(l), a
-    inv_lead = pow(b.leading(), -1, l)
-    rem = list(a.coeffs)
-    db = b.degree
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % l
-        if c:
-            q = (c * inv_lead) % l
-            quot[i - db] = q
-            for j, bc in enumerate(b.coeffs):
-                rem[i - db + j] -= q * bc
-            rem[i] = 0
-    return Poly(l, quot), Poly(l, rem)
+    quot, rem = _divmod(a.coeffs, b.coeffs, a.l)
+    return Poly(a.l, quot), Poly(a.l, rem)
 
 
 def poly_mod(a: Poly, b: Poly) -> Poly:
@@ -226,89 +246,64 @@ def poly_mod(a: Poly, b: Poly) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, b) = monic b."""
     a._check(b)
-    while not b.is_zero():
-        a, b = b, poly_mod(a, b)
-    return a.monic()
+    return Poly(a.l, _gcd(a.coeffs, b.coeffs, a.l)).monic()
 
 
 def is_irreducible(p: Poly) -> bool:
     """Rabin's test: p of degree n is irreducible over F_l iff
     X^(l^n) = X mod p and gcd(X^(l^(n/t)) - X, p) = 1 for primes t | n.
-    It runs on lists of coefficients, low degree first: those of p made
-    monic, and those of residues mod p, n of them each.
-    """
+    It runs on coefficient sequences low degree first: those of p, and the
+    normalized residues mod p."""
     n = p.degree
     if n < 1:
         raise ValueError("irreducibility undefined for constants")
     if n == 1:
         return True
     l = p.l
-    inv = pow(p.leading(), -1, l)
-    monic = [c * inv % l for c in p.coeffs]
-    x = [0, 1] + [0] * (n - 2)
+    x = (0, 1)
     for t in _prime_factors(n):
-        h = _pow_mod(x, l ** (n // t), monic, l)
-        h[1] = (h[1] - 1) % l
-        if _gcd_degree(monic, h, l) != 0:
+        # padded, so that X can be taken off; _gcd normalizes
+        h = [*_pow_mod(x, l ** (n // t), p.coeffs, l), 0, 0]
+        h[1] -= 1
+        if len(_gcd(p.coeffs, h, l)) != 1:
             return False
-    return _pow_mod(x, l**n, monic, l) == x
+    return _pow_mod(x, l**n, p.coeffs, l) == x
 
 
-def _pow_mod(base: list, exp: int, monic: list, l: int) -> list:
-    """base^exp mod the monic polynomial, by squaring, on residue lists."""
-    result = [1] + [0] * (len(base) - 1)
+def _pow_mod(base, exp: int, modulus, l: int) -> tuple[int, ...]:
+    """base^exp mod the modulus, by squaring, on residue sequences."""
+    result = (1,)
     while exp:
         if exp & 1:
-            result = _mul_mod(result, base, monic, l)
-        base = _mul_mod(base, base, monic, l)
+            result = _mul_mod(result, base, modulus, l)
+        base = _mul_mod(base, base, modulus, l)
         exp >>= 1
     return result
 
 
-def _mul_mod(a: list, b: list, monic: list, l: int) -> list:
-    """a b mod the monic polynomial of degree n, for residue lists of length
-    n: each term c X^k with k >= n becomes -c X^(k-n) (monic - X^n)."""
-    n = len(a)
-    out = [0] * (2 * n - 1)
+def _mul_mod(a, b, modulus, l: int) -> tuple[int, ...]:
+    """a b mod the modulus, for residue sequences."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b, i):
                 out[j] += ai * bj
-    for k in range(2 * n - 2, n - 1, -1):
-        c = out[k] % l
-        if c:
-            for j, mj in enumerate(monic[:n], k - n):
-                out[j] -= c * mj
-    return [c % l for c in out[:n]]
-
-
-def _gcd_degree(a: list, b: list, l: int) -> int:
-    """The degree of gcd(a, b), a nonzero, by Euclid on coefficient lists;
-    the remainder of a by b is left in the low len(b) - 1 places of a."""
-    a, b = list(_normalize(a, l)), list(_normalize(b, l))
-    while b:
-        inv = pow(b[-1], -1, l)
-        for k in range(len(a) - 1, len(b) - 2, -1):
-            c = a[k] * inv % l
-            if c:
-                for j, bj in enumerate(b, k - len(b) + 1):
-                    a[j] = (a[j] - c * bj) % l
-        a, b = b, list(_normalize(a[: len(b) - 1], l))
-    return len(a) - 1
+    return _divmod([c % l for c in out], modulus, l)[1]
 
 
 def factor_multiplicity(f: Poly, p: Poly) -> int:
     """Largest m with p^m dividing f."""
+    f._check(p)
     if f.is_zero():
         raise ValueError("multiplicity undefined for the zero polynomial")
     if p.degree < 1:
         raise ValueError("divisor must be nonconstant")
-    m = 0
+    coeffs, m = f.coeffs, 0
     while True:
-        q, r = poly_divmod(f, p)
-        if not r.is_zero():
+        quot, rem = _divmod(coeffs, p.coeffs, p.l)
+        if rem:
             return m
-        f = q
+        coeffs = quot
         m += 1
 
 

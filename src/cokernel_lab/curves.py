@@ -11,7 +11,7 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import Poly, factor_multiplicity, is_prime
+from .algebra import Poly, _gcd, factor_multiplicity, is_prime
 from .chainring import MAX_RING_SIZE, field_products
 from .measure import (
     MeasureValue,
@@ -170,45 +170,27 @@ def curve_sample_from_f(f, q: int, g: int) -> CurveSample:
     return CurveSample(q, g, tuple(f), char_poly_from_counts(counts, q, g))
 
 
-def _squarefree(row, q: int, inv) -> bool:
-    """Whether gcd(f, f') = 1 over F_q for the monic f whose coefficients,
-    low degree first, are the list row; inv[c] is the inverse of c mod q.
-    Euclid on lists of coefficients high degree first."""
-    a = row[::-1]
-    n = len(a) - 1
-    b = [(n - i) * c % q for i, c in enumerate(a[:-1])]
-    while True:
-        while b and not b[0]:
-            del b[0]
-        if not b:
-            return len(a) == 1
-        # a mod b, b scaled to be monic: each step clears the leading term of
-        # a, and the remainder is left in a's last len(b) - 1 places
-        lead = inv[b[0]]
-        tail = [c * lead % q for c in b[1:]]
-        for i in range(len(a) - len(b) + 1):
-            t = a[i]
-            if t:
-                for j, c in enumerate(tail, i + 1):
-                    a[j] = (a[j] - t * c) % q
-        a, b = b, a[len(a) - len(b) + 1 :]
+def _squarefree(row, q: int) -> bool:
+    """Whether gcd(f, f') = 1 over F_q for the f whose coefficients, low
+    degree first, are the list row."""
+    return len(_gcd(row, [i * c for i, c in enumerate(row)][1:], q)) == 1
 
 
 def sample_curves(q: int, g: int, rng, count: int) -> np.ndarray:
     """count uniform monic squarefree f of degree 2g+1 by rejection on
-    gcd(f, f'): an int64 array of shape (count, 2g+2), coefficients low
-    degree first, holding the curves of count calls of sample_curve.
+    gcd(f, f'), Euclid on lists through algebra's one long division: an
+    int64 array of shape (count, 2g+2), coefficients low degree first,
+    holding the curves of count calls of sample_curve.
 
     Each block draws one row per curve still missing, so every row drawn is
     tested, in order, as the one-draw route tests it, and rng ends where
     that route leaves it: numpy draws a (k, n) block as k draws of n."""
     _validate_q(q)
-    inv = [0] + [pow(c, -1, q) for c in range(1, q)]
     rows = np.ones((count, 2 * g + 2), dtype=np.int64)
     kept = 0
     while kept < count:
         block = rng.integers(0, q, (count - kept, 2 * g + 1))
-        block = block[[_squarefree(row + [1], q, inv) for row in block.tolist()]]
+        block = block[[_squarefree(row + [1], q) for row in block.tolist()]]
         rows[kept : kept + len(block), :-1] = block
         kept += len(block)
     return rows
@@ -280,15 +262,14 @@ def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
 
 def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     """The printed hypotheses, enforced at configuration time with the
-    failing condition named: measure's checks on l and the conditions, then
-    q an odd prime coprime to l, each P_i monic, and l not dividing P_i(q)."""
+    failing condition named: measure's checks on l and the conditions (each
+    P_i monic among them), then q an odd prime coprime to l, and l not
+    dividing P_i(q)."""
     conds = _validate_measure_conditions(l, conditions)
     _validate_q(q)
     if q % l == 0:
         raise ValueError(f"l = {l} divides q = {q}")
     for p, _ in conds:
-        if not p.is_monic():
-            raise ValueError(f"condition {p} must be monic")
         if p(q % l) == 0:
             raise ValueError(
                 f"hypothesis violated for condition {p}: l = {l} divides P(q)"

@@ -245,6 +245,9 @@ def moment_rank(Q: int, e: int, k: int) -> int:
 
 
 def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
+    """The conditions (P_i, m_i) as lists of pairs, once l is an odd prime and
+    each P_i is a monic nonconstant polynomial over F_l, with m_i >= 0 and
+    no P_i repeated; otherwise ValueError, naming the failing condition."""
     if l < 3 or not is_prime(l):
         raise ValueError(f"l = {l} must be an odd prime")
     out = []
@@ -256,6 +259,8 @@ def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
             raise ValueError(f"condition {p} is not a polynomial over F_{l}")
         if p.degree < 1:
             raise ValueError(f"condition {p} is constant; it must have positive degree")
+        if not p.is_monic():
+            raise ValueError(f"condition {p} must be monic")
         if m < 0:
             raise ValueError(f"multiplicities are nonnegative; condition {p} has {m}")
         if p.coeffs in seen:

@@ -145,6 +145,50 @@ def test_irreducibility_against_trial_division():
                 lower[deg] = list(_all_polys(l, deg))
 
 
+def test_poly_gcd_against_common_divisors():
+    """Over F_3 and F_5, the gcd of every two monic polynomials of degree
+    <= 3 is their common monic divisor of largest degree. The divisors come
+    from multiplying every two monic d and k once with Poly.__mul__, which
+    shares no code with the long division behind poly_gcd."""
+    for l in (3, 5):
+        monic = [p for deg in range(4) for p in _all_polys(l, deg)]
+        divisors = {p.coeffs: set() for p in monic}
+        for d in monic:
+            for k in monic:
+                if d.degree + k.degree <= 3:
+                    divisors[(d * k).coeffs].add(d.coeffs)
+        for f in monic:
+            for g in monic:
+                common = divisors[f.coeffs] & divisors[g.coeffs]
+                assert poly_gcd(f, g).coeffs == max(common, key=len), (f, g)
+
+
+def test_irreducibility_of_binomials():
+    """Rabin's test on every X^d + c, for odd primes l <= 37, 2 <= d <= 9
+    and l^d <= 10^9, against the binomial criterion (Lidl-Niederreiter,
+    Finite Fields, Thm. 3.75), which shares no code with the long division
+    behind both Rabin's test and poly_mod: for a != 0, X^d - a is
+    irreducible over F_l iff every prime r | d divides l - 1 with
+    a^((l-1)/r) != 1, and l = 1 mod 4 when 4 | d; X^d is reducible."""
+    cases = 0
+    for l in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        for d in range(2, 10):
+            if l**d > 10**9:
+                break
+            primes = [r for r in (2, 3, 5, 7) if d % r == 0]
+            for c in range(l):
+                a = -c % l
+                want = (
+                    a != 0
+                    and (d % 4 != 0 or l % 4 == 1)
+                    and all((l - 1) % r == 0 and pow(a, (l - 1) // r, l) != 1 for r in primes)
+                )
+                p = Poly(l, (c,) + (0,) * (d - 1) + (1,))
+                assert is_irreducible(p) is want, (l, d, c)
+                cases += 1
+    assert cases == 1067
+
+
 def test_find_irreducible_properties():
     for l, d in [(3, 1), (3, 2), (3, 4), (5, 2), (7, 3)]:
         p = find_irreducible(l, d)

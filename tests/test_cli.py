@@ -322,6 +322,9 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X-1:0",
           "--exhaustive", "--workers", "100"),
          "worker count 100 exceeds MAX_WORKERS = 64"),
+        # the monic check names the condition, not the p of LocalRingSpec
+        (("density", "--l", "3", "--cond", "2X-1:0"),
+         "condition Poly(l=3, coeffs=[2, 2]) must be monic"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -415,13 +418,17 @@ def test_long_condition_named_among_several(capsys):
         (("simulate", "curves", "--l", "3", "--q", "5", "--g", "2", "--cond", "X-1:0",
           "--exhaustive"),
          "e1342f9531e022c7"),
+        (("simulate", "curves", "--l", "3", "--q", "7", "--g", "3", "--cond", "X^2+X+2:0",
+          "--trials", "600", "--seed", "4", "--workers", "2"),
+         "54a8f350f0675a90"),
     ],
-    ids=["seeded", "census"],
+    ids=["seeded", "census", "seeded-q-divides-degree"],
 )
 def test_curve_csv_bytes_pinned(capsys, tmp_path, argv, prefix):
-    """The per-curve CSV of a two-worker seeded (2, 5) run and of the (2, 5)
-    census: every curve, P_C and multiplicity in stream order, pinned by
-    its sha256."""
+    """The per-curve CSV of a two-worker seeded (2, 5) run, of the (2, 5)
+    census, and of a two-worker seeded (3, 7) run, where q divides
+    deg f = 7 so that f' drops its leading term on every draw: every curve,
+    P_C and multiplicity in stream order, pinned by its sha256."""
     csv_path = tmp_path / "curves.csv"
     code, _, _ = run_cli(capsys, *argv, "--emit-csv", str(csv_path))
     assert code == 0
