@@ -367,6 +367,7 @@ class RingSpec:
     factors: tuple[LocalRingSpec, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("at least one local factor required")
         l = self.factors[0].l
@@ -377,6 +378,12 @@ class RingSpec:
             if f.p.coeffs in seen:
                 raise ValueError(f"repeated irreducible factor {f.p}")
             seen.add(f.p.coeffs)
+        # the generated hash's value, computed once: sets and dicts keyed by
+        # rings or module types hash them on every lookup
+        object.__setattr__(self, "_hash", hash((self.factors,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def l(self) -> int:

@@ -89,6 +89,11 @@ class ModuleType:
                 raise ValueError(
                     f"part {t.parts[0]} exceeds the factor exponent {f.e}"
                 )
+        # the generated hash's value, computed once, as for RingSpec
+        object.__setattr__(self, "_hash", hash((self.ring, lt)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim_fl(self) -> int:

@@ -109,19 +109,39 @@ def _exhaustive_batches(ring: RingSpec, n: int):
 
 def _random_batches(cfg: SampleConfig):
     """Haar-random code arrays (B, n, n), one per factor and batch, in
-    worker blocks of index order."""
+    worker blocks of index order.  Each stream draws in pieces of at most
+    BATCH matrices; consecutive pieces, across worker blocks too, are
+    joined into one batch until the next would take it past BATCH draws,
+    so a request of few draws per worker is classified in one elimination."""
     n = cfg.n
+    pieces, size = [], 0
     for rng, count in worker_streams("cokernel-lab", cfg.seed, cfg.trials, cfg.workers):
         done = 0
         while done < count:
-            batch = min(BATCH, count - done)
-            yield [rng.integers(0, f.size, size=(batch, n, n)) for f in cfg.ring.factors]
-            done += batch
+            piece = min(BATCH, count - done)
+            if size + piece > BATCH:
+                yield _joined(pieces)
+                pieces, size = [], 0
+            pieces.append([rng.integers(0, f.size, size=(piece, n, n)) for f in cfg.ring.factors])
+            size += piece
+            done += piece
+    if pieces:
+        yield _joined(pieces)
+
+
+def _joined(pieces) -> list:
+    """The code arrays of the pieces, per factor, concatenated in order; a
+    lone piece, a full BATCH among them, is passed on without a copy."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return [np.concatenate(codes) for codes in zip(*pieces)]
 
 
 def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:
     """Counts of the cokernel types (one partition per factor) of the
-    draws, taken in a deterministic order: worker blocks in index order."""
+    draws, taken in a deterministic order: worker blocks in index order.
+    Each factor's classifier runs once per batch of up to BATCH draws,
+    whatever the worker count."""
     classifiers = [local_tables_for(f) for f in cfg.ring.factors]
     if cfg.mode == "exhaustive":
         batches = _exhaustive_batches(cfg.ring, cfg.n)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -77,6 +78,30 @@ def test_module_type_dims():
     t = _mt(3, 2, 2, (2, 1))
     assert t.dim_fl == 6
     assert t.size == 9 ** 3
+
+
+def test_ring_and_module_type_hash_once():
+    """RingSpec and ModuleType keep the generated hash's value, computed once,
+    and nothing of it shows in their fields, repr, str or equality."""
+    def build():
+        ring = RingSpec((_spec(3, 1, 2), LocalRingSpec(3, Poly(3, (1, 1)), 1)))
+        return ring, ModuleType(ring, ((2, 1), Partition((1,))))
+
+    r, t = build()
+    r2, t2 = build()
+    assert r is not r2 and t is not t2
+    assert hash(r) == hash((r.factors,)) == hash(r2)
+    assert hash(t) == hash((t.ring, t.local_types)) == hash(t2)
+    assert r == r2 and t == t2
+    assert t != ModuleType(r, ((2,), (1,)))
+    assert [f.name for f in dataclasses.fields(RingSpec)] == ["factors"]
+    assert [f.name for f in dataclasses.fields(ModuleType)] == ["ring", "local_types"]
+    f0, f1 = r.factors
+    assert repr(r) == str(r) == f"RingSpec(factors=({f0!r}, {f1!r}))"
+    assert repr(t) == str(t) == (
+        f"ModuleType(ring={r!r}, local_types=(Partition(parts=(2, 1)), Partition(parts=(1,))))"
+    )
+    assert "_hash" not in repr(t)
 
 
 def test_snf_diagonal_example():

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cokernel_lab import montecarlo
+from cokernel_lab import chainring, montecarlo
 from cokernel_lab.algebra import LocalRingSpec, Poly, RingSpec, find_irreducible
 from cokernel_lab.measure import mu
 from cokernel_lab.modules import ModuleType, Partition, surj_count
 from cokernel_lab.montecarlo import (
+    BATCH,
     MAX_MATRIX_SIZE,
     MAX_WORKERS,
     SampleConfig,
@@ -122,6 +123,107 @@ def test_seeded_counts_pinned(name):
                 )
                 h.update(repr((n, workers, seed, counts)).encode())
     assert h.hexdigest().startswith(digest)
+
+
+def _seeded_ring(name):
+    factors, _ = SEEDED_COUNT_DIGESTS[name]
+    return RingSpec(tuple(LocalRingSpec(l, Poly(l, p), e) for l, p, e in factors))
+
+
+# repr of (tv, deficit) of 300 draws at n = 4, seed 1, with one and with two
+# workers, on the rings of SEEDED_COUNT_DIGESTS: tv's last bits follow the
+# hashes of the module types and the insertion order of the counts
+SEEDED_TV_REPRS = {
+    "F3[X]/(X^2)": (
+        ("0.038204606047922515", "4.4975958179982456e-08"),
+        ("0.021537939381255828", "4.4975958179982456e-08"),
+    ),
+    "F3[X]/(X^2)xF3[X]/(X+1)": (
+        ("0.0820023419175093", "1.439454629936776e-07"),
+        ("0.04522294130918053", "1.439454629936776e-07"),
+    ),
+    "F9[t]/(t^3)": (
+        ("0.012241468352166515", "2.9041253180039917e-08"),
+        ("0.01191782498989759", "2.9041253180039917e-08"),
+    ),
+    "F11[X]/(X^3)": (
+        ("0.01839400510898851", "5.174274009256408e-09"),
+        ("0.025764454531779054", "5.174274009256408e-09"),
+    ),
+    "F9[t]/(t^4)": (
+        ("0.018925043976285326", "2.9041253180039917e-08"),
+        ("0.017096607856192193", "2.9041253180039917e-08"),
+    ),
+    "F3[X]/(X^8)": (
+        ("0.023196525454038382", "4.463926118747352e-07"),
+        ("0.036633080809645016", "4.463926118747352e-07"),
+    ),
+    "F5[X]/(X^5)": (
+        ("0.01279597133093756", "6.849811184928001e-08"),
+        ("0.02096346564925661", "6.849811184928001e-08"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_TV_REPRS)
+def test_seeded_tv_bits_pinned(name):
+    ring = _seeded_ring(name)
+    got = []
+    for workers in (1, 2):
+        tv, deficit, _ = tv_distance(sample_cokernels(SampleConfig(ring, 4, 300, 1, workers=workers)))
+        got.append((repr(tv), repr(deficit)))
+    assert tuple(got) == SEEDED_TV_REPRS[name]
+
+
+@pytest.mark.parametrize("name", ["F3[X]/(X^2)", "F3[X]/(X^2)xF3[X]/(X+1)"])
+@pytest.mark.parametrize(
+    "trials, batches",
+    [(2 * BATCH + 7, 3), (BATCH + 5, 2), (11, 1)],
+)
+def test_batches_across_worker_blocks(monkeypatch, name, trials, batches):
+    """Pieces of the three worker streams are classified together, up to
+    BATCH draws at a time, with the counts and their order of a run that
+    classifies every piece of every stream on its own."""
+    ring = _seeded_ring(name)
+    n, seed, workers = 2, 5, 3
+    tables = [chainring.local_tables_for(f) for f in ring.factors]
+    oracle = {}
+    for rng, count in worker_streams("cokernel-lab", seed, trials, workers):
+        done = 0
+        while done < count:
+            piece = min(BATCH, count - done)
+            codes = [rng.integers(0, f.size, size=(piece, n, n)) for f in ring.factors]
+            for key in zip(*(t.coker_partition(c) for t, c in zip(tables, codes))):
+                t = ModuleType(ring, tuple(Partition(p) for p in key))
+                oracle[t] = oracle.get(t, 0) + 1
+            done += piece
+    calls = []
+    classify = chainring.LocalTables.coker_partition
+
+    def counting(self, codes):
+        calls.append(len(codes))
+        return classify(self, codes)
+
+    monkeypatch.setattr(chainring.LocalTables, "coker_partition", counting)
+    dist = sample_cokernels(SampleConfig(ring, n, trials, seed, workers=workers))
+    assert dist.total == trials
+    assert dist.counts == oracle
+    assert list(dist.counts) == list(oracle)
+    assert len(calls) == batches * len(ring.factors)
+    assert max(calls) <= BATCH
+
+
+def test_ring_spec_accepts_a_list_of_factors():
+    factors = SEEDED_COUNT_DIGESTS["F3[X]/(X^2)xF3[X]/(X+1)"][0]
+    local = [LocalRingSpec(l, Poly(l, p), e) for l, p, e in factors]
+    listed, tupled = RingSpec(local), RingSpec(tuple(local))
+    assert isinstance(listed.factors, tuple)
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    a = sample_cokernels(SampleConfig(listed, 3, 200, 1, workers=2))
+    b = sample_cokernels(SampleConfig(tupled, 3, 200, 1, workers=2))
+    assert a.counts == b.counts
+    assert list(a.counts) == list(b.counts)
 
 
 def test_different_seeds_differ():
