@@ -43,10 +43,12 @@ MAX_TRIAL_DIVISOR = 2**20
 # test costs about degree^3 log l, and over F_3 the scan of degree 32 takes
 # 0.2 s.  The tests, verify and perfbench use degrees up to 4.
 MAX_POLY_DEGREE = 32
-# The most candidates find_irreducible tests before it refuses: the scan
-# meets an irreducible within about d candidates, unless every X^d + c is
-# reducible (d = 3 with l = 2 mod 3, d = 4 with l = 3 mod 4, ...), when it
-# needs more than l.  At (1000003, 4) each Rabin test costs about 0.3 ms.
+# The most candidates past the binomials X^d + c that find_irreducible runs
+# Rabin's test on before it refuses.  The binomials are decided in closed
+# form, and the scan runs only when all of them are reducible (d = 3 with
+# l = 2 mod 3, d = 4 with l = 3 mod 4, ...); past them it meets an
+# irreducible within about d candidates.  At (1000003, 4) each Rabin test
+# costs about 0.3 ms.
 MAX_IRREDUCIBLE_CANDIDATES = 1024
 
 
@@ -249,11 +251,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(a.l, _gcd(a.coeffs, b.coeffs, a.l)).monic()
 
 
+@lru_cache(maxsize=None)
 def is_irreducible(p: Poly) -> bool:
     """Rabin's test: p of degree n is irreducible over F_l iff
     X^(l^n) = X mod p and gcd(X^(l^(n/t)) - X, p) = 1 for primes t | n.
     It runs on coefficient sequences low degree first: those of p, and the
-    normalized residues mod p."""
+    normalized residues mod p.  Memoized, since every LocalRingSpec of the
+    same p reruns it."""
     n = p.degree
     if n < 1:
         raise ValueError("irreducibility undefined for constants")
@@ -309,19 +313,33 @@ def factor_multiplicity(f: Poly, p: Poly) -> int:
 
 @lru_cache(maxsize=None)
 def find_irreducible(l: int, d: int) -> Poly:
-    """Smallest monic irreducible of degree d over F_l, by coefficient order,
-    among the first MAX_IRREDUCIBLE_CANDIDATES monic polynomials."""
+    """Smallest monic irreducible of degree d over F_l, by coefficient order.
+
+    The first l candidates are the binomials X^d + c, c = 0, ..., l - 1,
+    decided in closed form (Lidl-Niederreiter, Finite Fields, Thm. 3.75):
+    X^d - a is irreducible iff a != 0, every prime r | d divides l - 1 with
+    a^((l-1)/r) != 1, and l = 1 mod 4 when 4 | d.  When the conditions on l
+    and d hold, a generator of F_l^* passes, so some binomial is chosen;
+    otherwise Rabin's test runs on at most MAX_IRREDUCIBLE_CANDIDATES
+    candidates after them."""
     check_degree(f"the extension F_{l}^{d} of F_{l}", d)
     if d == 1:
         return Poly.x(l)
+    primes = _prime_factors(d)
+    if all((l - 1) % r == 0 for r in primes) and (d % 4 or l % 4 == 1):
+        for c in range(1, l):
+            if all(pow(l - c, (l - 1) // r, l) != 1 for r in primes):
+                return Poly(l, (c,) + (0,) * (d - 1) + (1,))
     # an irreducible lies below 2 l^d, so the scan never leaves degree d
-    for code in range(l**d, l**d + MAX_IRREDUCIBLE_CANDIDATES):
+    start = l**d + l
+    for code in range(start, start + MAX_IRREDUCIBLE_CANDIDATES):
         cand = Poly.from_code(l, code)
         if is_irreducible(cand):
             return cand
     raise ValueError(
-        f"no irreducible of degree {d} over F_{l} among the first "
-        f"MAX_IRREDUCIBLE_CANDIDATES = {MAX_IRREDUCIBLE_CANDIDATES} monic polynomials"
+        f"no irreducible of degree {d} over F_{l} among the binomials X^{d} + c "
+        f"and the next MAX_IRREDUCIBLE_CANDIDATES = {MAX_IRREDUCIBLE_CANDIDATES} "
+        "monic polynomials"
     )
 
 

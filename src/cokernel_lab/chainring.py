@@ -128,13 +128,22 @@ class LocalTables:
     a code are the sum of K gathered rows mod l, and a single gather when
     K = 1, as for every ring of at most 2^13 elements.
 
-    The digits are float64, so that the products run as BLAS matmuls.  The
-    largest sums are those of b * (pivot row) in _partitions, which reduces
-    them only after the subtraction: m terms, each a digit below l times a
-    sum of m products of two digits, so below m^2 (l-1)^3.  With l <= 28559
-    (l^d <= MAX_RING_SIZE) and l^m < LOCAL_RING_CAP that stays below 2^49,
-    its largest value at l = 28559, m = 4, inside the 2^53 of exact float64
-    integers and the 2^49 that _reduce needs.
+    The digits are floats, so that the products run as BLAS matmuls, in
+    the one dtype that __init__ derives from the ring.  The largest sums are
+    those of b * (pivot row) in _partitions, which reduces them only after
+    the subtraction: m terms, each a digit below l times a sum of m products
+    of two digits, so below m^2 (l-1)^3; every term of every matmul is a
+    product of nonnegative integers, so each partial sum is an integer no
+    larger than the whole.  The pivot weights are integers below (d+1)^e.
+    - float32 when m^2 (l-1)^3 < 2^20 and (d+1)^e <= 2^24: the sums then
+      lie inside the 2^20 that _reduce needs in float32 and the weights
+      inside the 2^24 of exact float32 integers, and the elimination moves
+      half the bytes.
+    - float64 otherwise, as for F_28559[X]/(p^4) or F_3[X]/(X^39): with
+      l <= 28559 (l^d <= MAX_RING_SIZE) and l^m < LOCAL_RING_CAP the sums
+      stay below 2^49, their largest value at l = 28559, m = 4, inside the
+      2^53 of exact float64 integers and the 2^49 that _reduce needs, and
+      the weights below 2^m < 2^53.
     """
 
     def __init__(self, spec: LocalRingSpec):
@@ -147,6 +156,8 @@ class LocalTables:
             )
         self.l, self.d, self.e = l, d, e
         self.m = m = d * e
+        single = m * m * (l - 1) ** 3 < 2**20 and (d + 1) ** e <= 2**24
+        self.dtype = np.dtype(np.float32 if single else np.float64)
         # the products read the rows X^(a+b), a, b < d
         powers = _x_power_digits(spec.p, e, max(m, 2 * d - 1))
         self.to_chain = powers[:m]
@@ -168,7 +179,7 @@ class LocalTables:
         # times[x, y] holds the digits of the product of basis elements x and
         # y: X^a p^i * X^b p^k = X^(a+b) p^(i+k), the digits of X^(a+b)
         # shifted up by i + k blocks and truncated at m
-        times = np.zeros((m, m, m))
+        times = np.zeros((m, m, m), self.dtype)
         for a, b in product(range(d), repeat=2):
             for i, k in product(range(e), repeat=2):
                 if i + k < e:
@@ -177,16 +188,17 @@ class LocalTables:
         self.times = times.reshape(m, m * m)
 
     def coordinates(self, codes):
-        """Chain digits of codes of R: a float64 array with one more
-        axis, of length m, gathered from the chunk tables."""
+        """Chain digits of codes of R: an array of self.dtype with one more
+        axis, of length m, gathered from the chunk tables (by take, several
+        times faster here than indexing with the code array)."""
         *low, top = self.chunk_tables
-        out = 0.0
+        if not low:
+            return top.take(codes, axis=0).astype(self.dtype)
+        out = self.dtype.type(0)
         for table in low:
             codes, chunk = np.divmod(codes, len(table))
-            out = out + table[chunk]
-        if not low:
-            return top[codes].astype(np.float64)
-        return _reduce(out + top[codes], self.l)
+            out = out + table.take(chunk, axis=0)
+        return _reduce(out + top.take(codes, axis=0), self.l)
 
     def coker_partition(self, codes) -> list[tuple]:
         """Partition of coker of each n x n code matrix in the array
@@ -228,8 +240,9 @@ class LocalTables:
         # a nonzero digit in block i weighs (d+1)^(e-1-i), more than all the
         # later blocks together, so the heaviest entry has least valuation v,
         # and its weight lies in [(d+1)^(e-1-v), (d+1)^(e-v)), or is 0 for
-        # v = e; every weight is an integer below (d+1)^e <= 2^m, so exact
-        weights = float(d + 1) ** (e - 1 - digit // d)
+        # v = e; every weight is an integer below (d+1)^e, exact in the
+        # dtype of the tables
+        weights = (float(d + 1) ** (e - 1 - digit // d)).astype(self.dtype)
         floors = float(d + 1) ** np.arange(e)
         vals = []
         for r in range(n, 0, -1):
@@ -268,11 +281,12 @@ class LocalTables:
 
 
 def _reduce(x, l: int):
-    """x mod l, in place, for a float64 array of integers |x| < 2^49 with
-    l < 2^15: x / l is then within |x / l| 2^-53 < 2^-4 / l of k + f/l with
-    0 <= f < l, and f/l is 0 (then x / l is exact) or at least 1/l from an
-    integer, so floor(x / l) is exact.  np.remainder gives the same but
-    takes several times longer."""
+    """x mod l, in place, for a float array of integers with l < 2^15 and
+    |x| < 2^(t-4), t the dtype's significand bits: 2^49 in float64 (t = 53),
+    2^20 in float32 (t = 24).  x / l is then within |x / l| 2^-t < 2^-4 / l
+    of k + f/l with 0 <= f < l, and f/l is 0 (then x / l is exact) or at
+    least 1/l from an integer, so floor(x / l) is exact.  np.remainder gives
+    the same but takes several times longer."""
     q = x / l
     np.floor(q, out=q)
     q *= l
@@ -396,7 +410,7 @@ def enumerate_submodules_chain(ring: LocalTables, ambient: tuple) -> dict:
     counts = Counter()
     for lo in range(0, starts[-1], step):
         hi = min(lo + step, starts[-1])
-        A = np.zeros((hi - lo, k, k, m))
+        A = np.zeros((hi - lo, k, k, m), ring.dtype)
         sizes = np.empty(hi - lo, dtype=np.int64)
         for (size, pivots, free), first, end in zip(profiles, starts, starts[1:]):
             if end <= lo or first >= hi:

@@ -233,9 +233,10 @@ def test_degree_refused_above_its_bound(monkeypatch):
 
 
 def test_find_irreducible_refuses_at_its_candidate_cap(monkeypatch):
-    """A scan that meets no irreducible stops after MAX_IRREDUCIBLE_CANDIDATES
-    tests and names the cap; a degree whose X^d + c are all reducible still
-    finds the first irreducible past them below it."""
+    """A Rabin scan that meets no irreducible stops after
+    MAX_IRREDUCIBLE_CANDIDATES tests past the binomials and names the cap;
+    a degree whose X^d + c are all reducible still finds the first
+    irreducible past them below it."""
     tested = []
 
     def never(p):
@@ -244,13 +245,33 @@ def test_find_irreducible_refuses_at_its_candidate_cap(monkeypatch):
 
     assert find_irreducible(101, 3) == Poly(101, (1, 1, 0, 1))
     monkeypatch.setattr(algebra, "is_irreducible", never)
+    # 3 does not divide 5 - 1, so every X^3 + c is reducible
     with pytest.raises(
         ValueError,
-        match="no irreducible of degree 2 over F_7 among the first "
-        "MAX_IRREDUCIBLE_CANDIDATES = 1024 monic polynomials",
+        match="no irreducible of degree 3 over F_5 among the binomials X\\^3 \\+ c "
+        "and the next MAX_IRREDUCIBLE_CANDIDATES = 1024 monic polynomials",
     ):
-        algebra.find_irreducible.__wrapped__(7, 2)
+        algebra.find_irreducible.__wrapped__(5, 3)
     assert len(tested) == algebra.MAX_IRREDUCIBLE_CANDIDATES
+    assert tested[0] == Poly(5, (0, 1, 0, 1))
+
+
+def test_find_irreducible_matches_an_uncapped_rabin_scan():
+    """Deciding the binomials in closed form keeps every chosen p: for each
+    odd prime l <= 61 and 2 <= d <= 5 with l^d <= 10^7, find_irreducible
+    gives the first monic polynomial of degree d, by coefficient order,
+    that Rabin's test passes."""
+    cases = 0
+    for l in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        for d in range(2, 6):
+            if l**d > 10**7:
+                break
+            code = l**d
+            while not is_irreducible(Poly.from_code(l, code)):
+                code += 1
+            assert find_irreducible(l, d) == Poly.from_code(l, code), (l, d)
+            cases += 1
+    assert cases == 57
 
 
 def test_local_ring_spec_derived_fields():

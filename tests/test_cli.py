@@ -310,11 +310,10 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
          "polynomial 'X^99999999999' has degree 99999999999, above MAX_POLY_DEGREE = 32"),
         (("rank-dist", "--Q", str(3**96), "--e", "1", "--m", "0"),
          "the extension F_3^96 of F_3 has degree 96, above MAX_POLY_DEGREE = 32"),
-        # 1000003 = 3 mod 4, so every X^4 + c is reducible: the scan for an
-        # irreducible quartic stops at its cap instead of running for minutes
-        (("rank-dist", "--Q", str(1000003**4), "--e", "1", "--m", "0"),
-         "no irreducible of degree 4 over F_1000003 among the first "
-         "MAX_IRREDUCIBLE_CANDIDATES = 1024"),
+        # a large l with a degree past the bound is refused by that bound
+        # before any candidate is tested
+        (("rank-dist", "--Q", str(1000003**33), "--e", "1", "--m", "0"),
+         "the extension F_1000003^33 of F_1000003 has degree 33, above MAX_POLY_DEGREE = 32"),
         # the census draws no stream, and is refused as the seeded route is
         (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X-1:0",
           "--exhaustive", "--workers", "0"),
@@ -332,6 +331,22 @@ def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
     assert code == 1
     assert doc is None
     assert cause in err
+
+
+@pytest.mark.parametrize(
+    "l, d, p",
+    [(1031, 3, (4, 1, 0, 1)), (1000003, 4, (1, 1, 0, 0, 1))],
+    ids=["1031^3", "1000003^4"],
+)
+def test_rank_dist_answers_where_every_binomial_is_reducible(capsys, l, d, p):
+    """Every X^d + c is reducible at 1031 = 2 mod 3 with d = 3 and at
+    1000003 = 3 mod 4 with d = 4.  The binomials are decided in closed form,
+    so the capped Rabin scan starts past them and meets X^d + X + c."""
+    code, doc, err = run_cli(capsys, "rank-dist", "--Q", str(l**d), "--e", "1", "--m", "0")
+    assert code == 0, err
+    _assert_valid(doc)
+    assert doc["manifest"]["config"]["p"] == list(p)
+    assert doc["result"]["rational"] == "1/1"
 
 
 def test_unwritable_emit_csv_refused_before_any_draw(capsys, monkeypatch, tmp_path):

@@ -696,22 +696,15 @@ def test_pivot_move_on_crafted_batches(l, p, e):
         assert got == [_snf_partition(spec, mat) for mat in mats], n
 
 
-@pytest.mark.parametrize("p", [(0, 1), (1, 1)], ids=["X^4", "(X+1)^4"])
-def test_largest_prime_field_stays_exact(p):
-    """F_28559[X]/(p^4): 28559 is the largest prime below MAX_RING_SIZE, and
-    its fourth power lies below LOCAL_RING_CAP, so the bound m^2 (l-1)^3 on
-    the elimination's unreduced sums is largest here, below 2^49 with
-    m = 4.  (With d = 1 the product tensor holds only 0 and 1, so the sums
-    stay below m (l-1)^2.)  Over (X+1)^4 the digits of a code are not its
-    chain digits.  Half the draws have entries of random valuations; the
+def _assert_udv_batches_match_snf(spec, seed):
+    """Half of 80 draws, n = 1 to 4, have entries of random valuations; the
     other half are U D V, U and V uniform and D diagonal with entries p^v,
-    whose cokernels show only if every cancellation is exact.  All match
-    the Smith form."""
-    l, e = 28559, 4
-    spec = LocalRingSpec(l, Poly(l, p), e)
+    whose cokernels show only if every cancellation is exact.  All must
+    match the Smith form."""
+    l, e = spec.l, spec.e
     tables = LocalTables(spec)
-    code = _valued_codes(spec, 29)
-    rng = random.Random(31)
+    code = _valued_codes(spec, seed)
+    rng = random.Random(seed + 2)
     modulus = Poly.one(l)
     for _ in range(e):
         modulus = modulus * spec.p
@@ -737,12 +730,79 @@ def test_largest_prime_field_stays_exact(p):
         assert tables.coker_partition(np.array(batch)) == [_snf_partition(spec, mat) for mat in batch]
 
 
+@pytest.mark.parametrize("p", [(0, 1), (1, 1)], ids=["X^4", "(X+1)^4"])
+def test_largest_prime_field_stays_exact(p):
+    """F_28559[X]/(p^4): 28559 is the largest prime below MAX_RING_SIZE, and
+    its fourth power lies below LOCAL_RING_CAP, so the bound m^2 (l-1)^3 on
+    the elimination's unreduced sums is largest here, below 2^49 with
+    m = 4, in float64.  (With d = 1 the product tensor holds only 0 and 1,
+    so the sums stay below m (l-1)^2.)  Over (X+1)^4 the digits of a code
+    are not its chain digits."""
+    spec = LocalRingSpec(28559, Poly(28559, p), 4)
+    assert LocalTables(spec).dtype == np.float64
+    _assert_udv_batches_match_snf(spec, 29)
+
+
+# (l, p low degree first, e) on either side of the float32 rule
+# m^2 (l-1)^3 < 2^20 and (d+1)^e <= 2^24: F_101, F_61[X]/(X^2) and
+# F_3[X]/(X^24) are the last rings inside it, F_103, F_67[X]/(X^2) and
+# F_3[X]/(X^25) the first past it
+SINGLE_EDGE = [(101, (0, 1), 1), (61, (0, 1), 2), (3, (0, 1), 24)]
+DOUBLE_EDGE = [(103, (0, 1), 1), (67, (0, 1), 2), (3, (0, 1), 25)]
+
+
 @pytest.mark.parametrize(
-    "l, p, e, chunks",
-    [(3, (1, 0, 1), 4, 1), (3, (1, 0, 1), 5, 2), (3, (0, 1), 39, 5), (3, (1, 1), 39, 5)],
+    "l, p, e, dtype",
+    [ring + (np.float32,) for ring in SINGLE_EDGE] + [ring + (np.float64,) for ring in DOUBLE_EDGE],
+    ids=["F101", "F61[X]/(X^2)", "F3[X]/(X^24)", "F103", "F67[X]/(X^2)", "F3[X]/(X^25)"],
+)
+def test_dtype_rule_at_its_edges(l, p, e, dtype):
+    """The product tensor and the chain digits, from which the elimination
+    builds every matrix, take the dtype that LocalTables derives from the
+    ring."""
+    tables = LocalTables(LocalRingSpec(l, Poly(l, p), e))
+    assert tables.dtype == dtype
+    assert tables.times.dtype == dtype
+    assert tables.coordinates(np.arange(64).reshape(4, 4, 4)).dtype == dtype
+
+
+@pytest.mark.parametrize("e", [24, 39])
+def test_pivot_weights_stay_exact(e):
+    """Over F_3[X]/(X^e) the entry 2 (X^v + ... + X^(e-1)) has weight
+    2^(e-v) - 1, just below the floor of valuation v - 1: unless the dtype
+    holds it exactly, it rounds up and reads as valuation v - 1.  Its
+    1 x 1 matrix has cokernel type (v,), () for v = 0."""
+    tables = LocalTables(LocalRingSpec(3, Poly(3, (0, 1)), e))
+    codes = np.array([[[sum(2 * 3**i for i in range(v, e))]] for v in range(e)])
+    assert tables.coker_partition(codes) == [(v,) if v else () for v in range(e)]
+
+
+@pytest.mark.parametrize(
+    "l, p, e",
+    SINGLE_EDGE + [(41, (3, 1, 1), 2)],
+    ids=["F101", "F61[X]/(X^2)", "F3[X]/(X^24)", "F41[X]/((X^2+X+3)^2)"],
+)
+def test_single_precision_rings_stay_exact(l, p, e):
+    """On the float32 rings at the rule's edges, and on F_41[X]/(p^2) with
+    deg p = 2, whose product tensor holds more than 0 and 1 and whose bound
+    m^2 (l-1)^3 = 1024000 lies just below 2^20 = 1048576, the crafted
+    U D V products match the Smith form."""
+    spec = LocalRingSpec(l, Poly(l, p), e)
+    assert LocalTables(spec).dtype == np.float32
+    _assert_udv_batches_match_snf(spec, 37)
+
+
+@pytest.mark.parametrize(
+    "l, p, e, chunks, dtype",
+    [
+        (3, (1, 0, 1), 4, 1, np.float32),
+        (3, (1, 0, 1), 5, 2, np.float32),
+        (3, (0, 1), 39, 5, np.float64),
+        (3, (1, 1), 39, 5, np.float64),
+    ],
     ids=["F9[t]/(t^4)", "F9[t]/(t^5)", "F3[X]/(X^39)", "F3[X]/((X+1)^39)"],
 )
-def test_coordinates_match_digit_split(l, p, e, chunks):
+def test_coordinates_match_digit_split(l, p, e, chunks, dtype):
     """The chunk-table gather gives the chain digits of the digit split: the
     code's base-l digits times the basis change, reduced mod l.  Over
     F_3[X]/(X^e) the basis change is the identity, so the chunks' rows never
@@ -759,7 +819,7 @@ def test_coordinates_match_digit_split(l, p, e, chunks):
     digits = codes[..., None] // l ** np.arange(tables.m) % l
     expected = np.remainder(digits @ tables.to_chain, l)
     got = tables.coordinates(codes)
-    assert got.dtype == np.float64
+    assert got.dtype == dtype
     assert np.array_equal(got, expected)
 
 
