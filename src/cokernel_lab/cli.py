@@ -28,6 +28,7 @@ from .measure import (
 )
 from .modules import ModuleType, Partition
 from .montecarlo import SampleConfig, sample_cokernels, tv_distance
+from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -38,13 +39,14 @@ WORKERS_HELP = "seeded streams to split the trials over; the draws run in one pr
 MAX_PRINTED_DIGITS = 4300
 
 
-def parse_poly_text(text: str, l: int, a=None) -> Poly:
+def parse_poly_text(text: str, l: int, a=None, source=None) -> Poly:
     """Parse human polynomial syntax like "X^2+2", "X-1", or "X-a" (with the
-    symbol a supplied separately). A term above MAX_POLY_DEGREE is refused
+    symbol a supplied separately). An empty text is refused naming source,
+    the flag and text it came from; a term above MAX_POLY_DEGREE is refused
     before the coefficient list is built."""
     s = text.replace(" ", "")
     if not s:
-        raise ValueError("empty polynomial")
+        raise ValueError(f"{source or repr(text)}: empty polynomial")
     if a is not None:
         s = re.sub(r"\ba\b", str(a), s)
     terms = re.findall(r"[+-]?[^+-]+", s)
@@ -193,7 +195,7 @@ def _cmd_measure(args) -> int:
 def _cmd_rank_dist(args) -> int:
     if args.p is not None:
         l = 3 if args.l is None else args.l
-        local = LocalRingSpec(l, parse_poly_text(args.p, l, args.a), args.e)
+        local = LocalRingSpec(l, parse_poly_text(args.p, l, args.a, f"--p {args.p!r}"), args.e)
     else:
         if args.a is not None:
             raise ValueError("--a names a root in --p and is not allowed with --Q")
@@ -238,7 +240,7 @@ def _parse_conditions(args):
             raise ValueError(
                 f"--cond {spec!r}: multiplicity {mult!r} is not an integer"
             ) from None
-        conds.append((parse_poly_text(text, args.l, args.a), m))
+        conds.append((parse_poly_text(text, args.l, args.a, f"--cond {spec!r}"), m))
     return conds
 
 
@@ -382,8 +384,6 @@ def _cmd_simulate_curves(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
-
     checks = run_suite(args.suite, args.seed)
     ok = all(c["passed"] for c in checks)
     manifest = _manifest(args, {"suite": args.suite}, seed=args.seed)
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=_cmd_simulate_curves)
 
     p = sub.add_parser("verify", help="run the oracle check suites")
-    p.add_argument("--suite", choices=["exact", "montecarlo", "curves-small"], required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_verify)
 

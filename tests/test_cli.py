@@ -324,6 +324,14 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         # the monic check names the condition, not the p of LocalRingSpec
         (("density", "--l", "3", "--cond", "2X-1:0"),
          "condition Poly(l=3, coeffs=[2, 2]) must be monic"),
+        # an empty polynomial names the flag and its text
+        (("density", "--l", "3", "--cond", ":0"), "--cond ':0': empty polynomial"),
+        (("rank-dist", "--p", "", "--e", "1", "--m", "0"), "--p '': empty polynomial"),
+        (("density", "--l", "3", "--cond", "X-1"), "condition 'X-1' must look like 'X-1:0'"),
+        (("simulate", "curves", "--l", "5", "--q", "5", "--g", "1", "--cond", "X-1:0",
+          "--trials", "5"),
+         "l = 5 divides q = 5"),
+        (("verify", "--suite", "nope"), "invalid choice: 'nope'"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -507,6 +515,38 @@ def test_verify_montecarlo_digest_pinned(capsys):
     assert main(["verify", "--suite", "montecarlo", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest().startswith("c0df47436d71f601")
+
+
+def test_verify_unknown_suite_lists_every_suite(capsys):
+    """An unknown suite is refused naming every suite, by the CLI's --suite
+    choices and by run_suite, both read from one table."""
+    from cokernel_lab.verify import SUITES, run_suite
+
+    code, doc, err = run_cli(capsys, "verify", "--suite", "nope")
+    assert (code, doc) == (1, None)
+    assert all(name in err for name in SUITES)
+    with pytest.raises(ValueError, match="the suites are exact, montecarlo, curves-small"):
+        run_suite("nope", 7)
+
+
+def test_verify_fails_on_a_forced_oracle_disagreement(capsys, monkeypatch):
+    """A brute-force |Aut| one too many fails aut-order-brute-force alone,
+    with the detail of its last failing case, and verify exits 1."""
+    from cokernel_lab import verify
+
+    brute = verify.brute_force_aut_order
+    monkeypatch.setattr(verify, "brute_force_aut_order", lambda l, lam: brute(l, lam) + 1)
+    code, doc, err = run_cli(capsys, "verify", "--suite", "exact")
+    assert code == 1
+    _assert_valid(doc)
+    assert doc["result"]["passed"] is False
+    closed = brute(3, (2, 2))
+    detail = f"(3, (2, 2)): closed {closed} != brute {closed + 1}"
+    assert f"[FAIL] aut-order-brute-force: {detail}" in err
+    lines = err.splitlines()
+    assert sum(line.startswith("[FAIL]") for line in lines) == 1
+    assert sum(line.startswith("[PASS]") for line in lines) == 5
+    assert [c["passed"] for c in doc["result"]["checks"]] == [False] + [True] * 5
 
 
 def test_parser_built_once_and_stateless(capsys):

@@ -298,6 +298,9 @@ def test_brute_force_aut_order_refuses_unbounded_walks(monkeypatch):
             brute_force_aut_order(l, (1, 1, 1, 1, 1))
     with pytest.raises(ValueError, match=r"3\^17 endomorphisms"):
         brute_force_aut_order(3, (2, 1, 1, 1))
+    # 3^6 endomorphisms, under the bound: the dimension cap refuses it
+    with pytest.raises(ValueError, match="capped at dimension 5"):
+        brute_force_aut_order(3, (6,))
     assert MAX_AUT_ENDOMORPHISMS == 3**16
 
 
@@ -366,6 +369,11 @@ def test_submodule_enumeration_across_chunk_boundaries(monkeypatch, chunk):
     monkeypatch.setattr(LocalTables, "_chunk", lambda self, n: chunk)
     for (l, d, e, lam), counts in zip(cases, want):
         assert enumerate_submodules_chain(local_tables_for(_spec(l, d, e)), lam) == counts
+
+
+def test_zero_module_has_one_submodule():
+    ring = local_tables_for(_spec(3, 1, 2))
+    assert enumerate_submodules_chain(ring, ()) == bfs_submodules(ring, ()) == {(): 1}
 
 
 def test_submodule_counts_vector_space_case():
