@@ -241,10 +241,6 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(a.l, quot), Poly(a.l, rem)
 
 
-def poly_mod(a: Poly, b: Poly) -> Poly:
-    return poly_divmod(a, b)[1]
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, b) = monic b."""
     a._check(b)

@@ -1,5 +1,9 @@
 """Command line interface: every engine behind one binary with JSON output
-on stdout, human summaries on stderr, and reproducible seeding."""
+on stdout, human summaries on stderr, and reproducible seeding.
+
+Each subcommand `_cmd_*` returns its config, result and summary, and for
+density and simulate curves its hypotheses too; `main` runs it and writes
+the report, the manifest built in one place, `_emit`."""
 
 from __future__ import annotations
 
@@ -68,12 +72,20 @@ def parse_poly_text(text: str, l: int, a=None, source=None) -> Poly:
     return Poly(l, [coeffs.get(deg, 0) for deg in range(max(coeffs) + 1)])
 
 
+def _only_keys(obj: dict, keys: tuple, what: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{what} key {key!r} is not one of {', '.join(keys)}")
+
+
 def parse_ring_json(data) -> RingSpec:
-    """A ring from JSON like {"l": 3, "factors": [{"p": [0, 1], "e": 2}]}."""
+    """A ring from JSON like {"l": 3, "factors": [{"p": [0, 1], "e": 2}]};
+    an unknown key is refused naming it."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"--ring must be a JSON object, got {data!r}")
+    _only_keys(data, ("l", "factors"), "--ring")
     l, factors = data.get("l"), data.get("factors")
     if type(l) is not int:
         raise ValueError(f"--ring l must be an integer, got {l!r}")
@@ -84,6 +96,7 @@ def parse_ring_json(data) -> RingSpec:
             f"--ring factors must be a non-empty list of objects, got {factors!r}"
         )
     for f in factors:
+        _only_keys(f, ("p", "e"), "--ring factor")
         p, e = f.get("p"), f.get("e")
         if not isinstance(p, list) or not all(type(c) is int for c in p):
             raise ValueError(f"--ring factor p must be a list of integers, got {p!r}")
@@ -118,24 +131,22 @@ def measure_value_json(v: MeasureValue, what: str) -> dict:
     }
 
 
-def _manifest(args, config: dict, seed=None, hypotheses=None):
+def _emit(args, started, config: dict, result: dict, summary: str, hypotheses=None):
+    """Write the report of a run: the manifest and result as one JSON line on
+    stdout, the summary on stderr."""
     # the parser's names: simulate-cokernel and simulate-curves for simulate
     what = getattr(args, "simulate_what", None)
-    return {
+    finished = None if started is None else datetime.now(timezone.utc).isoformat()
+    manifest = {
         "subcommand": f"{args.command}-{what}" if what else args.command,
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "config": config,
         "hypotheses": hypotheses or {},
-        "started": args.started,
-        "finished": None,
+        "started": started,
+        "finished": finished,
     }
-
-
-def _emit(manifest: dict, result: dict, summary: str) -> None:
-    if manifest["started"] is not None:
-        manifest["finished"] = datetime.now(timezone.utc).isoformat()
     json.dump({"manifest": manifest, "result": result}, sys.stdout, default=str)
     sys.stdout.write("\n")
     print(summary, file=sys.stderr)
@@ -160,18 +171,16 @@ def _csv_rows(path, header: list):
         raise ValueError(f"cannot write --emit-csv {path}: {ex.strerror}") from ex
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args):
     ev = eta(args.Q, args.tol)
-    manifest = _manifest(args, {"Q": args.Q, "tol": args.tol})
-    _emit(
-        manifest,
+    return (
+        {"Q": args.Q, "tol": args.tol},
         {"value": ev.value, "depth": ev.depth, "tol": ev.tol},
         f"eta({args.Q}) = {ev.value:.9f} (depth {ev.depth})",
     )
-    return 0
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args):
     ring = parse_ring_json(args.ring)
     types = json.loads(args.types)
     if not isinstance(types, list) or not all(
@@ -181,18 +190,15 @@ def _cmd_measure(args) -> int:
             f"--types must be a JSON list with one list of integer parts per "
             f"factor, like [[2, 1]]; got {args.types}"
         )
-    t = ModuleType(ring, tuple(Partition(tuple(x)) for x in types))
-    v = mu(t)
-    manifest = _manifest(args, {"ring": ring_json(ring), "types": types})
-    _emit(
-        manifest,
+    v = mu(ModuleType(ring, tuple(Partition(tuple(x)) for x in types)))
+    return (
+        {"ring": ring_json(ring), "types": types},
         measure_value_json(v, f"mass of --types {args.types}"),
         f"mu = {v.rational} * eta{list(v.eta_factors)} = {v.numeric():.9f}",
     )
-    return 0
 
 
-def _cmd_rank_dist(args) -> int:
+def _cmd_rank_dist(args):
     if args.p is not None:
         l = 3 if args.l is None else args.l
         local = LocalRingSpec(l, parse_poly_text(args.p, l, args.a, f"--p {args.p!r}"), args.e)
@@ -210,25 +216,25 @@ def _cmd_rank_dist(args) -> int:
     )
     if v != pf:
         raise AssertionError("partition form disagrees with the direct sum")
-    manifest = _manifest(
-        args, {"l": local.l, "p": list(local.p.coeffs), "e": local.e, "m": args.m}
-    )
-    _emit(
-        manifest,
+    return (
+        {"l": local.l, "p": list(local.p.coeffs), "e": local.e, "m": args.m},
         measure_value_json(v, f"rank mass at --m {args.m}"),
         f"rank mass = {v.rational} * eta({local.Q}) = {v.numeric():.9f}",
     )
-    return 0
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args):
     value = _printable(moment_rank(args.Q, args.e, args.k), f"moment at --k {args.k}")
-    manifest = _manifest(args, {"Q": args.Q, "e": args.e, "k": args.k})
-    _emit(manifest, {"moment": value}, f"moment_{args.k} = {value}")
-    return 0
+    return (
+        {"Q": args.Q, "e": args.e, "k": args.k},
+        {"moment": value},
+        f"moment_{args.k} = {value}",
+    )
 
 
 def _parse_conditions(args):
+    """The --cond conditions as (polynomial, multiplicity) pairs, and their
+    config list."""
     conds = []
     for spec in args.cond:
         if ":" not in spec:
@@ -241,133 +247,72 @@ def _parse_conditions(args):
                 f"--cond {spec!r}: multiplicity {mult!r} is not an integer"
             ) from None
         conds.append((parse_poly_text(text, args.l, args.a, f"--cond {spec!r}"), m))
-    return conds
+    return conds, [{"p": list(p.coeffs), "m": m} for p, m in conds]
 
 
-def _cmd_density(args) -> int:
-    conds = _parse_conditions(args)
+def _cmd_density(args):
+    conds, config = _parse_conditions(args)
     v = divisor_density(args.l, conds)
     hyp = divisor_density_hypothesis(args.l, conds)
     if not hyp:
         print("warning: prod eta(F_i) <= 1/2, uniqueness not guaranteed", file=sys.stderr)
-    manifest = _manifest(
-        args,
-        {
-            "l": args.l,
-            "conditions": [
-                {"p": list(p.coeffs), "m": m} for p, m in conds
-            ],
-        },
-        hypotheses={"eta_product_gt_half": hyp},
-    )
     result = measure_value_json(v, f"density of --cond {' '.join(args.cond)}")
     result["hypothesis_eta_gt_half"] = hyp
-    _emit(manifest, result, f"density = {v.rational} * eta = {v.numeric():.6f}")
-    return 0
-
-
-def _cmd_simulate_cokernel(args) -> int:
-    ring = parse_ring_json(args.ring)
-    cfg = SampleConfig(
-        ring,
-        args.n,
-        args.trials,
-        args.seed,
-        mode="exhaustive" if args.exhaustive else "random",
-        workers=args.workers,
+    return (
+        {"l": args.l, "conditions": config},
+        result,
+        f"density = {v.rational} * eta = {v.numeric():.6f}",
+        {"eta_product_gt_half": hyp},
     )
+
+
+def _cmd_simulate_cokernel(args):
+    ring = parse_ring_json(args.ring)
+    mode = "exhaustive" if args.exhaustive else "random"
+    cfg = SampleConfig(ring, args.n, args.trials, args.seed, mode, args.workers)
     with _csv_rows(args.emit_csv, ["type", "empirical", "theoretical"]) as rows:
         t0 = time.monotonic()
         dist = sample_cokernels(cfg)
         tv, deficit, theory = tv_distance(dist)
         runtime_ms = int((time.monotonic() - t0) * 1000)
         counts = [
-            {
-                "types": [list(lam.parts) for lam in t.local_types],
-                "count": c,
-                "empirical": c / dist.total,
-                "theoretical": theory.get(t, 0.0),
-            }
-            for t, c in sorted(
-                dist.counts.items(), key=lambda kv: (-kv[1], str(kv[0]))
-            )
+            {"types": [list(lam.parts) for lam in t.local_types], "count": c,
+             "empirical": c / dist.total, "theoretical": theory.get(t, 0.0)}
+            for t, c in sorted(dist.counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
         ]
         if rows is not None:
             rows.extend(
                 [json.dumps(r["types"]), r["empirical"], r["theoretical"]] for r in counts
             )
-    manifest = _manifest(
-        args,
-        {
-            "ring": ring_json(ring),
-            "n": args.n,
-            "trials": args.trials,
-            "mode": cfg.mode,
-            "workers": args.workers,
-        },
-        seed=args.seed,
-    )
-    _emit(
-        manifest,
-        {
-            "counts": counts,
-            "total": dist.total,
-            "tv_vs_theory": tv,
-            "truncation_deficit": deficit,
-            "runtime_ms": runtime_ms,
-        },
+    return (
+        {"ring": ring_json(ring), "n": args.n, "trials": args.trials, "mode": mode,
+         "workers": args.workers},
+        {"counts": counts, "total": dist.total, "tv_vs_theory": tv,
+         "truncation_deficit": deficit, "runtime_ms": runtime_ms},
         f"{dist.total} samples, TV = {tv:.4f}, deficit = {deficit:.2e}",
     )
-    return 0
 
 
-def _cmd_simulate_curves(args) -> int:
+def _cmd_simulate_curves(args):
     from .curves import divisibility_stats
 
-    conds = _parse_conditions(args)
+    conds, config = _parse_conditions(args)
     header = ["f", "char_poly", "char_poly_mod_l", "multiplicities"]
     with _csv_rows(args.emit_csv, header) as rows:
 
         def on_sample(sample, mults):
+            mod_l = Poly(args.l, sample.char_poly).coeffs
             rows.append(
-                [
-                    json.dumps(list(sample.f)),
-                    json.dumps(list(sample.char_poly)),
-                    json.dumps(list(Poly(args.l, sample.char_poly).coeffs)),
-                    json.dumps(list(mults)),
-                ]
+                [json.dumps(list(x)) for x in (sample.f, sample.char_poly, mod_l, mults)]
             )
 
         report = divisibility_stats(
-            args.l,
-            conds,
-            args.q,
-            args.g,
-            args.trials,
-            args.seed,
-            workers=args.workers,
-            exhaustive=args.exhaustive,
-            on_sample=None if rows is None else on_sample,
+            args.l, conds, args.q, args.g, args.trials, args.seed, workers=args.workers,
+            exhaustive=args.exhaustive, on_sample=None if rows is None else on_sample,
         )
-    manifest = _manifest(
-        args,
-        {
-            "l": args.l,
-            "q": args.q,
-            "g": args.g,
-            "conditions": [{"p": list(p.coeffs), "m": m} for p, m in conds],
-            "trials": args.trials,
-            "exhaustive": args.exhaustive,
-            "workers": args.workers,
-        },
-        seed=args.seed,
-        hypotheses={
-            "eta_product_gt_half": report.hypothesis_eta_gt_half,
-            "prediction_applies_at_q": report.prediction_applies_at_q,
-        },
-    )
-    _emit(
-        manifest,
+    return (
+        {"l": args.l, "q": args.q, "g": args.g, "conditions": config,
+         "trials": args.trials, "exhaustive": args.exhaustive, "workers": args.workers},
         {
             "trials": report.trials,
             "hits": report.hits,
@@ -379,23 +324,24 @@ def _cmd_simulate_curves(args) -> int:
         },
         f"empirical = {report.empirical:.4f}, predicted = {report.predicted_value:.4f} "
         f"(se {report.std_error:.4f})",
+        {
+            "eta_product_gt_half": report.hypothesis_eta_gt_half,
+            "prediction_applies_at_q": report.prediction_applies_at_q,
+        },
     )
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     checks = run_suite(args.suite, args.seed)
-    ok = all(c["passed"] for c in checks)
-    manifest = _manifest(args, {"suite": args.suite}, seed=args.seed)
-    _emit(
-        manifest,
-        {"suite": args.suite, "checks": checks, "passed": ok},
+    return (
+        {"suite": args.suite},
+        {"suite": args.suite, "checks": checks,
+         "passed": all(c["passed"] for c in checks)},
         "\n".join(
             f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}"
             for c in checks
         ),
     )
-    return 0 if ok else 1
 
 
 @lru_cache(maxsize=1)
@@ -403,6 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and shared
     by the later ones: parse_args keeps nothing in it between calls, since
     each call fills a new namespace and no option has a mutable default."""
+    # the flags of density and simulate curves, and of both simulate commands
+    conditions = argparse.ArgumentParser(add_help=False)
+    conditions.add_argument("--l", type=int, required=True)
+    conditions.add_argument("--cond", action="append", required=True)
+    conditions.add_argument("--a", type=int, default=None)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--trials", type=int, default=0)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--exhaustive", action="store_true")
+    run.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    run.add_argument("--emit-csv", dest="emit_csv", default=None)
+
     parser = argparse.ArgumentParser(prog="cokernel-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -433,37 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("density", help="divisor multiplicity densities")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--cond", action="append", required=True)
-    p.add_argument("--a", type=int, default=None)
+    p = sub.add_parser(
+        "density", parents=[conditions], help="divisor multiplicity densities"
+    )
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("simulate", help="empirical harnesses")
     sim = p.add_subparsers(dest="simulate_what", required=True)
 
-    pc = sim.add_parser("cokernel", help="random matrix cokernel sampling")
-    pc.add_argument("--ring", required=True)
-    pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--trials", type=int, default=0)
-    pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--exhaustive", action="store_true")
-    pc.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    pc.add_argument("--emit-csv", dest="emit_csv", default=None)
-    pc.set_defaults(func=_cmd_simulate_cokernel)
+    p = sim.add_parser(
+        "cokernel", parents=[run], help="random matrix cokernel sampling"
+    )
+    p.add_argument("--ring", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=_cmd_simulate_cokernel)
 
-    pv = sim.add_parser("curves", help="hyperelliptic divisor statistics")
-    pv.add_argument("--l", type=int, required=True)
-    pv.add_argument("--q", type=int, required=True)
-    pv.add_argument("--g", type=int, required=True)
-    pv.add_argument("--cond", action="append", required=True)
-    pv.add_argument("--a", type=int, default=None)
-    pv.add_argument("--trials", type=int, default=0)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--exhaustive", action="store_true")
-    pv.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    pv.add_argument("--emit-csv", dest="emit_csv", default=None)
-    pv.set_defaults(func=_cmd_simulate_curves)
+    p = sim.add_parser(
+        "curves", parents=[conditions, run], help="hyperelliptic divisor statistics"
+    )
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--g", type=int, required=True)
+    p.set_defaults(func=_cmd_simulate_curves)
 
     p = sub.add_parser("verify", help="run the oracle check suites")
     p.add_argument("--suite", choices=SUITES, required=True)
@@ -479,17 +427,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return 0 if ex.code == 0 else 1
-    started = datetime.now(timezone.utc).isoformat()
     # verify reports carry no timestamps, so that they are byte-identical
-    args.started = None if args.command == "verify" else started
+    started = datetime.now(timezone.utc).isoformat()
+    if args.command == "verify":
+        started = None
     try:
-        return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as ex:
+        config, result, summary, *hypotheses = args.func(args)
+        _emit(args, started, config, result, summary, *hypotheses)
+    except (ValueError, KeyError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     except Exception as ex:  # internal assertion
         print(f"internal error: {ex}", file=sys.stderr)
         return 2
+    # only verify reports passed, false when a check fails
+    return 0 if result.get("passed", True) else 1
 
 
 if __name__ == "__main__":

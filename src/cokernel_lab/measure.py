@@ -26,8 +26,8 @@ from .algebra import (
 from .modules import (
     ModuleType,
     Partition,
+    _local_aut_order,
     aut_order,
-    enumerate_module_types,
     partitions_of,
     submodule_counts,
 )
@@ -180,17 +180,18 @@ def mu(t: ModuleType) -> MeasureValue:
 
 def rank_distribution(local: LocalRingSpec, m: int) -> MeasureValue:
     """eta(Q) times the sum of 1/|Aut| over module types of F_l-dimension m
-    over the local ring; zero when the residue degree does not divide m."""
+    over the local ring, the partitions of m / residue_degree with parts
+    bounded by e, |Aut| by the run-index product of aut_order; zero when
+    the residue degree does not divide m."""
     if m < 0:
         raise ValueError("rank must be nonnegative")
     Q = local.Q
     if m % local.residue_degree:
         return MeasureValue(Fraction(0), (Q,))
     _refuse_long_rank(m, local.residue_degree)
-    ring = RingSpec((local,))
     total = Fraction(0)
-    for t in enumerate_module_types(ring, m):
-        total += Fraction(1, aut_order(t))
+    for lam in partitions_of(m // local.residue_degree, local.e):
+        total += Fraction(1, _local_aut_order(lam, Q))
     return MeasureValue(total, (Q,))
 
 

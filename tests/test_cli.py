@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import jsonschema
 import pytest
@@ -332,6 +333,19 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
           "--trials", "5"),
          "l = 5 divides q = 5"),
         (("verify", "--suite", "nope"), "invalid choice: 'nope'"),
+        # an unknown --ring key is refused naming it, not ignored
+        (("simulate", "cokernel", "--ring",
+          '{"l": 3, "factors": [{"p": [0, 1], "e": 2}], "x": 1}', "--n", "2",
+          "--trials", "5"),
+         "--ring key 'x' is not one of l, factors"),
+        (("measure", "--ring", '{"l": 3, "factors": [{"p": [0, 1], "e": 2, "q": 1}]}',
+          "--types", "[[1]]"),
+         "--ring factor key 'q' is not one of p, e"),
+        # the required flags of the shared flag groups
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--trials", "5"),
+         "the following arguments are required: --cond"),
+        (("simulate", "cokernel", "--n", "2", "--trials", "5"),
+         "the following arguments are required: --ring"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -583,3 +597,42 @@ def test_verify_reports_byte_identical():
     with redirect_stdout(buf2):
         main(["verify", "--suite", "curves-small", "--seed", "7"])
     assert buf1.getvalue() == buf2.getvalue()
+
+
+MASKED = re.compile(r'"(started|finished|runtime_ms)": ("[^"]*"|\d+)')
+
+
+@pytest.mark.parametrize(
+    "argv, out_prefix, err_prefix",
+    [
+        (("eta", "--Q", "3"),
+         "c2236656dad3c738", "6329fc44685c9685"),
+        (("measure", "--ring", F3_LOCAL, "--types", "[[2, 1]]"),
+         "ed09e97d80eea3cc", "476d787f1af21ed5"),
+        (("moments", "--Q", "3", "--e", "2", "--k", "3"),
+         "8a15f411c3f3a000", "cf6a634872b49c46"),
+        (("rank-dist", "--Q", "9", "--e", "2", "--m", "2"),
+         "94d1fc0d57228a59", "41e6dc484e4378c1"),
+        (("rank-dist", "--l", "3", "--p", "X^2+X+2", "--e", "2", "--m", "2"),
+         "ccf5e0eba5f68ba9", "41e6dc484e4378c1"),
+        # the eta product is below 1/2, so the warning is printed
+        (("density", "--l", "3", "--cond", "X-1:0", "--cond", "X+1:0", "--cond", "X:0"),
+         "430a7d784bcdb426", "e14555e7f1a09ffe"),
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "3", "--trials", "200",
+          "--seed", "5", "--workers", "2"),
+         "7a4f3e70986d01bc", "2f02c696f6da6787"),
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X-1:1",
+          "--trials", "200", "--seed", "4"),
+         "0d4a65611200646e", "cad4dc9f9fe8e354"),
+    ],
+    ids=["eta", "measure", "moments", "rank-dist-Q", "rank-dist-p", "density-warning",
+         "simulate-cokernel", "simulate-curves"],
+)
+def test_reports_pinned(capsys, argv, out_prefix, err_prefix):
+    """Every report but verify's, stdout and stderr, pinned by its sha256;
+    the timestamps and run time of stdout are masked."""
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    out = MASKED.sub(r'"\1": null', captured.out)
+    digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in (out, captured.err)]
+    assert digests == [out_prefix, err_prefix]

@@ -24,7 +24,7 @@ def _is_squarefree(f: Poly) -> bool:
 def _naive_counts(f, q, g):
     """Independent oracle: double loop over F_{q^d} realized as polynomials
     modulo a fixed irreducible, no shared code with the fast path."""
-    from cokernel_lab.algebra import find_irreducible, poly_mod
+    from cokernel_lab.algebra import find_irreducible, poly_divmod
 
     out = []
     for d in range(1, g + 1):
@@ -32,12 +32,12 @@ def _naive_counts(f, q, g):
         elems = [Poly.from_code(q, n) for n in range(q**d)]
         squares = set()
         for x in elems:
-            squares.add(poly_mod(x * x, modulus).coeffs)
+            squares.add(poly_divmod(x * x, modulus)[1].coeffs)
         n_pts = 1
         for x in elems:
             val = Poly(q, ())
             for c in reversed(f):
-                val = poly_mod(val * x + Poly(q, (c,)), modulus)
+                val = poly_divmod(val * x + Poly(q, (c,)), modulus)[1]
             if val.is_zero():
                 n_pts += 1
             elif val.coeffs in squares:
