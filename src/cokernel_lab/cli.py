@@ -80,7 +80,8 @@ def _only_keys(obj: dict, keys: tuple, what: str) -> None:
 
 def parse_ring_json(data) -> RingSpec:
     """A ring from JSON like {"l": 3, "factors": [{"p": [0, 1], "e": 2}]};
-    an unknown key is refused naming it."""
+    an unknown key is refused naming it, and a factor that makes no local
+    ring is refused naming its index."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
@@ -95,14 +96,19 @@ def parse_ring_json(data) -> RingSpec:
         raise ValueError(
             f"--ring factors must be a non-empty list of objects, got {factors!r}"
         )
-    for f in factors:
+    local = []
+    for index, f in enumerate(factors):
         _only_keys(f, ("p", "e"), "--ring factor")
         p, e = f.get("p"), f.get("e")
         if not isinstance(p, list) or not all(type(c) is int for c in p):
             raise ValueError(f"--ring factor p must be a list of integers, got {p!r}")
         if type(e) is not int:
             raise ValueError(f"--ring factor e must be an integer, got {e!r}")
-    return RingSpec(tuple(LocalRingSpec(l, Poly(l, f["p"]), f["e"]) for f in factors))
+        try:
+            local.append(LocalRingSpec(l, Poly(l, p), e))
+        except ValueError as err:
+            raise ValueError(f"--ring factor {index}: {err}") from err
+    return RingSpec(tuple(local))
 
 
 def ring_json(ring: RingSpec) -> dict:

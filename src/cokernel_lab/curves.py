@@ -1,17 +1,23 @@
 """Hyperelliptic curve statistics: point counting over small prime fields,
 integer Frobenius characteristic polynomials, and divisor-multiplicity
-frequencies compared against the exact density predictions."""
+frequencies compared against the exact density predictions.
+
+The harness works on chunks of curves as arrays: point counts by Frobenius
+orbits, P_C by one int64 Newton pass over the chunk, and the multiplicity of
+each condition P in P_C mod l from one product with a memoized Taylor table
+of P; algebra.factor_multiplicity, long division by P, is the tests' oracle
+for that table."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import comb, isqrt, sqrt
 
 import numpy as np
 
-from .algebra import Poly, _gcd, factor_multiplicity, is_prime
+from .algebra import Poly, _gcd, check_degree, is_irreducible, is_prime
 from .chainring import MAX_RING_SIZE, field_products
 from .measure import (
     MeasureValue,
@@ -20,7 +26,7 @@ from .measure import (
     divisor_density_hypothesis,
     prediction_applies_at_q,
 )
-from .montecarlo import _check_workers, worker_streams
+from .montecarlo import _check_workers, joined_draws
 
 __all__ = [
     "CurveSample",
@@ -28,6 +34,7 @@ __all__ = [
     "sample_curve",
     "sample_curves",
     "point_counts",
+    "char_polys_from_counts",
     "char_poly_from_counts",
     "curve_sample_from_f",
     "all_squarefree_monic",
@@ -142,21 +149,71 @@ def point_counts(fs, q: int, g: int) -> np.ndarray:
     return out
 
 
-def char_poly_from_counts(counts, q: int, g: int) -> tuple[int, ...]:
-    """Integer characteristic polynomial of Frobenius from N_1..N_g, via
-    power sums, Newton's identities, and the functional equation; returned
-    low degree first."""
-    p = [0] + [q**i + 1 - counts[i - 1] for i in range(1, g + 1)]
-    e = [1]
+@lru_cache(maxsize=None)
+def _newton_constants(q: int, g: int):
+    """For char_polys_from_counts at (q, g), once the int64 bound admits
+    it: q^0..q^g, the least and the largest N_i the Hasse-Weil bound
+    admits, and (-1)^i for i <= g; read-only, since they are shared."""
+    if g < 1:
+        raise ValueError(f"genus g = {g} must be >= 1")
+    # q >= 2, so q^g >= 2^63 from g = 63 on, and the power is only computed
+    # when it is small
+    if g >= 63 or g * comb(3 * g - 1, g) * q**g >= 2**63:
+        raise ValueError(
+            f"genus g = {g} with q = {q}: Newton's identities reach "
+            "g C(3g-1, g) q^g, not below 2^63, so are not exact in int64"
+        )
+    powers = q ** np.arange(g + 1, dtype=np.int64)
+    reach = np.array([isqrt(4 * g * g * q**i) for i in range(1, g + 1)], dtype=np.int64)
+    signs = np.where(np.arange(g + 1) % 2, -1, 1)
+    out = powers, powers[1:] + 1 - reach, powers[1:] + 1 + reach, signs
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def char_polys_from_counts(counts, q: int, g: int) -> np.ndarray:
+    """Integer characteristic polynomials of Frobenius from the point counts
+    N_1..N_g of each row of the 2-D counts, via the power sums
+    s_i = q^i + 1 - N_i, Newton's identities and the functional equation:
+    an int64 array of shape (rows, 2g+1), low degree first.
+
+    Exact in int64 under the Hasse-Weil bound |s_i| <= 2g q^(i/2), which
+    every curve's counts meet: Newton's identities then give
+    |e_k| <= C(2g+k-1, k) q^(k/2), and no power, product, partial sum or
+    coefficient exceeds g C(3g-1, g) q^g in absolute value.  A (q, g) with
+    that bound at 2^63 or more, or a row past the Hasse-Weil bound, is
+    refused with ValueError; a non-integer e_k, the sign of a count bug,
+    raises ArithmeticError."""
+    powers, least, most, signs = _newton_constants(q, g)
+    counts = np.array(counts, dtype=np.int64, ndmin=2)
+    if counts.ndim != 2 or counts.shape[1] != g:
+        raise ValueError(f"point counts of shape {counts.shape} are not rows of N_1..N_{g}")
+    # compared before any subtraction, so that no count wraps
+    outside = (counts < least) | (counts > most)
+    if outside.any():
+        row = counts[outside.any(axis=1)][0].tolist()
+        raise ValueError(
+            f"point counts {row} at q = {q} break the Hasse-Weil bound "
+            "|q^i + 1 - N_i| <= 2g q^(i/2) under which Newton's identities are exact in int64"
+        )
+    # (-1)^(i-1) s_i for i = 1..g
+    sums = (counts - powers[1:] - 1) * signs[1:]
+    e = np.ones((len(counts), g + 1), dtype=np.int64)
     for k in range(1, g + 1):
-        s = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
-        ek, rem = divmod(s, k)
-        if rem:
+        # k e_k = sum over i = 1..k of (-1)^(i-1) e_(k-i) s_i
+        e[:, k], rem = np.divmod((e[:, k - 1 :: -1] * sums[:, :k]).sum(axis=1), k)
+        if rem.any():
             raise ArithmeticError("non-integer Newton output signals a count bug")
-        e.append(ek)
-    a = [(-1) ** i * e[i] for i in range(g + 1)]
-    full = a + [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
-    return tuple(full[2 * g - j] for j in range(2 * g + 1))
+    # a_i = (-1)^i e_i; P_C = sum over i <= g of a_i X^(2g-i) + q^(g-i) a_i X^i
+    a = e * signs
+    return np.concatenate([a[:, :g] * powers[:0:-1], a[:, ::-1]], axis=1)
+
+
+def char_poly_from_counts(counts, q: int, g: int) -> tuple[int, ...]:
+    """Integer characteristic polynomial of Frobenius from N_1..N_g, low
+    degree first: the one-row case of char_polys_from_counts."""
+    return tuple(char_polys_from_counts([counts], q, g)[0].tolist())
 
 
 def weil_root_error(char_poly: tuple[int, ...], q: int) -> float:
@@ -263,9 +320,14 @@ def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
 def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     """The printed hypotheses, enforced at configuration time with the
     failing condition named: measure's checks on l and the conditions (each
-    P_i monic among them), then q an odd prime coprime to l, and l not
+    P_i monic among them), each P_i of degree at most MAX_POLY_DEGREE and
+    irreducible over F_l, then q an odd prime coprime to l, and l not
     dividing P_i(q)."""
     conds = _validate_measure_conditions(l, conditions)
+    for p, _ in conds:
+        check_degree(f"condition {p}", p.degree)
+        if not is_irreducible(p):
+            raise ValueError(f"condition {p} is reducible over F_{l}")
     _validate_q(q)
     if q % l == 0:
         raise ValueError(f"l = {l} divides q = {q}")
@@ -277,11 +339,54 @@ def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     return conds
 
 
+@lru_cache(maxsize=None)
+def _taylor_table(p: Poly, g: int) -> np.ndarray:
+    """T_P for the coefficient rows of length n = 2g+1 over F_l, l = p.l:
+    an (n, n k) array, k = deg p, whose entry (i, j k + s) is digit s of
+    C(i, j) Y^(i-j) in F_l[Y]/(p).  A row F times T_P, mod l, lists the
+    Taylor coefficients of F(X + Y) at the root Y of p, k digits each
+    (Lidl-Niederreiter, Finite Fields: the Hasse derivatives of F at Y).
+    Integer typed when the products of that matmul fit in int64, Python
+    ints otherwise; read-only, since it is shared."""
+    l, k, n = p.l, p.degree, 2 * g + 1
+    # the digits of Y^t for t < n, each Y^(t-1) times Y, with Y^k read as
+    # Y^k - p
+    powers = [(1,) + (0,) * (k - 1)]
+    for _ in range(n - 1):
+        top, shifted = powers[-1][-1], (0,) + powers[-1][:-1]
+        powers.append(tuple((a - top * c) % l for a, c in zip(shifted, p.coeffs)))
+    table = np.zeros((n, n, k), dtype=np.int64 if n * (l - 1) ** 2 < 2**63 else object)
+    for i in range(n):
+        for j in range(i + 1):
+            table[i, j] = [comb(i, j) * a % l for a in powers[i - j]]
+    table = table.reshape(n, n * k)
+    table.flags.writeable = False
+    return table
+
+
+def _multiplicities(rows: np.ndarray, p: Poly, g: int) -> np.ndarray:
+    """The multiplicity of the irreducible p in each nonzero F over F_l of
+    degree at most 2g, given as its row of 2g+1 coefficients below l, low
+    degree first.
+
+    p is irreducible over a finite field, so separable, and F has its
+    coefficients in F_l: the multiplicity of p is that of X - Y for the
+    root Y of p in F_l[Y]/(p), the index of the first nonzero Taylor
+    coefficient of F(X + Y)."""
+    table = _taylor_table(p, g)
+    taylor = rows.astype(table.dtype, copy=False) @ table % p.l
+    return (taylor.reshape(len(rows), 2 * g + 1, p.degree) != 0).any(axis=2).argmax(axis=1)
+
+
 def _tally(
     l, polys, q, g, trials, seed, workers, exhaustive, on_sample=None
 ) -> Counter:
     """How many curves have each tuple of multiplicities of polys in P_C mod
-    l: the census of squarefree monic f, or the seeded worker streams."""
+    l: the census of squarefree monic f, or the seeded worker streams, whose
+    consecutive pieces are joined as joined_draws joins them.  Each chunk of
+    at most CURVE_CHUNK curves is reduced in array passes: its point counts,
+    one Newton pass to its P_C, and one Taylor table product per condition;
+    on_sample sees the curves in stream order."""
     if g < 1:
         raise ValueError(f"genus g = {g} must be >= 1")
     _check_workers(workers)
@@ -300,29 +405,25 @@ def _tally(
             for start in range(0, len(codes), CURVE_CHUNK)
         )
     else:
-        streams = worker_streams("cokernel-lab-curves", seed, trials, workers)
         chunks = (
-            sample_curves(q, g, rng, min(CURVE_CHUNK, count - start))
-            for rng, count in streams
-            for start in range(0, count, CURVE_CHUNK)
+            batch[0]
+            for batch in joined_draws(
+                "cokernel-lab-curves", seed, trials, workers, CURVE_CHUNK,
+                lambda rng, count: [sample_curves(q, g, rng, count)],
+            )
         )
-    # curves with equal counts N_1..N_g have equal P_C, so each distinct
-    # count vector is reduced once: to P_C and its multiplicities
-    reductions = {}
     tally = Counter()
     for fs in chunks:
-        keys = list(map(tuple, point_counts(fs, q, g).tolist()))
-        for key, number in Counter(keys).items():
-            if key not in reductions:
-                char_poly = char_poly_from_counts(key, q, g)
-                reduced = Poly(l, char_poly)
-                mults = tuple(factor_multiplicity(reduced, p) for p in polys)
-                reductions[key] = char_poly, mults
-            tally[reductions[key][1]] += number
+        char_polys = char_polys_from_counts(point_counts(fs, q, g), q, g)
+        reduced = char_polys % l
+        mults = np.empty((len(fs), len(polys)), dtype=np.int64)
+        for column, p in enumerate(polys):
+            mults[:, column] = _multiplicities(reduced, p, g)
+        keys = list(map(tuple, mults.tolist()))
+        tally.update(keys)
         if on_sample is not None:
-            for f, key in zip(fs.tolist(), keys):
-                char_poly, mults = reductions[key]
-                on_sample(CurveSample(q, g, tuple(f), char_poly), mults)
+            for f, char_poly, key in zip(fs.tolist(), char_polys.tolist(), keys):
+                on_sample(CurveSample(q, g, tuple(f), tuple(char_poly)), key)
     return tally
 
 

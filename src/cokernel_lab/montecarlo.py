@@ -107,34 +107,45 @@ def _exhaustive_batches(ring: RingSpec, n: int):
         yield codes
 
 
-def _random_batches(cfg: SampleConfig):
-    """Haar-random code arrays (B, n, n), one per factor and batch, in
-    worker blocks of index order.  Each stream draws in pieces of at most
-    BATCH matrices; consecutive pieces, across worker blocks too, are
-    joined into one batch until the next would take it past BATCH draws,
-    so a request of few draws per worker is classified in one elimination."""
-    n = cfg.n
+def joined_draws(salt: str, seed: int, trials: int, workers: int, cap: int, draw):
+    """draw(rng, size), a list of arrays of size rows each, on each worker
+    stream of worker_streams in index order, in pieces of at most cap draws.
+    Consecutive pieces, across worker streams too, are joined into one
+    batch until the next would take it past cap draws, so a request of few
+    draws per worker is handled in one pass; every stream draws the pieces
+    it would draw alone."""
     pieces, size = [], 0
-    for rng, count in worker_streams("cokernel-lab", cfg.seed, cfg.trials, cfg.workers):
-        done = 0
-        while done < count:
-            piece = min(BATCH, count - done)
-            if size + piece > BATCH:
+    for rng, count in worker_streams(salt, seed, trials, workers):
+        for done in range(0, count, cap):
+            piece = min(cap, count - done)
+            if size + piece > cap:
                 yield _joined(pieces)
                 pieces, size = [], 0
-            pieces.append([rng.integers(0, f.size, size=(piece, n, n)) for f in cfg.ring.factors])
+            pieces.append(draw(rng, piece))
             size += piece
-            done += piece
     if pieces:
         yield _joined(pieces)
 
 
 def _joined(pieces) -> list:
-    """The code arrays of the pieces, per factor, concatenated in order; a
-    lone piece, a full BATCH among them, is passed on without a copy."""
+    """The arrays of the pieces, position by position, concatenated in
+    order; a lone piece, a full batch among them, is passed on without a
+    copy."""
     if len(pieces) == 1:
         return pieces[0]
-    return [np.concatenate(codes) for codes in zip(*pieces)]
+    return [np.concatenate(arrays) for arrays in zip(*pieces)]
+
+
+def _random_batches(cfg: SampleConfig):
+    """Haar-random code arrays (B, n, n), one per factor and batch, in
+    worker blocks of index order, joined as joined_draws joins them into
+    batches of at most BATCH matrices, so a request of few draws per
+    worker is classified in one elimination."""
+    n, sizes = cfg.n, [f.size for f in cfg.ring.factors]
+    return joined_draws(
+        "cokernel-lab", cfg.seed, cfg.trials, cfg.workers, BATCH,
+        lambda rng, count: [rng.integers(0, size, size=(count, n, n)) for size in sizes],
+    )
 
 
 def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:

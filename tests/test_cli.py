@@ -346,6 +346,18 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
          "the following arguments are required: --cond"),
         (("simulate", "cokernel", "--n", "2", "--trials", "5"),
          "the following arguments are required: --ring"),
+        # a factor that makes no local ring is named by --ring and its index
+        (("measure", "--ring", '{"l":3,"factors":[{"p":[],"e":1}]}', "--types", "[[1]]"),
+         "--ring factor 0: p must be monic"),
+        (("measure", "--ring", '{"l":3,"factors":[{"p":[1],"e":1}]}', "--types", "[[1]]"),
+         "--ring factor 0: irreducibility undefined for constants"),
+        (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":0}]}', "--types", "[[1]]"),
+         "--ring factor 0: exponent must be >= 1"),
+        (("measure", "--ring", '{"l":3,"factors":[{"p":[2,0,1],"e":1}]}', "--types", "[[1]]"),
+         "--ring factor 0: p = Poly(l=3, coeffs=[2, 0, 1]) is reducible over F_3"),
+        (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":1},{"p":[1,1],"e":0}]}',
+          "--types", "[[1], [1]]"),
+         "--ring factor 1: exponent must be >= 1"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -458,14 +470,19 @@ def test_long_condition_named_among_several(capsys):
         (("simulate", "curves", "--l", "3", "--q", "7", "--g", "3", "--cond", "X^2+X+2:0",
           "--trials", "600", "--seed", "4", "--workers", "2"),
          "54a8f350f0675a90"),
+        (("simulate", "curves", "--l", "5", "--q", "7", "--g", "2", "--cond", "X^2+2:0",
+          "--cond", "X-1:1", "--trials", "2000", "--seed", "4", "--workers", "2"),
+         "3c90a350b59ddd80"),
     ],
-    ids=["seeded", "census", "seeded-q-divides-degree"],
+    ids=["seeded", "census", "seeded-q-divides-degree", "seeded-degree-2-condition"],
 )
 def test_curve_csv_bytes_pinned(capsys, tmp_path, argv, prefix):
     """The per-curve CSV of a two-worker seeded (2, 5) run, of the (2, 5)
-    census, and of a two-worker seeded (3, 7) run, where q divides
-    deg f = 7 so that f' drops its leading term on every draw: every curve,
-    P_C and multiplicity in stream order, pinned by its sha256."""
+    census, of a two-worker seeded (3, 7) run, where q divides deg f = 7 so
+    that f' drops its leading term on every draw, and of a two-worker seeded
+    (2, 7) run at l = 5 with a condition of degree 2, where both conditions
+    occur with multiplicities 0, 1 and 2: every curve, P_C and multiplicity
+    in stream order, pinned by its sha256."""
     csv_path = tmp_path / "curves.csv"
     code, _, _ = run_cli(capsys, *argv, "--emit-csv", str(csv_path))
     assert code == 0

@@ -135,8 +135,214 @@ def test_point_count_trace_bound():
 
 
 def test_newton_integrality_guard():
+    """A count vector with a non-integer e_k raises, alone and among the
+    genuine count vectors of a chunk, whose whole pass it fails."""
+    from cokernel_lab.curves import char_polys_from_counts
+
     with pytest.raises(ArithmeticError):
         char_poly_from_counts([7, 8], 5, 2)
+    counts = point_counts(all_squarefree_monic(5, 5)[:3], 5, 2).tolist()
+    char_polys_from_counts(counts, 5, 2)
+    with pytest.raises(ArithmeticError, match="non-integer Newton output"):
+        char_polys_from_counts(counts[:2] + [[7, 8]] + counts[2:], 5, 2)
+
+
+def _python_newton(counts, q, g):
+    """The Python-int oracle for the int64 Newton pass: power sums, Newton's
+    identities with an exact division, and the functional equation, one row
+    at a time; None where some e_k is not an integer."""
+    p = [0] + [q**i + 1 - counts[i - 1] for i in range(1, g + 1)]
+    e = [1]
+    for k in range(1, g + 1):
+        ek, rem = divmod(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)), k)
+        if rem:
+            return None
+        e.append(ek)
+    a = [(-1) ** i * e[i] for i in range(g + 1)]
+    full = a + [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
+    return tuple(full[2 * g - j] for j in range(2 * g + 1))
+
+
+def _weil_counts(q, g, traces):
+    """N_1..N_g of the q-Weil polynomial prod (X^2 - t X + q) over the
+    traces t, |t| <= 2 sqrt(q), and that polynomial low degree first: its
+    2g roots have modulus sqrt(q), so the counts meet the Hasse-Weil bound."""
+    poly = [1]
+    for t in traces:
+        factor = [q, -t, 1]
+        poly = [
+            sum(poly[i] * factor[j - i] for i in range(len(poly)) if 0 <= j - i < 3)
+            for j in range(len(poly) + 2)
+        ]
+    # e_k = (-1)^k times the coefficient of X^(2g-k); power sums by Newton
+    e = [(-1) ** k * poly[2 * g - k] for k in range(g + 1)]
+    sums = [0]
+    for k in range(1, g + 1):
+        sums.append(
+            (-1) ** (k - 1) * k * e[k]
+            + sum((-1) ** (k - 1 + i) * e[k - i] * sums[i] for i in range(1, k))
+        )
+    return [q**i + 1 - sums[i] for i in range(1, g + 1)], tuple(poly)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 28559])
+def test_batched_newton_against_python_newton(q):
+    """char_polys_from_counts equals the Python-int Newton on random counts
+    across the Hasse-Weil range, at the largest g with q^g <= MAX_RING_SIZE:
+    row by row on uniform counts, most of which have a non-integer e_k and
+    raise, and as one chunk on the counts of random q-Weil polynomials,
+    which it returns."""
+    import random
+    from math import isqrt
+
+    from cokernel_lab.chainring import MAX_RING_SIZE
+    from cokernel_lab.curves import char_polys_from_counts
+
+    g = max(g for g in range(1, 20) if q**g <= MAX_RING_SIZE)
+    rng = random.Random(q)
+    for _ in range(60):
+        reach = [isqrt(4 * g * g * q**i) for i in range(1, g + 1)]
+        counts = [q**i + 1 + rng.randint(-r, r) for i, r in enumerate(reach, 1)]
+        want = _python_newton(counts, q, g)
+        if want is None:
+            with pytest.raises(ArithmeticError):
+                char_polys_from_counts([counts], q, g)
+        else:
+            assert tuple(char_polys_from_counts([counts], q, g)[0].tolist()) == want
+    t = isqrt(4 * q)
+    rows, polys = zip(*(_weil_counts(q, g, [rng.randint(-t, t) for _ in range(g)]) for _ in range(200)))
+    got = [tuple(row) for row in char_polys_from_counts(rows, q, g).tolist()]
+    assert got == [_python_newton(row, q, g) for row in rows] == list(polys)
+
+
+def test_newton_refuses_inputs_past_its_int64_bound():
+    """Counts past the Hasse-Weil bound, and a (q, g) whose Newton bound
+    reaches 2^63, are refused by name, never wrapped."""
+    # |6 - 100| > 2 sqrt(5), and at q = 5, g = 2: |26 - 0| > 4 * 5
+    for counts, q, g in (([100], 5, 1), ([6, 0], 5, 2), ([2**62, 0], 5, 2)):
+        with pytest.raises(ValueError, match="Hasse-Weil bound"):
+            char_poly_from_counts(counts, q, g)
+    # g C(3g-1, g) q^g: about 4.9 * 10^19 at (3, 15), 2.4 * 10^18 at
+    # (3, 14), and 2^63 at (2^62, 1)
+    for q, g in ((3, 15), (3, 63), (2**62, 1)):
+        with pytest.raises(ValueError, match="not below 2\\^63"):
+            char_poly_from_counts([q + 1] * g, q, g)
+    assert char_poly_from_counts([3**i + 1 for i in range(1, 15)], 3, 14)[0] == 3**14
+    for counts in ([6], [6, 26, 126]):
+        with pytest.raises(ValueError, match="not rows of N_1..N_2"):
+            char_poly_from_counts(counts, 5, 2)
+
+
+def _monic_irreducibles_by_roots(l, degree):
+    """The monic P of degree 1 or 2 over F_l without a root in F_l past
+    degree 1: the irreducibles of those degrees."""
+    out = []
+    for code in range(l**degree):
+        p = Poly(l, [code // l**i % l for i in range(degree)] + [1])
+        if degree == 1 or all(p(x) for x in range(l)):
+            out.append(p)
+    return out
+
+
+def test_taylor_multiplicities_every_small_polynomial():
+    """The first nonzero Taylor coefficient at a root of P gives the
+    multiplicity of P that long division finds, for every monic F of degree
+    at most 6 over F_3 and every monic irreducible P of degree 1 and 2."""
+    import numpy as np
+
+    from cokernel_lab.algebra import factor_multiplicity
+    from cokernel_lab.curves import _multiplicities
+
+    l, g = 3, 3
+    fs = [
+        [code // l**i % l for i in range(degree)] + [1]
+        for degree in range(2 * g + 1)
+        for code in range(l**degree)
+    ]
+    rows = np.array([f + [0] * (2 * g + 1 - len(f)) for f in fs])
+    irreducibles = _monic_irreducibles_by_roots(l, 1) + _monic_irreducibles_by_roots(l, 2)
+    assert len(fs) == 1093 and len(irreducibles) == 6
+    for p in irreducibles:
+        want = [factor_multiplicity(Poly(l, f), p) for f in fs]
+        assert _multiplicities(rows, p, g).tolist() == want, p
+
+
+@pytest.mark.parametrize("l", [5, 7, 2**31 - 1])
+def test_taylor_multiplicities_of_seeded_powers(l):
+    """F = P^m G of degree 8, G random monic, against long division, for two
+    random irreducible P of each degree 1 to 3 and every m up to 8 / deg P,
+    so that each multiplicity up to that bound occurs.  At l = 2^31 - 1 the
+    table's products pass int64, and it holds Python ints."""
+    import random
+
+    import numpy as np
+
+    from cokernel_lab.algebra import factor_multiplicity, is_irreducible
+    from cokernel_lab.curves import _multiplicities, _taylor_table
+
+    g = 4
+    rng = random.Random(l)
+
+    def monic(degree):
+        return Poly(l, [rng.randrange(l) for _ in range(degree)] + [1])
+
+    for degree in (1, 2, 3):
+        chosen = []
+        while len(chosen) < 2:
+            p = monic(degree)
+            if is_irreducible(p) and p not in chosen:
+                chosen.append(p)
+        for p in chosen:
+            fs = []
+            for m in range(8 // degree + 1):
+                for _ in range(4):
+                    f = monic(8 - m * degree)
+                    for _ in range(m):
+                        f = f * p
+                    fs.append(f)
+            want = [factor_multiplicity(f, p) for f in fs]
+            assert set(want) == set(range(8 // degree + 1))
+            rows = np.array([list(f.coeffs) for f in fs], dtype=np.int64)
+            assert _multiplicities(rows, p, g).tolist() == want, p
+            assert (_taylor_table(p, g).dtype == object) is (l > 2**30)
+
+
+def test_worker_pieces_joined_into_chunks(monkeypatch):
+    """Consecutive pieces of the worker streams are counted and reduced in
+    one chunk until the next would pass CURVE_CHUNK curves, with every
+    curve, P_C and multiplicity of the unjoined run, in stream order."""
+    from cokernel_lab import curves
+
+    l, q, g = 3, 5, 2
+    conds = [(Poly(l, (2, 1)), 1), (Poly(l, (0, 1)), 0)]
+    sizes = []
+    count = curves.point_counts
+
+    def counting(fs, q, g):
+        sizes.append(len(fs))
+        return count(fs, q, g)
+
+    def seen(trials, workers):
+        out = []
+        divisibility_stats(
+            l, conds, q, g, trials, 9, workers,
+            on_sample=lambda s, ms: out.append((s.f, s.char_poly, ms)),
+        )
+        return out
+
+    monkeypatch.setattr(curves, "point_counts", counting)
+    # at 4, every one of the three streams of 4 draws is a chunk of its own
+    monkeypatch.setattr(curves, "CURVE_CHUNK", 4)
+    apart = seen(12, 3)
+    assert sizes == [4, 4, 4]
+    monkeypatch.setattr(curves, "CURVE_CHUNK", 10)
+    sizes.clear()
+    assert seen(12, 3) == apart
+    assert sizes == [8, 4]
+    monkeypatch.setattr(curves, "CURVE_CHUNK", 1024)
+    sizes.clear()
+    assert seen(12, 3) == apart
+    assert sizes == [12]
 
 
 def _one_draw_curve(q, g, rng):
@@ -219,6 +425,18 @@ def test_sample_curve_squarefree_and_monic():
         f = sample_curve(5, 2, rng)
         assert len(f) == 6
         assert f[-1] == 1
+
+
+def test_reducible_condition_refused():
+    """X^2 + X + 1 = (X + 2)^2 over F_3 is refused by both statistics, before
+    any curve is drawn, as divisor_density refuses it."""
+    square = (Poly(3, (1, 1, 1)), 0)
+    with pytest.raises(ValueError, match="is reducible over F_3"):
+        independence_stats(3, square, (Poly(3, (2, 1)), 0), 5, 2, 200, 1)
+    with pytest.raises(ValueError, match="is reducible over F_3"):
+        divisibility_stats(3, [square], 5, 2, 200, 1)
+    with pytest.raises(ValueError, match="MAX_POLY_DEGREE"):
+        validate_conditions(3, 5, [(Poly(3, (2,) + (0,) * 39 + (1,)), 0)])
 
 
 def test_validate_conditions_gate():
