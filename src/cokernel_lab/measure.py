@@ -20,7 +20,9 @@ from .algebra import (
     Poly,
     RingSpec,
     _prime_power,
+    check_degree,
     find_irreducible,
+    is_irreducible,
     is_prime,
 )
 from .modules import (
@@ -247,8 +249,9 @@ def moment_rank(Q: int, e: int, k: int) -> int:
 
 def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
     """The conditions (P_i, m_i) as lists of pairs, once l is an odd prime and
-    each P_i is a monic nonconstant polynomial over F_l, with m_i >= 0 and
-    no P_i repeated; otherwise ValueError, naming the failing condition."""
+    each P_i is a monic irreducible polynomial over F_l of degree 1 to
+    MAX_POLY_DEGREE, with m_i >= 0 and no P_i repeated; otherwise
+    ValueError, naming the failing condition."""
     if l < 3 or not is_prime(l):
         raise ValueError(f"l = {l} must be an odd prime")
     out = []
@@ -262,6 +265,9 @@ def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
             raise ValueError(f"condition {p} is constant; it must have positive degree")
         if not p.is_monic():
             raise ValueError(f"condition {p} must be monic")
+        check_degree(f"condition {p}", p.degree)
+        if not is_irreducible(p):
+            raise ValueError(f"condition {p} is reducible over F_{l}")
         if m < 0:
             raise ValueError(f"multiplicities are nonnegative; condition {p} has {m}")
         if p.coeffs in seen:
@@ -292,8 +298,6 @@ def divisor_density(l: int, conditions, q: int | None = None) -> MeasureValue:
     out = MeasureValue(Fraction(1))
     counted = {}
     for p, m in conds:
-        # built first: it rejects a reducible p before the reciprocal test
-        local = LocalRingSpec(l, p, m + 1)
         partner = None if q is None or p == Poly.x(l) else _reciprocal(p, q)
         if partner is not None and partner.coeffs in counted:
             value = MeasureValue(Fraction(int(counted[partner.coeffs] == m)))
@@ -301,7 +305,7 @@ def divisor_density(l: int, conditions, q: int | None = None) -> MeasureValue:
             value = _self_paired_density(p, m, q)
         else:
             try:
-                value = rank_distribution(local, 2 * m * p.degree)
+                value = rank_distribution(LocalRingSpec(l, p, m + 1), 2 * m * p.degree)
             except ValueError as err:
                 # the length refusal, with the condition that asked for it
                 raise ValueError(f"condition {p} with multiplicity {m}: {err}") from err

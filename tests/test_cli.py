@@ -358,6 +358,12 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":1},{"p":[1,1],"e":0}]}',
           "--types", "[[1], [1]]"),
          "--ring factor 1: exponent must be >= 1"),
+        # measure's one condition check names a reducible condition
+        (("density", "--l", "3", "--cond", "X^2+X+1:0"),
+         "condition Poly(l=3, coeffs=[1, 1, 1]) is reducible over F_3"),
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1",
+          "--cond", "X^2+X+1:0", "--trials", "5"),
+         "condition Poly(l=3, coeffs=[1, 1, 1]) is reducible over F_3"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

@@ -492,6 +492,23 @@ def test_prediction_applies_at_q():
     assert prediction_applies_at_q(3, [(x2[0], 0)], 13)
 
 
+def test_every_condition_path_refuses_a_reducible_condition():
+    """measure's one condition check refuses X^2 + X + 1 = (X + 2)^2 over
+    F_3 and a degree above MAX_POLY_DEGREE, naming the condition, for the
+    density, its hypothesis and the check of its limit at q."""
+    for conds, cause in (
+        ([(Poly(3, (1, 1, 1)), 0)], r"condition Poly\(l=3, coeffs=\[1, 1, 1\]\) is reducible over F_3"),
+        ([(Poly(3, (2,) + (0,) * 39 + (1,)), 0)], "has degree 40, above MAX_POLY_DEGREE"),
+    ):
+        for call in (
+            lambda: divisor_density(3, conds),
+            lambda: divisor_density_hypothesis(3, conds),
+            lambda: prediction_applies_at_q(3, conds, 5),
+        ):
+            with pytest.raises(ValueError, match=cause):
+                call()
+
+
 def test_independence_prediction_factors():
     """The joint mass over a CRT product is the product of the per-factor
     masses, exactly."""
