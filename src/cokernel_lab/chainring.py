@@ -5,18 +5,19 @@ Every local ring F_l[X]/(p^e) is a chain ring with uniformizer p: each
 element has one p-adic expansion sum_{i<e} c_i(X) p^i with deg c_i < deg p.
 This module holds one table of the powers of X written in those p-adic
 digits.  It gives the multiplication tensor of each local ring
-(LocalTables) and, for e = 1, the digits, structure constants and
-Frobenius map of each field F_{l^d} (field_products), which the point
-counting of curves reads.  LocalTables classifies cokernels for every local
-ring by a valuation elimination on the p-adic digits, batched over the
-draws, which moves each draw's pivot to the front, so that the next matrix,
-the pivot row and its column are slices of the array, and reads the pivot
-row's products off one 2-D matmul.  The independent oracles for the closed
-forms in modules run on the same tables: a canonical-form enumeration of
-submodules, whose candidates from every pivot profile are typed by that
-elimination in chunks that may cross from one profile into the next;
-element-level brute-force counters, on which an element is one integer
-code, the base-l number of all its chain digits, so that addition,
+(LocalTables) and, for e = 1, the digits, structure constants and Frobenius
+map of each field F_{l^d} (field_products), which the point counting of
+curves reads, and the powers of Y in F_l[Y]/(P) that the curves' Taylor
+table of a condition P is built from.  LocalTables classifies cokernels for
+every local ring by a valuation elimination on the p-adic digits, batched
+over the draws, which moves each draw's pivot to the front, so that the
+next matrix, the pivot row and its column are slices of the array, and
+reads the pivot row's products off one 2-D matmul.  The independent oracles
+for the closed forms in modules run on the same tables: a canonical-form
+enumeration of submodules, whose candidates from every pivot profile are
+typed by that elimination in chunks that may cross from one profile into
+the next; element-level brute-force counters, on which an element is one
+integer code, the base-l number of all its chain digits, so that addition,
 multiplication by p and the cyclic submodules R g are table lookups and a
 submodule is a frozenset of codes, built as a sum of cyclic submodules; and
 a brute-force |Aut| by determinants over F_l, which walks only the slots
@@ -89,17 +90,20 @@ def _refuse_above_cap(l: int, d: int) -> None:
 
 
 def _x_power_digits(p: Poly, e: int, count: int):
-    """An int64 array whose row k < count holds the p-adic digits of X^k
-    mod p^e: the coefficients of the c_i(X) in X^k = sum_i c_i(X) p^i,
-    deg c_i < d = deg p, as digit i d + j.
+    """An array whose row k < count holds the p-adic digits of X^k mod p^e:
+    the coefficients of the c_i(X) in X^k = sum_i c_i(X) p^i, deg c_i < d =
+    deg p, as digit i d + j.  Its rows are int64 when (l-1)^2 < 2^63, so
+    that each product of two digits fits, and Python ints (dtype object)
+    above that, as for the primes near 2^40 that a condition may have.
 
     Each row is X times the one before: X c_i = a_i p + (X c_i - a_i p),
     a_i the top digit of c_i, so every block moves up one digit, takes a_i
     times p - X^d off, and carries a_i into the constant digit of the next
     block; the carry out of the last block is a multiple of p^e."""
     l, d = p.l, p.degree
-    low = np.array(p.coeffs[:d])
-    rows = np.zeros((count, e, d), dtype=np.int64)
+    dtype = np.int64 if (l - 1) ** 2 < 2**63 else object
+    low = np.array(p.coeffs[:d], dtype=dtype)
+    rows = np.zeros((count, e, d), dtype=dtype)
     rows[0, 0, 0] = 1
     for k in range(1, count):
         top = rows[k - 1, :, -1:]

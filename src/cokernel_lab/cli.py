@@ -78,12 +78,20 @@ def _only_keys(obj: dict, keys: tuple, what: str) -> None:
             raise ValueError(f"{what} key {key!r} is not one of {', '.join(keys)}")
 
 
+def _json_flag(flag: str, text: str):
+    """The JSON value of a flag's text, refused naming the flag if no JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{flag} is not JSON: {err}") from err
+
+
 def parse_ring_json(data) -> RingSpec:
     """A ring from JSON like {"l": 3, "factors": [{"p": [0, 1], "e": 2}]};
-    an unknown key is refused naming it, and a factor that makes no local
-    ring is refused naming its index."""
+    an unknown key is refused naming it, a factor that makes no local ring
+    is refused naming its index, and a repeated factor naming --ring."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = _json_flag("--ring", data)
     if not isinstance(data, dict):
         raise ValueError(f"--ring must be a JSON object, got {data!r}")
     _only_keys(data, ("l", "factors"), "--ring")
@@ -108,7 +116,10 @@ def parse_ring_json(data) -> RingSpec:
             local.append(LocalRingSpec(l, Poly(l, p), e))
         except ValueError as err:
             raise ValueError(f"--ring factor {index}: {err}") from err
-    return RingSpec(tuple(local))
+    try:
+        return RingSpec(tuple(local))
+    except ValueError as err:
+        raise ValueError(f"--ring: {err}") from err
 
 
 def ring_json(ring: RingSpec) -> dict:
@@ -188,7 +199,7 @@ def _cmd_eta(args):
 
 def _cmd_measure(args):
     ring = parse_ring_json(args.ring)
-    types = json.loads(args.types)
+    types = _json_flag("--types", args.types)
     if not isinstance(types, list) or not all(
         isinstance(x, list) and all(type(part) is int for part in x) for x in types
     ):
@@ -328,7 +339,7 @@ def _cmd_simulate_curves(args):
             ),
             "std_error": report.std_error,
         },
-        f"empirical = {report.empirical:.4f}, predicted = {report.predicted_value:.4f} "
+        f"empirical = {report.empirical:.4f}, predicted = {report.predicted.numeric():.4f} "
         f"(se {report.std_error:.4f})",
         {
             "eta_product_gt_half": report.hypothesis_eta_gt_half,

@@ -18,7 +18,7 @@ from math import comb, isqrt, sqrt
 import numpy as np
 
 from .algebra import Poly, _gcd, is_prime
-from .chainring import MAX_RING_SIZE, field_products
+from .chainring import MAX_RING_SIZE, _x_power_digits, field_products
 from .measure import (
     MeasureValue,
     _validate_conditions as _validate_measure_conditions,
@@ -57,27 +57,21 @@ class CurveSample:
     """y^2 = f(x) over F_q with the integer characteristic polynomial of
     Frobenius, stored low degree first (degree 2g, constant term q^g)."""
 
-    q: int
-    g: int
     f: tuple[int, ...]
     char_poly: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class DensityReport:
-    l: int
-    q: int
-    g: int
-    conditions: tuple
+    """A joint divisibility frequency, its exact prediction and hypotheses."""
+
     trials: int
     hits: int
     empirical: float
     predicted: MeasureValue
-    predicted_value: float
     std_error: float
     hypothesis_eta_gt_half: bool
     prediction_applies_at_q: bool
-    exhaustive: bool
 
 
 def _validate_q(q: int) -> None:
@@ -225,8 +219,13 @@ def weil_root_error(char_poly: tuple[int, ...], q: int) -> float:
 
 
 def curve_sample_from_f(f, q: int, g: int) -> CurveSample:
+    """y^2 = f(x) with its P_C; f must be squarefree of degree 2g+1 mod q."""
+    _validate_q(q)
+    f = tuple(f)
+    if g < 1 or len(f) != 2 * g + 2 or f[-1] % q == 0 or not _squarefree(list(f), q):
+        raise ValueError(f"f = {f} is not squarefree of degree 2g+1 over F_{q} at g = {g}")
     counts = point_counts([f], q, g)[0].tolist()
-    return CurveSample(q, g, tuple(f), char_poly_from_counts(counts, q, g))
+    return CurveSample(f, char_poly_from_counts(counts, q, g))
 
 
 def _squarefree(row, q: int) -> bool:
@@ -276,9 +275,10 @@ def _times(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out % q
 
 
-def _squarefree_codes(q: int, degree: int) -> np.ndarray:
-    """The lower base-q digits, as ascending int64 codes, of every
-    squarefree monic f of the given degree over F_q.
+def _census(q: int, degree: int):
+    """The coefficient rows, low degree first, of every squarefree monic f
+    of the given degree over F_q, in ascending order of the code of their
+    lower base-q digits, CURVE_CHUNK rows at a time.
 
     f fails to be squarefree exactly when f = h^2 k with h and k monic and
     deg h = j >= 1, so a sieve marks the lower digits of each such product,
@@ -304,19 +304,15 @@ def _squarefree_codes(q: int, degree: int) -> np.ndarray:
             h = _monic_rows(q, j, codes // split)
             k = _monic_rows(q, degree - 2 * j, codes % split)
             divisible[_times(_times(h, h, q), k, q)[:, :degree] @ place] = True
-    return np.flatnonzero(~divisible)
+    free = np.flatnonzero(~divisible)
+    for start in range(0, len(free), CURVE_CHUNK):
+        yield _monic_rows(q, degree, free[start : start + CURVE_CHUNK])
 
 
 def all_squarefree_monic(q: int, degree: int) -> list[tuple[int, ...]]:
     """Every squarefree monic f of the given degree over F_q, coefficients
-    low degree first, in ascending order of code; rows are built
-    DIGIT_BLOCK digits at a time."""
-    free = _squarefree_codes(q, degree)
-    block = max(1, DIGIT_BLOCK // (degree + 1))
-    out = []
-    for start in range(0, len(free), block):
-        out += map(tuple, _monic_rows(q, degree, free[start : start + block]).tolist())
-    return out
+    low degree first, in ascending order of code."""
+    return [tuple(f) for rows in _census(q, degree) for f in rows.tolist()]
 
 
 def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
@@ -348,20 +344,15 @@ def _taylor_table(p: Poly, g: int) -> np.ndarray:
 
     Memoized, so that a long-lived process asked about the same (p, g)
     again finds the table built; a new (p, g) pays one build, a binomial
-    table times the stacked digits of the powers of Y, a few percent of a
-    request of 2 curves at g = 4."""
+    table times the stacked powers of Y, rows of the X-power table mod p,
+    a few percent of a request of 2 curves at g = 4."""
     l, k, n = p.l, p.degree, 2 * g + 1
-    # the digits of Y^t for t < n, each Y^(t-1) times Y, with Y^k read as
-    # Y^k - p
-    powers = [(1,) + (0,) * (k - 1)]
-    for _ in range(n - 1):
-        top, shifted = powers[-1][-1], (0,) + powers[-1][:-1]
-        powers.append(tuple((a - top * c) % l for a, c in zip(shifted, p.coeffs)))
     dtype = np.int64 if n * (l - 1) ** 2 < 2**63 else object
     # C(i, j) = 0 for j > i, whatever power of Y the clipped offset picks
     binomials = np.array([[comb(i, j) % l for j in range(n)] for i in range(n)], dtype=dtype)
     offsets = np.maximum(np.arange(n)[:, None] - np.arange(n), 0)
-    table = (binomials[:, :, None] * np.array(powers, dtype=dtype)[offsets] % l).reshape(n, n * k)
+    powers = _x_power_digits(p, 1, n).astype(dtype)
+    table = (binomials[:, :, None] * powers[offsets] % l).reshape(n, n * k)
     table.flags.writeable = False
     return table
 
@@ -400,12 +391,7 @@ def _tally(
             f"above MAX_RING_SIZE = {MAX_RING_SIZE} elements"
         )
     if exhaustive:
-        degree = 2 * g + 1
-        codes = _squarefree_codes(q, degree)
-        chunks = (
-            _monic_rows(q, degree, codes[start : start + CURVE_CHUNK])
-            for start in range(0, len(codes), CURVE_CHUNK)
-        )
+        chunks = _census(q, 2 * g + 1)
     else:
         chunks = (
             batch[0]
@@ -425,7 +411,7 @@ def _tally(
         tally.update(keys)
         if on_sample is not None:
             for f, char_poly, key in zip(fs.tolist(), char_polys.tolist(), keys):
-                on_sample(CurveSample(q, g, tuple(f), tuple(char_poly)), key)
+                on_sample(CurveSample(tuple(f), tuple(char_poly)), key)
     return tally
 
 
@@ -452,19 +438,13 @@ def divisibility_stats(
     total = sum(tally.values())
     emp = hits / total
     return DensityReport(
-        l=l,
-        q=q,
-        g=g,
-        conditions=tuple((p.coeffs, m) for p, m in conds),
         trials=total,
         hits=hits,
         empirical=emp,
         predicted=predicted,
-        predicted_value=predicted.numeric(),
         std_error=sqrt(emp * (1 - emp) / total),
         hypothesis_eta_gt_half=divisor_density_hypothesis(l, conds),
         prediction_applies_at_q=prediction_applies_at_q(l, conds, q),
-        exhaustive=exhaustive,
     )
 
 
@@ -485,9 +465,8 @@ def independence_stats(
     conds = validate_conditions(l, q, [cond_a, cond_b])
     (pa, ma), (pb, mb) = conds
     table = [[0, 0], [0, 0]]
-    for (mult_a, mult_b), count in _tally(
-        l, [pa, pb], q, g, trials, seed, workers, exhaustive
-    ).items():
+    tally = _tally(l, [pa, pb], q, g, trials, seed, workers, exhaustive)
+    for (mult_a, mult_b), count in tally.items():
         table[0 if mult_a == ma else 1][0 if mult_b == mb else 1] += count
     total = sum(map(sum, table))
     p11 = table[0][0] / total

@@ -150,7 +150,7 @@ def _suite_curves(seed: int):
     rep = divisibility_stats(3, [(Poly(3, (2, 1)), 1)], 5, 1, 0, seed, exhaustive=True)
     detail = (
         f"{rep.hits}/{rep.trials} curves, empirical {rep.empirical:.3f} "
-        f"vs predicted {rep.predicted_value:.3f}"
+        f"vs predicted {rep.predicted.numeric():.3f}"
     )
     yield "exhaustive-census-q5-g1", [(rep.trials == 100 and rep.hits > 0, detail)], detail
 

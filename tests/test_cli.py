@@ -364,6 +364,15 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1",
           "--cond", "X^2+X+1:0", "--trials", "5"),
          "condition Poly(l=3, coeffs=[1, 1, 1]) is reducible over F_3"),
+        # text that is no JSON, and a repeated factor, are named by their flag
+        (("measure", "--ring", "nope", "--types", "[[1]]"),
+         "--ring is not JSON: Expecting value"),
+        (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":2}]}', "--types", "nope"),
+         "--types is not JSON: Expecting value"),
+        (("simulate", "cokernel", "--ring",
+          '{"l":3,"factors":[{"p":[0,1],"e":2},{"p":[0,1],"e":1}]}', "--n", "2",
+          "--trials", "5"),
+         "--ring: repeated irreducible factor Poly(l=3, coeffs=[0, 1])"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

@@ -108,6 +108,21 @@ def test_char_poly_known_curve():
     assert Poly(3, s.char_poly).coeffs == (2, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ((0, 0, 0, 1), 1),  # the cusp y^2 = x^3
+        ((0, 0, 0, 0, 0, 1), 2),  # x^5 is not squarefree
+        ((1, 1, 0, 1), 2),  # a cubic is no model of genus 2
+    ],
+)
+def test_curve_sample_refuses_a_singular_or_mis_sized_model(f, g):
+    """f must be squarefree of degree 2g+1 mod q; otherwise no Frobenius
+    polynomial is returned, and the refusal names f, q and g."""
+    with pytest.raises(ValueError, match=rf"f = \({', '.join(map(str, f))}\) .* F_5 at g = {g}"):
+        curve_sample_from_f(f, 5, g)
+
+
 def test_char_poly_functional_equation():
     for f in all_squarefree_monic(5, 5)[:60]:
         s = curve_sample_from_f(f, 5, 2)
@@ -267,12 +282,13 @@ def test_taylor_multiplicities_every_small_polynomial():
         assert _multiplicities(rows, p, g).tolist() == want, p
 
 
-@pytest.mark.parametrize("l", [5, 7, 2**31 - 1])
+@pytest.mark.parametrize("l", [5, 7, 2**31 - 1, 2**32 + 15])
 def test_taylor_multiplicities_of_seeded_powers(l):
     """F = P^m G of degree 8, G random monic, against long division, for two
     random irreducible P of each degree 1 to 3 and every m up to 8 / deg P,
     so that each multiplicity up to that bound occurs.  At l = 2^31 - 1 the
-    table's products pass int64, and it holds Python ints."""
+    table's products pass int64, and it holds Python ints; at l = 2^32 + 15
+    the powers of Y it is built from are Python ints too."""
     import random
 
     import numpy as np

@@ -1,5 +1,6 @@
-"""The finite-ring layer against Poly arithmetic: the digits, structure
-constants and Frobenius map of chainring.field_products and the curves'
+"""The finite-ring layer against Poly arithmetic: the rows of the X-power
+table at the edge of their integer type, the digits, structure constants
+and Frobenius map of chainring.field_products and the curves'
 quadratic character built from them, and the multiplication tensor
 LocalTables.times that the cokernel classifier and the submodule oracles
 compute with.  Poly arithmetic shares no code with the X-power digits they
@@ -10,8 +11,14 @@ import random
 import numpy as np
 import pytest
 
-from cokernel_lab.algebra import LocalRingSpec, Poly, find_irreducible, poly_divmod
-from cokernel_lab.chainring import MAX_RING_SIZE, LocalTables, field_products
+from cokernel_lab.algebra import (
+    LocalRingSpec,
+    Poly,
+    find_irreducible,
+    is_irreducible,
+    poly_divmod,
+)
+from cokernel_lab.chainring import MAX_RING_SIZE, LocalTables, _x_power_digits, field_products
 from cokernel_lab.curves import _orbit_tables
 
 
@@ -120,3 +127,27 @@ def test_size_cap():
     assert MAX_RING_SIZE >= 13**4
     with pytest.raises(ValueError, match="above MAX_RING_SIZE"):
         field_products(13, 5)
+
+
+@pytest.mark.parametrize(
+    "l, dtype", [(28559, np.int64), (2**31 - 1, np.int64), (2**32 + 15, object)]
+)
+def test_x_power_rows_exact_at_their_integer_type_edge(l, dtype):
+    """The rows of the X-power table against X^k = X X^(k-1) mod p in Poly
+    arithmetic, for 20 random monic irreducible cubics p with coefficients
+    in [l/2, l), where the products of two digits are largest: int64 rows
+    while (l-1)^2 < 2^63, Python ints past it, as at l = 2^32 + 15."""
+    rng = random.Random(l)
+    x = Poly(l, (0, 1))
+    moduli = []
+    while len(moduli) < 20:
+        p = Poly(l, [rng.randrange(l // 2, l) for _ in range(3)] + [1])
+        if is_irreducible(p):
+            moduli.append(p)
+    for p in moduli:
+        rows = _x_power_digits(p, 1, 12)
+        assert rows.dtype == dtype
+        power = Poly.one(l)
+        for k, row in enumerate(rows.tolist()):
+            assert row == list(power.coeffs) + [0] * (3 - len(power.coeffs)), (p, k)
+            power = poly_divmod(power * x, p)[1]
