@@ -307,7 +307,6 @@ def factor_multiplicity(f: Poly, p: Poly) -> int:
         m += 1
 
 
-@lru_cache(maxsize=None)
 def find_irreducible(l: int, d: int) -> Poly:
     """Smallest monic irreducible of degree d over F_l, by coefficient order.
 

@@ -126,11 +126,11 @@ class LocalTables:
     A code of R, the base-l number of the digits of its residue polynomial,
     is cut into K chunks of c base-l digits, c the largest for which
     l^c <= COORD_TABLE_ROWS (at least 1).  The table chunk_tables[k],
-    of shape (l^c, m) in the smallest integer type that holds them, holds
+    of shape (l^c, m) in the float dtype that the elimination reads, holds
     for every value x of chunk k the chain digits of the code x l^(c k),
-    its base-l digits times to_chain mod l, so the chain digits of
-    a code are the sum of K gathered rows mod l, and a single gather when
-    K = 1, as for every ring of at most 2^13 elements.
+    its base-l digits times to_chain mod l, so the chain digits of a code
+    are the sum of K gathered rows mod l, below K l and so exact, and a
+    single gather, never cast, when K = 1, as on every ring of <= 2^13 elements.
 
     The digits are floats, so that the products run as BLAS matmuls, in
     the one dtype that __init__ derives from the ring.  The largest sums are
@@ -168,15 +168,13 @@ class LocalTables:
         c = 1
         while l ** (c + 1) <= COORD_TABLE_ROWS:
             c += 1
-        # the smallest integer type that holds a sum of two digits
-        dtype = np.min_scalar_type(2 * (l - 1))
         self.chunk_tables = []
         for k in range(0, m, c):
-            table = np.zeros((1, m), dtype)
+            table = np.zeros((1, m), self.dtype)
             for row in self.to_chain[k : k + c]:
                 # table[y l^j + x] = y * row + table[x] mod l, for the next
                 # code digit y
-                multiples = (np.arange(l)[:, None] * row % l).astype(dtype)
+                multiples = (np.arange(l)[:, None] * row % l).astype(self.dtype)
                 table = (multiples[:, None] + table).reshape(-1, m)
                 table[table >= l] -= l
             self.chunk_tables.append(table)
@@ -197,7 +195,7 @@ class LocalTables:
         times faster here than indexing with the code array)."""
         *low, top = self.chunk_tables
         if not low:
-            return top.take(codes, axis=0).astype(self.dtype)
+            return top.take(codes, axis=0)
         out = self.dtype.type(0)
         for table in low:
             codes, chunk = np.divmod(codes, len(table))
@@ -389,6 +387,7 @@ def enumerate_submodules_chain(ring: LocalTables, ambient: tuple) -> dict:
     if k == 0:
         return {(): 1}
     l, d, e, m = ring.l, ring.d, ring.e, ring.m
+    # kept: without it 5 of exact-queries' 8 BFS cases take the general path, op_p90 +35 %
     if all(a == 1 for a in ambient):
         return _vector_space_submodule_counts(l**d, k)
     # per profile: its span size, and its pivot entries and its free entries
@@ -563,7 +562,6 @@ _AUT_CHUNK = 1 << 18
 MAX_AUT_ENDOMORPHISMS = 3**16
 
 
-@lru_cache(maxsize=None)
 def brute_force_aut_order(l: int, lam: tuple) -> int:
     """Count automorphisms of ⊕_j F_l[t]/(t^lam[j]) as the endomorphisms
     whose matrix on an F_l basis has a determinant nonzero mod l.

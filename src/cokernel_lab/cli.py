@@ -207,7 +207,10 @@ def _cmd_measure(args):
             f"--types must be a JSON list with one list of integer parts per "
             f"factor, like [[2, 1]]; got {args.types}"
         )
-    v = mu(ModuleType(ring, tuple(Partition(tuple(x)) for x in types)))
+    try:
+        v = mu(ModuleType(ring, tuple(Partition(tuple(x)) for x in types)))
+    except ValueError as err:
+        raise ValueError(f"--types {args.types}: {err}") from err
     return (
         {"ring": ring_json(ring), "types": types},
         measure_value_json(v, f"mass of --types {args.types}"),
@@ -216,6 +219,10 @@ def _cmd_measure(args):
 
 
 def _cmd_rank_dist(args):
+    if args.e < 1:
+        raise ValueError(f"--e {args.e}: exponent must be >= 1")
+    if args.m < 0:
+        raise ValueError(f"--m {args.m}: rank must be nonnegative")
     if args.p is not None:
         l = 3 if args.l is None else args.l
         local = LocalRingSpec(l, parse_poly_text(args.p, l, args.a, f"--p {args.p!r}"), args.e)
@@ -241,6 +248,8 @@ def _cmd_rank_dist(args):
 
 
 def _cmd_moments(args):
+    if args.k < 0:
+        raise ValueError(f"--k {args.k}: moment order must be nonnegative")
     value = _printable(moment_rank(args.Q, args.e, args.k), f"moment at --k {args.k}")
     return (
         {"Q": args.Q, "e": args.e, "k": args.k},
@@ -361,6 +370,7 @@ def _cmd_verify(args):
     )
 
 
+# kept: rebuilt per call, it made cokernel-large-ring's op_p90 3.4 % worse over 10 pairs
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and shared

@@ -372,7 +372,6 @@ def divisor_density_hypothesis(l: int, conditions) -> bool:
     return prod > 0.5
 
 
-@lru_cache(maxsize=None)
 def local_ring_with_residue_size(Q: int, e: int) -> LocalRingSpec:
     """A local ring F_l[X]/(p^e) whose residue field has exactly Q elements."""
     l, d = _prime_power(Q)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -94,12 +93,6 @@ class ModuleType:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def dim_fl(self) -> int:
-        return sum(
-            f.residue_degree * t.size for t, f in zip(self.local_types, self.ring.factors)
-        )
 
     @property
     def size(self) -> int:
@@ -240,7 +233,6 @@ def _subpartitions(lam: tuple[int, ...]):
     yield ()
 
 
-@lru_cache(maxsize=None)
 def submodule_counts(Q: int, lam: tuple[int, ...]) -> tuple:
     """Submodules of each type nu in a module of type lam over a chain ring
     with residue field F_Q, as sorted (nu, count) pairs.

@@ -67,7 +67,7 @@ class SampleConfig:
 class EmpiricalDist:
     counts: dict
     total: int
-    config: SampleConfig = field(repr=False, default=None)
+    config: SampleConfig = field(repr=False)
 
 
 def _check_workers(workers: int) -> None:

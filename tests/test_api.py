@@ -1,7 +1,7 @@
 """Each module's __all__ lists only names the module itself defines, so no
 module re-exports another's name, and a star import of each module works.
 The package's __init__ gathers names from the modules by design and is not
-one of them."""
+one of them.  The package memoizes only the functions that requests reuse."""
 
 import ast
 import importlib
@@ -34,3 +34,30 @@ def test_all_names_are_defined_in_their_module(name):
     namespace = {}
     exec(f"from cokernel_lab.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+# each is hit again within one request or across the requests of one
+# process; a function whose value each request computes once is not memoized
+MEMOIZED = {
+    "algebra.is_irreducible",
+    "chainring.local_tables_for",
+    "cli.build_parser",
+    "curves._newton_constants",
+    "curves._orbit_tables",
+    "curves._taylor_table",
+    "measure.eta",
+    "montecarlo._theory_truncation",
+}
+
+
+def test_memoized_functions_are_the_reused_ones():
+    """Every distinct function with cache_clear in the package's modules,
+    once under each alias, is one of the memos that requests reuse."""
+    memos = set()
+    for name in MODULES:
+        for value in vars(importlib.import_module(f"cokernel_lab.{name}")).values():
+            if callable(getattr(value, "cache_clear", None)):
+                memos.add(value)
+    found = {f"{fn.__module__.removeprefix('cokernel_lab.')}.{fn.__qualname__}" for fn in memos}
+    assert found == MEMOIZED
+    assert len(memos) == len(MEMOIZED)

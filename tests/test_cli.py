@@ -373,6 +373,19 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
           '{"l":3,"factors":[{"p":[0,1],"e":2},{"p":[0,1],"e":1}]}', "--n", "2",
           "--trials", "5"),
          "--ring: repeated irreducible factor Poly(l=3, coeffs=[0, 1])"),
+        # a refused type, exponent, rank or moment order names its flag
+        (("measure", "--ring", F3_LOCAL, "--types", "[[1,2]]"),
+         "--types [[1,2]]: parts must be weakly decreasing"),
+        (("measure", "--ring", F3_LOCAL, "--types", "[[0]]"),
+         "--types [[0]]: parts must be positive"),
+        (("measure", "--ring", F3_LOCAL, "--types", "[[3]]"),
+         "--types [[3]]: part 3 exceeds the factor exponent 2"),
+        (("measure", "--ring", F3_LOCAL, "--types", "[]"),
+         "--types []: one partition per local factor required"),
+        (("rank-dist", "--Q", "9", "--e", "0", "--m", "2"), "--e 0: exponent must be >= 1"),
+        (("rank-dist", "--Q", "9", "--e", "1", "--m", "-2"), "--m -2: rank must be nonnegative"),
+        (("moments", "--Q", "3", "--e", "1", "--k", "-1"),
+         "--k -1: moment order must be nonnegative"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

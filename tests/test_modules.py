@@ -76,7 +76,6 @@ def test_module_type_rejects_oversized_parts():
 
 def test_module_type_dims():
     t = _mt(3, 2, 2, (2, 1))
-    assert t.dim_fl == 6
     assert t.size == 9 ** 3
 
 
@@ -822,6 +821,7 @@ def test_coordinates_match_digit_split(l, p, e, chunks, dtype):
     spec = LocalRingSpec(l, Poly(l, p), e)
     tables = LocalTables(spec)
     assert len(tables.chunk_tables) == chunks
+    assert all(table.dtype == tables.dtype for table in tables.chunk_tables)
     rng = np.random.default_rng(5)
     # random codes and the top of the range, just under LOCAL_RING_CAP for
     # the rings of 3^39 elements
