@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 
 from . import __version__
-from .algebra import LocalRingSpec, Poly, RingSpec, check_degree
+from .algebra import LocalRingSpec, Poly, RingSpec, _prime_power, check_degree
 from .measure import (
     MeasureValue,
     divisor_density,
@@ -188,7 +188,17 @@ def _csv_rows(path, header: list):
         raise ValueError(f"cannot write --emit-csv {path}: {ex.strerror}") from ex
 
 
+def _check_prime_power(Q: int) -> None:
+    """Refuse a --Q that is not a prime power, naming the flag."""
+    try:
+        _prime_power(Q)
+    except ValueError as err:
+        raise ValueError(f"--Q {Q}: {err}") from err
+
+
 def _cmd_eta(args):
+    if args.Q < 2:
+        raise ValueError(f"--Q {args.Q}: field size must be at least 2")
     ev = eta(args.Q, args.tol)
     return (
         {"Q": args.Q, "tol": args.tol},
@@ -229,6 +239,7 @@ def _cmd_rank_dist(args):
     else:
         if args.a is not None:
             raise ValueError("--a names a root in --p and is not allowed with --Q")
+        _check_prime_power(args.Q)
         local = local_ring_with_residue_size(args.Q, args.e)
         if args.l is not None and args.l != local.l:
             raise ValueError(
@@ -248,8 +259,11 @@ def _cmd_rank_dist(args):
 
 
 def _cmd_moments(args):
+    if args.e < 1:
+        raise ValueError(f"--e {args.e}: exponent e = {args.e} must be >= 1")
     if args.k < 0:
         raise ValueError(f"--k {args.k}: moment order must be nonnegative")
+    _check_prime_power(args.Q)
     value = _printable(moment_rank(args.Q, args.e, args.k), f"moment at --k {args.k}")
     return (
         {"Q": args.Q, "e": args.e, "k": args.k},

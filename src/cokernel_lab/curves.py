@@ -2,23 +2,26 @@
 integer Frobenius characteristic polynomials, and divisor-multiplicity
 frequencies compared against the exact density predictions.
 
-The harness works on chunks of curves as arrays: point counts by Frobenius
-orbits, P_C by one int64 Newton pass over the chunk, and the multiplicity of
-each condition P in P_C mod l from one product with a Taylor table of P;
+The harness works on chunks of curves as arrays: one float pass over the
+Frobenius orbit representatives gives the point counts of a round of drawn
+f and whether each is squarefree (f and f' share no zero there), P_C by
+one int64 Newton pass over the chunk, and the multiplicity of each
+condition P in P_C mod l from one product with a Taylor table of P;
 algebra.factor_multiplicity, long division by P, is the tests' oracle for
-that table."""
+that table, and poly_gcd for the squarefree test."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, isqrt, sqrt
 
 import numpy as np
 
-from .algebra import Poly, _gcd, is_prime
-from .chainring import MAX_RING_SIZE, _x_power_digits, field_products
+from .algebra import Poly, is_prime
+from .chainring import MAX_RING_SIZE, _reduce, _x_power_digits, field_products
 from .measure import (
     MeasureValue,
     _validate_conditions as _validate_measure_conditions,
@@ -26,7 +29,7 @@ from .measure import (
     divisor_density_hypothesis,
     prediction_applies_at_q,
 )
-from .montecarlo import _check_workers, joined_draws
+from .montecarlo import _check_workers, joined_pieces
 
 __all__ = [
     "CurveSample",
@@ -83,10 +86,18 @@ def _validate_q(q: int) -> None:
 def _orbit_tables(q: int, d: int, degree: int):
     """F_{q^d}, as chainring.field_products gives it, cut into the orbits of
     Frobenius x -> x^q, each represented by its least code: the digits of
-    x^k at the representatives for k <= degree, one row per k, in an
-    integer type wide enough for their products with the coefficients; the
-    orbit sizes; and the quadratic character by code (1 on nonzero squares,
-    -1 on the other nonzero elements, 0 on zero)."""
+    x^k at the representatives for k <= degree, one row per k, digit-major
+    (every representative's digit 0, then every digit 1, ...); the orbit
+    sizes; and the quadratic character by code (1 on nonzero squares, -1 on
+    the other nonzero elements, 0 on zero).
+
+    The powers are floats, for chainring._reduce: a value of a polynomial
+    of this degree with coefficients below q is a sum of degree + 1
+    products of two digits below q, so below (degree + 1)(q - 1)^2.  They
+    are float32 when that is below the 2^20 that _reduce needs in float32,
+    and float64 otherwise; at degree 2g + 1 with q^g <= MAX_RING_SIZE, the
+    largest bound, 4 * 28558^2 at g = 1, q = 28559, is below the 2^49 that
+    _reduce needs in float64."""
     digits, structure, frobenius = field_products(q, d)
     place = q ** np.arange(d)
     least = step = np.arange(q**d)
@@ -104,43 +115,71 @@ def _orbit_tables(q: int, d: int, degree: int):
     square_orbit[least[times(digits[reps], digits[reps]) @ place]] = True
     chi = np.where(square_orbit[least], 1, -1)
     chi[0] = 0
+    dtype = np.float32 if (degree + 1) * (q - 1) ** 2 < 2**20 else np.float64
+    powers = np.empty((degree + 1, d, len(reps)), dtype=dtype)
     # code 1 is the element 1
-    powers = [np.tile(digits[1], (len(reps), 1))]
-    for _ in range(degree):
-        powers.append(times(powers[-1], digits[reps]))
-    # each value of f is a sum of at most degree + 1 products of two digits
-    # below q
-    width = np.int32 if (degree + 1) * (q - 1) ** 2 < 2**31 else np.int64
-    return np.stack(powers).reshape(degree + 1, -1).astype(width), sizes, chi
+    power = np.tile(digits[1], (len(reps), 1))
+    powers[0] = power.T
+    for k in range(1, degree + 1):
+        power = times(power, digits[reps])
+        powers[k] = power.T
+    return powers.reshape(degree + 1, -1), sizes, chi
+
+
+def _counts_and_squarefree(coeffs: np.ndarray, q: int, g: int, test_squarefree: bool = True):
+    """For each row of the int64 array coeffs, the coefficients below q, low
+    degree first, of an f of degree n: the projective point counts N_1..N_g
+    of y^2 = f(x), with a single point at infinity for the odd-degree
+    model, an int64 array of shape (rows, g); and, unless test_squarefree
+    is false (then None), whether f has no repeated irreducible factor of
+    degree at most g, which for n <= 2g + 1 is whether f is squarefree.
+
+    f has its coefficients in F_q, so f(x^q) = f(x)^q and chi(f(x)) is
+    constant on each Frobenius orbit: each field sums chi(f(x)) over the
+    orbit representatives, weighted by the orbit sizes, for a block of rows
+    at once.  An irreducible h with h^2 | f has a root in F_{q^deg h} at
+    which f and f' vanish, and a common root of f and f' has a minimal
+    polynomial dividing f twice (Lidl-Niederreiter, Finite Fields, Ch. 1),
+    so f' is evaluated only at the representatives where f vanishes."""
+    n = coeffs.shape[1] - 1
+    counts = np.empty((len(coeffs), g), dtype=np.int64)
+    free = np.ones(len(coeffs), dtype=bool)
+    slopes = coeffs[:, 1:] * np.arange(1, n + 1) % q
+    for d in range(1, g + 1):
+        powers, sizes, chi = _orbit_tables(q, d, n)
+        block = max(1, DIGIT_BLOCK // powers.shape[1])
+        for start in range(0, len(coeffs), block):
+            # einsum's own loop: a float matmul goes to BLAS, whose threads
+            # stall on a loaded machine
+            rows = coeffs[start : start + block].astype(powers.dtype)
+            values = _reduce(np.einsum("bk,kn->bn", rows, powers), q)
+            values = values.reshape(len(rows), d, -1)
+            codes = values[:, -1].copy()
+            for j in range(d - 2, -1, -1):
+                codes *= q
+                codes += values[:, j]
+            codes = codes.astype(np.intp)
+            counts[start : start + block, d - 1] = chi[codes] @ sizes
+            if test_squarefree and len(zeros := np.flatnonzero(codes == 0)):
+                # f' = sum of k c_k x^(k-1) at each representative where f
+                # vanishes, from the rows x^0..x^(n-1) of the table
+                row, rep = np.divmod(zeros, len(sizes))
+                at = powers[:-1].reshape(n, d, -1)[:, :, rep]
+                slope = slopes[start + row].astype(powers.dtype)
+                shared = ~_reduce(np.einsum("pk,kdp->pd", slope, at), q).any(axis=1)
+                free[start + row[shared]] = False
+        counts[:, d - 1] += 1 + q**d
+    return counts, free if test_squarefree else None
 
 
 def point_counts(fs, q: int, g: int) -> np.ndarray:
     """Projective point counts of y^2 = f(x) over F_{q^i}, i = 1..g, with a
     single point at infinity for the odd-degree model, for every f of the
     sequence fs (coefficients low degree first, all of one length): an
-    int64 array of shape (len(fs), g).
-
-    f has its coefficients in F_q, so f(x^q) = f(x)^q and chi(f(x)) is
-    constant on each Frobenius orbit: each field sums chi(f(x)) over the
-    orbit representatives, weighted by the orbit sizes, for a block of
-    curves at once."""
+    int64 array of shape (len(fs), g), counted by Frobenius orbits."""
     _validate_q(q)
     coeffs = np.array(fs, dtype=np.int64) % q
-    out = np.empty((len(coeffs), g), dtype=np.int64)
-    for d in range(1, g + 1):
-        powers, sizes, chi = _orbit_tables(q, d, coeffs.shape[1] - 1)
-        place = q ** np.arange(d)
-        block = max(1, DIGIT_BLOCK // powers.shape[1])
-        for start in range(0, len(coeffs), block):
-            # einsum's integer loop: integer matmul is several times slower,
-            # and a float matmul goes to BLAS, whose threads stall on a
-            # loaded machine
-            block_coeffs = coeffs[start : start + block].astype(powers.dtype)
-            values = np.einsum("bk,kn->bn", block_coeffs, powers)
-            codes = (values % q).reshape(len(values), -1, d) @ place
-            out[start : start + block, d - 1] = chi[codes] @ sizes
-        out[:, d - 1] += 1 + q**d
-    return out
+    return _counts_and_squarefree(coeffs, q, g, test_squarefree=False)[0]
 
 
 @lru_cache(maxsize=None)
@@ -222,36 +261,64 @@ def curve_sample_from_f(f, q: int, g: int) -> CurveSample:
     """y^2 = f(x) with its P_C; f must be squarefree of degree 2g+1 mod q."""
     _validate_q(q)
     f = tuple(f)
-    if g < 1 or len(f) != 2 * g + 2 or f[-1] % q == 0 or not _squarefree(list(f), q):
-        raise ValueError(f"f = {f} is not squarefree of degree 2g+1 over F_{q} at g = {g}")
-    counts = point_counts([f], q, g)[0].tolist()
-    return CurveSample(f, char_poly_from_counts(counts, q, g))
+    if g >= 1 and len(f) == 2 * g + 2 and f[-1] % q:
+        counts, free = _counts_and_squarefree(np.array([f], dtype=np.int64) % q, q, g)
+        if free[0]:
+            return CurveSample(f, char_poly_from_counts(counts[0], q, g))
+    raise ValueError(f"f = {f} is not squarefree of degree 2g+1 over F_{q} at g = {g}")
 
 
-def _squarefree(row, q: int) -> bool:
-    """Whether gcd(f, f') = 1 over F_q for the f whose coefficients, low
-    degree first, are the list row."""
-    return len(_gcd(row, [i * c for i, c in enumerate(row)][1:], q)) == 1
+def _draw_curves(q: int, g: int, pieces):
+    """The curves of every piece (rng, count) of the nonempty list pieces:
+    count uniform monic squarefree f of degree 2g+1 drawn on rng by
+    rejection, each kept or rejected, in order, as one draw of 2g+1
+    coefficients at a time would keep it, and rng left where that route
+    leaves it.  Two int64 arrays, the pieces' curves in order: their
+    coefficients, low degree first, of shape (rows, 2g+2), and their point
+    counts N_1..N_g.
+
+    Each round draws, for every piece short of its count by want, want +
+    want // (q - 1) rows, about as many as hold want squarefree ones, and
+    tests the rows of all pieces in one pass of _counts_and_squarefree.  A
+    piece that finds all it wants before its last row rewinds its generator
+    and draws again only the rows up to its last kept one: numpy draws a
+    (k, n) block as k draws of n."""
+    n = 2 * g + 1
+    ends = list(accumulate(count for _, count in pieces))
+    filled = [end - count for end, (_, count) in zip(ends, pieces)]
+    fs = np.ones((ends[-1], n + 1), dtype=np.int64)
+    ns = np.empty((ends[-1], g), dtype=np.int64)
+    while short := [i for i, end in enumerate(ends) if filled[i] < end]:
+        states, blocks = [], []
+        for i in short:
+            rng, want = pieces[i][0], ends[i] - filled[i]
+            states.append(rng.bit_generator.state)
+            blocks.append(rng.integers(0, q, (want + want // (q - 1), n)))
+        rows = np.ones((sum(map(len, blocks)), n + 1), dtype=np.int64)
+        rows[:, :-1] = np.concatenate(blocks)
+        counts, free = _counts_and_squarefree(rows, q, g)
+        start = 0
+        for i, state, block in zip(short, states, blocks):
+            stop = start + len(block)
+            kept = start + np.flatnonzero(free[start:stop])[: ends[i] - filled[i]]
+            if filled[i] + len(kept) == ends[i] and kept[-1] + 1 < stop:
+                rng = pieces[i][0]
+                rng.bit_generator.state = state
+                rng.integers(0, q, (kept[-1] + 1 - start, n))
+            fs[filled[i] : filled[i] + len(kept)] = rows[kept]
+            ns[filled[i] : filled[i] + len(kept)] = counts[kept]
+            filled[i] += len(kept)
+            start = stop
+    return fs, ns
 
 
 def sample_curves(q: int, g: int, rng, count: int) -> np.ndarray:
     """count uniform monic squarefree f of degree 2g+1 by rejection on
-    gcd(f, f'), Euclid on lists through algebra's one long division: an
-    int64 array of shape (count, 2g+2), coefficients low degree first,
-    holding the curves of count calls of sample_curve.
-
-    Each block draws one row per curve still missing, so every row drawn is
-    tested, in order, as the one-draw route tests it, and rng ends where
-    that route leaves it: numpy draws a (k, n) block as k draws of n."""
+    gcd(f, f') = 1, as _draw_curves draws them: an int64 array of shape
+    (count, 2g+2), coefficients low degree first, holding the curves of
+    count calls of sample_curve, with rng left where those calls leave it."""
     _validate_q(q)
-    rows = np.ones((count, 2 * g + 2), dtype=np.int64)
-    kept = 0
-    while kept < count:
-        block = rng.integers(0, q, (count - kept, 2 * g + 1))
-        block = block[[_squarefree(row + [1], q) for row in block.tolist()]]
-        rows[kept : kept + len(block), :-1] = block
-        kept += len(block)
-    return rows
+    return _draw_curves(q, g, [(rng, count)])[0]
 
 
 def sample_curve(q: int, g: int, rng) -> tuple[int, ...]:
@@ -376,8 +443,9 @@ def _tally(
 ) -> Counter:
     """How many curves have each tuple of multiplicities of polys in P_C mod
     l: the census of squarefree monic f, or the seeded worker streams, whose
-    consecutive pieces are joined as joined_draws joins them.  Each chunk of
-    at most CURVE_CHUNK curves is reduced in array passes: its point counts,
+    consecutive pieces are grouped as joined_pieces groups them.  Each chunk
+    of at most CURVE_CHUNK curves is reduced in array passes: its point
+    counts (for a seeded chunk, those of the passes that tested its draws),
     one Newton pass to its P_C, and one Taylor table product per condition;
     on_sample sees the curves in stream order."""
     if g < 1:
@@ -391,18 +459,15 @@ def _tally(
             f"above MAX_RING_SIZE = {MAX_RING_SIZE} elements"
         )
     if exhaustive:
-        chunks = _census(q, 2 * g + 1)
+        chunks = ((fs, point_counts(fs, q, g)) for fs in _census(q, 2 * g + 1))
     else:
         chunks = (
-            batch[0]
-            for batch in joined_draws(
-                "cokernel-lab-curves", seed, trials, workers, CURVE_CHUNK,
-                lambda rng, count: [sample_curves(q, g, rng, count)],
-            )
+            _draw_curves(q, g, pieces)
+            for pieces in joined_pieces("cokernel-lab-curves", seed, trials, workers, CURVE_CHUNK)
         )
     tally = Counter()
-    for fs in chunks:
-        char_polys = char_polys_from_counts(point_counts(fs, q, g), q, g)
+    for fs, counts in chunks:
+        char_polys = char_polys_from_counts(counts, q, g)
         reduced = char_polys % l
         mults = np.empty((len(fs), len(polys)), dtype=np.int64)
         for column, p in enumerate(polys):

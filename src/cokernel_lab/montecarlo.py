@@ -107,45 +107,42 @@ def _exhaustive_batches(ring: RingSpec, n: int):
         yield codes
 
 
-def joined_draws(salt: str, seed: int, trials: int, workers: int, cap: int, draw):
-    """draw(rng, size), a list of arrays of size rows each, on each worker
-    stream of worker_streams in index order, in pieces of at most cap draws.
-    Consecutive pieces, across worker streams too, are joined into one
-    batch until the next would take it past cap draws, so a request of few
-    draws per worker is handled in one pass; every stream draws the pieces
-    it would draw alone."""
+def joined_pieces(salt: str, seed: int, trials: int, workers: int, cap: int):
+    """The worker streams of worker_streams, in index order, cut into pieces
+    (rng, count) of at most cap draws, and the consecutive pieces, across
+    worker streams too, grouped into one list until the next would take it
+    past cap draws, so a request of few draws per worker is handled in one
+    pass.  Each stream's pieces come in its order, so a caller that draws
+    each piece on its generator draws what the stream would draw alone."""
     pieces, size = [], 0
     for rng, count in worker_streams(salt, seed, trials, workers):
         for done in range(0, count, cap):
             piece = min(cap, count - done)
             if size + piece > cap:
-                yield _joined(pieces)
+                yield pieces
                 pieces, size = [], 0
-            pieces.append(draw(rng, piece))
+            pieces.append((rng, piece))
             size += piece
     if pieces:
-        yield _joined(pieces)
-
-
-def _joined(pieces) -> list:
-    """The arrays of the pieces, position by position, concatenated in
-    order; a lone piece, a full batch among them, is passed on without a
-    copy."""
-    if len(pieces) == 1:
-        return pieces[0]
-    return [np.concatenate(arrays) for arrays in zip(*pieces)]
+        yield pieces
 
 
 def _random_batches(cfg: SampleConfig):
     """Haar-random code arrays (B, n, n), one per factor and batch, in
-    worker blocks of index order, joined as joined_draws joins them into
+    worker blocks of index order, the pieces of joined_pieces joined into
     batches of at most BATCH matrices, so a request of few draws per
-    worker is classified in one elimination."""
+    worker is classified in one elimination; a lone piece, a full batch
+    among them, is passed on without a copy."""
     n, sizes = cfg.n, [f.size for f in cfg.ring.factors]
-    return joined_draws(
-        "cokernel-lab", cfg.seed, cfg.trials, cfg.workers, BATCH,
-        lambda rng, count: [rng.integers(0, size, size=(count, n, n)) for size in sizes],
-    )
+    for pieces in joined_pieces("cokernel-lab", cfg.seed, cfg.trials, cfg.workers, BATCH):
+        draws = [
+            [rng.integers(0, size, size=(count, n, n)) for size in sizes]
+            for rng, count in pieces
+        ]
+        if len(draws) == 1:
+            yield draws[0]
+        else:
+            yield [np.concatenate(arrays) for arrays in zip(*draws)]
 
 
 def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:

@@ -386,6 +386,11 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("rank-dist", "--Q", "9", "--e", "1", "--m", "-2"), "--m -2: rank must be nonnegative"),
         (("moments", "--Q", "3", "--e", "1", "--k", "-1"),
          "--k -1: moment order must be nonnegative"),
+        (("moments", "--Q", "3", "--e", "0", "--k", "1"), "--e 0: exponent e = 0 must be >= 1"),
+        # a field size that is no prime power, or below 2, names --Q
+        (("rank-dist", "--Q", "6", "--e", "1", "--m", "2"), "--Q 6: Q = 6 is not a prime power"),
+        (("moments", "--Q", "6", "--e", "1", "--k", "1"), "--Q 6: Q = 6 is not a prime power"),
+        (("eta", "--Q", "1"), "--Q 1: field size must be at least 2"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
@@ -418,7 +423,8 @@ def test_unwritable_emit_csv_refused_before_any_draw(capsys, monkeypatch, tmp_pa
 
     calls = []
     monkeypatch.setattr(cli, "sample_cokernels", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "_draw_curves", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "_counts_and_squarefree", lambda *a, **k: calls.append(a))
     for argv in (
         ("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2", "--trials", "5"),
         CURVES + ("--trials", "5"),
@@ -436,8 +442,8 @@ def test_genus_refused_before_any_draw(capsys, monkeypatch):
     from cokernel_lab import curves
 
     calls = []
-    monkeypatch.setattr(curves, "sample_curves", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "_draw_curves", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "_counts_and_squarefree", lambda *a, **k: calls.append(a))
     for q, g in ((13, 5), (3, 100000)):
         code, doc, err = run_cli(
             capsys, "simulate", "curves", "--l", "5", "--q", str(q), "--g", str(g),
@@ -457,8 +463,8 @@ def test_long_condition_refused_before_any_draw(capsys, monkeypatch):
     from cokernel_lab import curves
 
     calls = []
-    monkeypatch.setattr(curves, "sample_curves", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(curves, "point_counts", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "_draw_curves", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(curves, "_counts_and_squarefree", lambda *a, **k: calls.append(a))
     code, doc, err = run_cli(
         capsys, "simulate", "curves", "--l", "3", "--q", "13", "--g", "4",
         "--cond", "X^2+X+2:700", "--trials", "20000",

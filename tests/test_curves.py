@@ -21,6 +21,18 @@ def _is_squarefree(f: Poly) -> bool:
     return poly_gcd(f, deriv).degree == 0
 
 
+def _squarefree_mask(fs, q):
+    """The orbit kernel's mask on monic fs of one degree n, coefficients low
+    degree first: no repeated irreducible factor of degree <= n // 2, which
+    is squarefreeness."""
+    import numpy as np
+
+    from cokernel_lab.curves import _counts_and_squarefree
+
+    rows = np.array(fs, dtype=np.int64).reshape(len(fs), -1)
+    return _counts_and_squarefree(rows, q, (rows.shape[1] - 1) // 2)[1].tolist()
+
+
 def _naive_counts(f, q, g):
     """Independent oracle: double loop over F_{q^d} realized as polynomials
     modulo a fixed irreducible, no shared code with the fast path."""
@@ -74,6 +86,48 @@ def test_batched_point_counts_across_digit_blocks(monkeypatch):
     monkeypatch.setattr(curves, "DIGIT_BLOCK", 256)
     rng = np.random.default_rng(4)
     fs = [sample_curve(q, g, rng) for _ in range(12)]
+    assert point_counts(fs, q, g).tolist() == [_naive_counts(f, q, g) for f in fs]
+
+
+def test_drawn_curves_carry_their_point_counts(monkeypatch):
+    """The counts that _draw_curves returns with its curves, from the passes
+    that tested the draws, are those of point_counts and of the naive
+    oracle, also with the digit block shrunk so that a pass spans blocks."""
+    from cokernel_lab import curves
+    from cokernel_lab.montecarlo import worker_streams
+
+    for digit_block in (curves.DIGIT_BLOCK, 64):
+        monkeypatch.setattr(curves, "DIGIT_BLOCK", digit_block)
+        for g, q in ((1, 3), (2, 5), (3, 7)):
+            fs, counts = curves._draw_curves(q, g, list(worker_streams("t", g, 40, 3)))
+            assert counts.tolist() == point_counts(fs, q, g).tolist()
+            assert counts[:4].tolist() == [_naive_counts(f, q, g) for f in fs[:4].tolist()]
+
+
+def test_orbit_table_dtype_switches_at_two_to_the_twenty():
+    """The powers are float32 exactly when (degree + 1)(q - 1)^2 < 2^20:
+    at q = 257, 15 * 256^2 is below it and 16 * 256^2 is 2^20."""
+    import numpy as np
+
+    from cokernel_lab.curves import _orbit_tables
+
+    assert 15 * 256**2 < 2**20 == 16 * 256**2
+    assert _orbit_tables(257, 1, 14)[0].dtype == np.float32
+    assert _orbit_tables(257, 1, 15)[0].dtype == np.float64
+
+
+@pytest.mark.parametrize("q, g, dtype", [(28559, 1, "float64"), (13, 4, "float32")])
+def test_float_point_counts_exact_at_the_edges(q, g, dtype):
+    """Seeded curves at the float64 edge, q^g = 28559 the largest prime
+    field, where values reach 4 * 28558^2, and at the float32 field
+    F_{13^4}, the largest of the grid, count as the naive oracle does."""
+    import numpy as np
+
+    from cokernel_lab.curves import _orbit_tables, sample_curves
+
+    assert _orbit_tables(q, g, 2 * g + 1)[0].dtype == dtype
+    fs = sample_curves(q, g, np.random.default_rng(q), 2).tolist()
+    assert all(_is_squarefree(Poly(q, f)) for f in fs)
     assert point_counts(fs, q, g).tolist() == [_naive_counts(f, q, g) for f in fs]
 
 
@@ -332,11 +386,11 @@ def test_worker_pieces_joined_into_chunks(monkeypatch):
     l, q, g = 3, 5, 2
     conds = [(Poly(l, (2, 1)), 1), (Poly(l, (0, 1)), 0)]
     sizes = []
-    count = curves.point_counts
+    newton = curves.char_polys_from_counts
 
-    def counting(fs, q, g):
-        sizes.append(len(fs))
-        return count(fs, q, g)
+    def counting(counts, q, g):
+        sizes.append(len(counts))
+        return newton(counts, q, g)
 
     def seen(trials, workers):
         out = []
@@ -346,7 +400,7 @@ def test_worker_pieces_joined_into_chunks(monkeypatch):
         )
         return out
 
-    monkeypatch.setattr(curves, "point_counts", counting)
+    monkeypatch.setattr(curves, "char_polys_from_counts", counting)
     # at 4, every one of the three streams of 4 draws is a chunk of its own
     monkeypatch.setattr(curves, "CURVE_CHUNK", 4)
     apart = seen(12, 3)
@@ -361,11 +415,13 @@ def test_worker_pieces_joined_into_chunks(monkeypatch):
     assert sizes == [12]
 
 
-def _one_draw_curve(q, g, rng):
+def _one_draw_curve(q, g, rng, attempts=None):
     """The one-draw route: one draw of 2g+1 coefficients per attempt, kept
-    when gcd(f, f') = 1 over Poly."""
+    when gcd(f, f') = 1 over Poly; attempts, a list, gets one item per draw."""
     while True:
         f = tuple(int(x) for x in rng.integers(0, q, 2 * g + 1)) + (1,)
+        if attempts is not None:
+            attempts.append(f)
         if _is_squarefree(Poly(q, f)):
             return f
 
@@ -375,19 +431,32 @@ def test_sample_curves_match_one_draw_route(g, q):
     """Each worker stream's block draws give the curves of the one-draw
     route, in order, and leave the generator where that route leaves it:
     numpy must draw a (k, n) block as k draws of n, buffered 32-bit half
-    included."""
+    included.  The first round of a stream wanting count curves draws
+    count + count // (q - 1) rows; the streams cover a first round that
+    runs out and needs a second, one that leaves rows unused and rewinds,
+    and, at q = 13 with fewer than 12 curves wanted, one with no overdraw."""
     from cokernel_lab.curves import sample_curves
     from cokernel_lab.montecarlo import worker_streams
 
+    seen = set()
     for seed in range(50):
         for trials, workers in ((30, 1), (30, 2), (7, 2)):
             blocks = worker_streams("cokernel-lab-curves", seed, trials, workers)
             singles = worker_streams("cokernel-lab-curves", seed, trials, workers)
             for (rng, count), (oracle_rng, _) in zip(blocks, singles):
                 got = sample_curves(q, g, rng, count).tolist()
-                want = [list(_one_draw_curve(q, g, oracle_rng)) for _ in range(count)]
+                attempts = []
+                want = [list(_one_draw_curve(q, g, oracle_rng, attempts)) for _ in range(count)]
                 assert got == want, (seed, trials, workers)
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
+                first = count + count // (q - 1)
+                seen.add("second round" if len(attempts) > first else "rows unused"
+                         if len(attempts) < first else "first round exact")
+                if first == count:
+                    seen.add("no overdraw")
+    assert {"second round", "rows unused"} <= seen
+    if q == 13:
+        assert "no overdraw" in seen
 
 
 def test_curve_chunks_do_not_move_the_stream(monkeypatch):
@@ -416,8 +485,6 @@ def test_curve_chunks_do_not_move_the_stream(monkeypatch):
 def test_squarefree_where_the_derivative_drops_degree():
     """f' loses its leading term when q divides deg f, and is zero when
     every exponent of f is a multiple of q."""
-    from cokernel_lab.curves import _squarefree
-
     cases = [
         ((0, 0, 0, 0, 0, 1), 5, False),  # X^5 = X * X^4
         ((3, 0, 0, 0, 0, 1), 5, False),  # X^5 + 3 = (X + 3)^5, f' = 0
@@ -430,7 +497,7 @@ def test_squarefree_where_the_derivative_drops_degree():
     ]
     for f, q, want in cases:
         assert _is_squarefree(Poly(q, f)) is want, f
-        assert _squarefree(list(f), q) is want, f
+        assert _squarefree_mask([f], q) == [want], f
 
 
 def test_sample_curve_squarefree_and_monic():
@@ -502,14 +569,14 @@ def test_census_cap():
 
 
 def test_census_sieve_against_gcd_oracle(monkeypatch):
-    """The census sieve, the sampler's squarefree test and the per-code Poly
-    gcd(f, f') test accept the same monic f, in the same order, also with
-    the digit block shrunk so that the sieve and the output span many
-    blocks. The sampler's test and poly_gcd share one Euclid, so the
-    independent checks are the closed count, q^n - q^(n-1) for n >= 2, and
-    the sieve, which multiplies h^2 k and divides nothing."""
+    """The census sieve, the orbit kernel's squarefree mask and the per-code
+    Poly gcd(f, f') test accept the same monic f, in the same order, also
+    with the digit block shrunk so that the sieve and the output span many
+    blocks.  The three share no code: the sieve multiplies h^2 k and
+    divides nothing, the mask evaluates f and f' on Frobenius orbits, and
+    poly_gcd runs Euclid; the closed count, q^n - q^(n-1) for n >= 2,
+    checks the oracle."""
     from cokernel_lab import curves
-    from cokernel_lab.curves import _squarefree
 
     for q in (3, 5, 7, 11, 13):
         for n in range(1, 10):
@@ -518,9 +585,9 @@ def test_census_sieve_against_gcd_oracle(monkeypatch):
             codes = [Poly.from_code(q, code) for code in range(q**n, 2 * q**n)]
             oracle = [f.coeffs for f in codes if _is_squarefree(f)]
             assert len(oracle) == (q if n == 1 else q**n - q ** (n - 1))
-            # the sampler's test, n a multiple of q included
-            fast = [f.coeffs for f in codes if _squarefree(list(f.coeffs), q)]
-            assert fast == oracle, (q, n)
+            # the mask, n a multiple of q included
+            mask = _squarefree_mask([f.coeffs for f in codes], q)
+            assert [f.coeffs for f, free in zip(codes, mask) if free] == oracle, (q, n)
             for digit_block in (curves.DIGIT_BLOCK, 64):
                 with monkeypatch.context() as patch:
                     patch.setattr(curves, "DIGIT_BLOCK", digit_block)
