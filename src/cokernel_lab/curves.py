@@ -3,7 +3,8 @@ integer Frobenius characteristic polynomials, and divisor-multiplicity
 frequencies compared against the exact density predictions.
 
 The harness works on chunks of curves as arrays: one float pass over the
-Frobenius orbit representatives gives the point counts of a round of drawn
+Frobenius orbit representatives of every field F_{q^d}, d <= g, laid side
+by side in one table, gives the point counts N_1..N_g of a round of drawn
 f and whether each is squarefree (f and f' share no zero there), P_C by
 one int64 Newton pass over the chunk, and the multiplicity of each
 condition P in P_C mod l from one product with a Taylor table of P;
@@ -48,9 +49,12 @@ __all__ = [
 
 # the census sieve iterates over q^(2g+1) polynomials, at most this many
 CENSUS_CAP = 10**7
-# point_counts evaluates at most this many digits in one block; a block
-# much larger than the cache costs more per curve
-DIGIT_BLOCK = 2**18
+# the orbit pass evaluates at most this many digits in one block, rows
+# times the joined table's columns (g digits of every representative of
+# every field), and the census sieve at most this many coefficients; a
+# block whose float arrays outgrow the L2 cache (2 MiB a core on the Xeon
+# it was timed on) costs more per curve
+DIGIT_BLOCK = 2**17
 # _tally counts the curves of a census or a stream this many at a time
 CURVE_CHUNK = 1024
 
@@ -82,48 +86,81 @@ def _validate_q(q: int) -> None:
         raise ValueError("only odd prime base fields are supported")
 
 
+def _field_times(a, b, structure, q: int):
+    """Row-wise products of two arrays of digit rows of F_{q^d}, given the
+    structure constants of chainring.field_products."""
+    d = a.shape[1]
+    return (a[:, :, None] * b[:, None]).reshape(len(a), d * d) @ structure % q
+
+
 @lru_cache(maxsize=None)
-def _orbit_tables(q: int, d: int, degree: int):
-    """F_{q^d}, as chainring.field_products gives it, cut into the orbits of
-    Frobenius x -> x^q, each represented by its least code: the digits of
-    x^k at the representatives for k <= degree, one row per k, digit-major
-    (every representative's digit 0, then every digit 1, ...); the orbit
-    sizes; and the quadratic character by code (1 on nonzero squares, -1 on
-    the other nonzero elements, 0 on zero).
+def _orbit_tables(q: int, g: int, degree: int):
+    """The fields F_{q^d}, d = 1..g >= 1, as chainring.field_products gives
+    them, each cut into the orbits of Frobenius x -> x^q, each orbit
+    represented by its least code, and the representatives of all fields
+    laid side by side, field by field.  Five arrays:
+    - powers, the digits of x^k at the representatives for k <= degree, one
+      row per k, digit-major: every representative's digit 0, then every
+      digit 1, ..., g digits each, those from d on zero at a representative
+      of F_{q^d};
+    - sizes, the orbit size of each representative;
+    - bounds, where the representatives of F_{q^d} start, at index d - 1,
+      with their total number at index g;
+    - roots, each field's count of the square roots of every code, 1 +
+      chi for the quadratic character chi (2 on nonzero squares, 0 on the
+      other nonzero elements, 1 on zero), the fields joined one after
+      another;
+    - offsets, where each representative's field starts in roots.
+    sizes and roots are int8, and so is their product, at most 2g: g <= 9,
+    as q >= 3 and field_products refuses a field above MAX_RING_SIZE.
 
     The powers are floats, for chainring._reduce: a value of a polynomial
     of this degree with coefficients below q is a sum of degree + 1
-    products of two digits below q, so below (degree + 1)(q - 1)^2.  They
-    are float32 when that is below the 2^20 that _reduce needs in float32,
-    and float64 otherwise; at degree 2g + 1 with q^g <= MAX_RING_SIZE, the
-    largest bound, 4 * 28558^2 at g = 1, q = 28559, is below the 2^49 that
-    _reduce needs in float64."""
-    digits, structure, frobenius = field_products(q, d)
-    place = q ** np.arange(d)
-    least = step = np.arange(q**d)
-    for _ in range(d - 1):
-        step = frobenius[step]
-        least = np.minimum(least, step)
-    reps, sizes = np.unique(least, return_counts=True)
-
-    def times(a, b):
-        return (a[:, :, None] * b[:, None]).reshape(len(a), d * d) @ structure % q
-
-    # squaring commutes with Frobenius, so the squares of the representatives
-    # meet every orbit of nonzero squares
-    square_orbit = np.zeros(q**d, dtype=bool)
-    square_orbit[least[times(digits[reps], digits[reps]) @ place]] = True
-    chi = np.where(square_orbit[least], 1, -1)
-    chi[0] = 0
+    products of two digits below q, so below (degree + 1)(q - 1)^2 in every
+    field.  They are float32 when that is below the 2^20 that _reduce needs
+    in float32, and float64 otherwise; at degree 2g + 1 with q^g <=
+    MAX_RING_SIZE, the largest bound, 4 * 28558^2 at g = 1, q = 28559, is
+    below the 2^49 that _reduce needs in float64.  Each field's powers are
+    written straight into its slice of the one table.  Read-only, since
+    they are shared."""
+    fields = []
+    for d in range(1, g + 1):
+        digits, structure, frobenius = field_products(q, d)
+        least = step = np.arange(q**d)
+        for _ in range(d - 1):
+            step = frobenius[step]
+            least = np.minimum(least, step)
+        reps, sizes = np.unique(least, return_counts=True)
+        reps = digits[reps]
+        # squaring commutes with Frobenius, so the squares of the
+        # representatives meet every orbit of nonzero squares
+        square_orbit = np.zeros(q**d, dtype=bool)
+        square_orbit[least[_field_times(reps, reps, structure, q) @ q ** np.arange(d)]] = True
+        roots = np.where(square_orbit[least], 2, 0)
+        roots[0] = 1
+        fields.append((reps, structure, sizes, roots))
+    bounds = np.array([0, *accumulate(len(sizes) for _, _, sizes, _ in fields)])
     dtype = np.float32 if (degree + 1) * (q - 1) ** 2 < 2**20 else np.float64
-    powers = np.empty((degree + 1, d, len(reps)), dtype=dtype)
-    # code 1 is the element 1
-    power = np.tile(digits[1], (len(reps), 1))
-    powers[0] = power.T
-    for k in range(1, degree + 1):
-        power = times(power, digits[reps])
-        powers[k] = power.T
-    return powers.reshape(degree + 1, -1), sizes, chi
+    powers = np.zeros((degree + 1, g, bounds[-1]), dtype=dtype)
+    offsets = np.empty(bounds[-1], dtype=np.intp)
+    roots_starts = accumulate((len(roots) for *_, roots in fields), initial=0)
+    for d, start, end, roots_start, (reps, structure, _, _) in zip(
+        range(1, g + 1), bounds, bounds[1:], roots_starts, fields
+    ):
+        offsets[start:end] = roots_start
+        # x^0 = 1 at every representative
+        power = np.zeros_like(reps)
+        power[:, 0] = 1
+        powers[0, :d, start:end] = power.T
+        for k in range(1, degree + 1):
+            power = _field_times(power, reps, structure, q)
+            powers[k, :d, start:end] = power.T
+    sizes = np.concatenate([sizes for _, _, sizes, _ in fields]).astype(np.int8)
+    roots = np.concatenate([roots for *_, roots in fields]).astype(np.int8)
+    out = powers.reshape(degree + 1, -1), sizes, bounds, roots, offsets
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def _counts_and_squarefree(coeffs: np.ndarray, q: int, g: int, test_squarefree: bool = True):
@@ -134,42 +171,48 @@ def _counts_and_squarefree(coeffs: np.ndarray, q: int, g: int, test_squarefree: 
     is false (then None), whether f has no repeated irreducible factor of
     degree at most g, which for n <= 2g + 1 is whether f is squarefree.
 
-    f has its coefficients in F_q, so f(x^q) = f(x)^q and chi(f(x)) is
-    constant on each Frobenius orbit: each field sums chi(f(x)) over the
-    orbit representatives, weighted by the orbit sizes, for a block of rows
-    at once.  An irreducible h with h^2 | f has a root in F_{q^deg h} at
-    which f and f' vanish, and a common root of f and f' has a minimal
-    polynomial dividing f twice (Lidl-Niederreiter, Finite Fields, Ch. 1),
-    so f' is evaluated only at the representatives where f vanishes."""
+    f has its coefficients in F_q, so f(x^q) = f(x)^q, and the number of y
+    with y^2 = f(x) is constant on each Frobenius orbit: N_d - 1 sums it
+    over the orbit representatives of F_{q^d}, weighted by the orbit sizes.
+    One pass evaluates f at the representatives of every field d <= g, for
+    a block of rows at once, and sums each field's share of the row.  An
+    irreducible h with h^2 | f has a root in F_{q^deg h} at which f and f'
+    vanish, and a common root of f and f' has a minimal polynomial dividing
+    f twice (Lidl-Niederreiter, Finite Fields, Ch. 1), so f' is evaluated
+    only at the representatives where f vanishes, 1 + chi(f(x)) = 1."""
     n = coeffs.shape[1] - 1
+    free = np.ones(len(coeffs), dtype=bool) if test_squarefree else None
+    if g < 1:
+        return np.empty((len(coeffs), 0), dtype=np.int64), free
+    powers, sizes, bounds, roots, offsets = _orbit_tables(q, g, n)
     counts = np.empty((len(coeffs), g), dtype=np.int64)
-    free = np.ones(len(coeffs), dtype=bool)
-    slopes = coeffs[:, 1:] * np.arange(1, n + 1) % q
-    for d in range(1, g + 1):
-        powers, sizes, chi = _orbit_tables(q, d, n)
-        block = max(1, DIGIT_BLOCK // powers.shape[1])
-        for start in range(0, len(coeffs), block):
-            # einsum's own loop: a float matmul goes to BLAS, whose threads
-            # stall on a loaded machine
-            rows = coeffs[start : start + block].astype(powers.dtype)
-            values = _reduce(np.einsum("bk,kn->bn", rows, powers), q)
-            values = values.reshape(len(rows), d, -1)
-            codes = values[:, -1].copy()
-            for j in range(d - 2, -1, -1):
-                codes *= q
-                codes += values[:, j]
-            codes = codes.astype(np.intp)
-            counts[start : start + block, d - 1] = chi[codes] @ sizes
-            if test_squarefree and len(zeros := np.flatnonzero(codes == 0)):
-                # f' = sum of k c_k x^(k-1) at each representative where f
-                # vanishes, from the rows x^0..x^(n-1) of the table
-                row, rep = np.divmod(zeros, len(sizes))
-                at = powers[:-1].reshape(n, d, -1)[:, :, rep]
-                slope = slopes[start + row].astype(powers.dtype)
-                shared = ~_reduce(np.einsum("pk,kdp->pd", slope, at), q).any(axis=1)
-                free[start + row[shared]] = False
-        counts[:, d - 1] += 1 + q**d
-    return counts, free if test_squarefree else None
+    block = max(1, DIGIT_BLOCK // powers.shape[1])
+    for start in range(0, len(coeffs), block):
+        # einsum's own loop: a float matmul goes to BLAS, whose threads
+        # stall on a loaded machine
+        rows = coeffs[start : start + block].astype(powers.dtype)
+        values = _reduce(np.einsum("bk,kn->bn", rows, powers), q)
+        values = values.reshape(len(rows), g, -1)
+        codes = values[:, -1].copy()
+        for j in range(g - 2, -1, -1):
+            codes *= q
+            codes += values[:, j]
+        codes = codes.astype(np.intp)
+        codes += offsets
+        above = roots[codes]
+        # summed in the dtype of out, int64
+        np.add.reduceat(above * sizes, bounds[:-1], axis=1, out=counts[start : start + block])
+        if test_squarefree and len(zeros := np.flatnonzero(above == 1)):
+            # f' = sum of k c_k x^(k-1) at each representative where f
+            # vanishes, from the rows x^0..x^(n-1) of the table
+            row, rep = np.divmod(zeros, len(sizes))
+            at = powers[:-1].reshape(n, g, -1)[:, :, rep]
+            slope = (coeffs[start + row, 1:] * np.arange(1, n + 1) % q).astype(powers.dtype)
+            shared = ~_reduce(np.einsum("pk,kdp->pd", slope, at), q).any(axis=1)
+            free[start + row[shared]] = False
+    # the point at infinity
+    counts += 1
+    return counts, free
 
 
 def point_counts(fs, q: int, g: int) -> np.ndarray:

@@ -507,16 +507,24 @@ def test_long_condition_named_among_several(capsys):
         (("simulate", "curves", "--l", "5", "--q", "7", "--g", "2", "--cond", "X^2+2:0",
           "--cond", "X-1:1", "--trials", "2000", "--seed", "4", "--workers", "2"),
          "3c90a350b59ddd80"),
+        (("simulate", "curves", "--l", "3", "--q", "13", "--g", "4", "--cond", "X-2:0",
+          "--trials", "300", "--seed", "4", "--workers", "2"),
+         "3295ae807daf9a1d"),
     ],
-    ids=["seeded", "census", "seeded-q-divides-degree", "seeded-degree-2-condition"],
+    ids=[
+        "seeded", "census", "seeded-q-divides-degree", "seeded-degree-2-condition",
+        "seeded-genus-4",
+    ],
 )
 def test_curve_csv_bytes_pinned(capsys, tmp_path, argv, prefix):
     """The per-curve CSV of a two-worker seeded (2, 5) run, of the (2, 5)
     census, of a two-worker seeded (3, 7) run, where q divides deg f = 7 so
     that f' drops its leading term on every draw, and of a two-worker seeded
     (2, 7) run at l = 5 with a condition of degree 2, where both conditions
-    occur with multiplicities 0, 1 and 2: every curve, P_C and multiplicity
-    in stream order, pinned by its sha256."""
+    occur with multiplicities 0, 1 and 2, and of a two-worker seeded (4, 13)
+    run, whose orbit table joins the four fields up to F_{13^4}, the largest
+    of the grid: every curve, P_C and multiplicity in stream order, pinned
+    by its sha256."""
     csv_path = tmp_path / "curves.csv"
     code, _, _ = run_cli(capsys, *argv, "--emit-csv", str(csv_path))
     assert code == 0

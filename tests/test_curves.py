@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from cokernel_lab.algebra import Poly, poly_gcd
@@ -33,28 +35,52 @@ def _squarefree_mask(fs, q):
     return _counts_and_squarefree(rows, q, (rows.shape[1] - 1) // 2)[1].tolist()
 
 
-def _naive_counts(f, q, g):
-    """Independent oracle: double loop over F_{q^d} realized as polynomials
-    modulo a fixed irreducible, no shared code with the fast path."""
-    from cokernel_lab.algebra import find_irreducible, poly_divmod
+def _naive_counts(fs, q, g):
+    """Independent oracle: for each f of the sequence fs, N_1..N_g by a loop
+    over every element of F_{q^d} = F_q[X]/(m), m = find_irreducible(q, d),
+    held as a tuple of d ints with schoolbook products reduced mod m; each
+    field's elements, squares and powers x^k are built once for all of fs.
+    No shared code with the fast path."""
+    from itertools import product
 
-    out = []
+    from cokernel_lab.algebra import find_irreducible
+
+    fs = [[int(c) % q for c in f] for f in fs]
+    n = max(map(len, fs)) - 1
+    out = [[] for _ in fs]
     for d in range(1, g + 1):
-        modulus = find_irreducible(q, d)
-        elems = [Poly.from_code(q, n) for n in range(q**d)]
-        squares = set()
+        modulus = find_irreducible(q, d).coeffs
+
+        def times(a, b):
+            full = [0] * (2 * d - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    full[i + j] += x * y
+            # X^k = X^(k-d) (X^d - m) mod m, from the top down; m is monic
+            for k in range(2 * d - 2, d - 1, -1):
+                top = full[k] % q
+                for j in range(d + 1):
+                    full[k - d + j] -= top * modulus[j]
+            return tuple(c % q for c in full[:d])
+
+        zero = (0,) * d
+        elems = list(product(range(q), repeat=d))
+        squares = {times(x, x) for x in elems}
+        counts = [1] * len(fs)
         for x in elems:
-            squares.add(poly_divmod(x * x, modulus)[1].coeffs)
-        n_pts = 1
-        for x in elems:
-            val = Poly(q, ())
-            for c in reversed(f):
-                val = poly_divmod(val * x + Poly(q, (c,)), modulus)[1]
-            if val.is_zero():
-                n_pts += 1
-            elif val.coeffs in squares:
-                n_pts += 2
-        out.append(n_pts)
+            powers = [(1,) + zero[1:]]
+            for _ in range(n):
+                powers.append(times(powers[-1], x))
+            for i, f in enumerate(fs):
+                value = tuple(
+                    sum(c * p[j] for c, p in zip(f, powers)) % q for j in range(d)
+                )
+                if value == zero:
+                    counts[i] += 1
+                elif value in squares:
+                    counts[i] += 2
+        for row, count in zip(out, counts):
+            row.append(count)
     return out
 
 
@@ -65,14 +91,14 @@ def test_point_counts_against_naive_oracle():
         ((1, 2, 3, 4, 0, 1), 7, 2),
     ]
     for f, q, g in cases:
-        assert point_counts([f], q, g).tolist() == [_naive_counts(f, q, g)], (f, q, g)
+        assert point_counts([f], q, g).tolist() == _naive_counts([f], q, g), (f, q, g)
 
 
 def test_batched_point_counts_on_census_against_naive_oracle():
     q, g = 5, 1
     census = all_squarefree_monic(q, 2 * g + 1)
     assert len(census) == 100
-    assert point_counts(census, q, g).tolist() == [_naive_counts(f, q, g) for f in census]
+    assert point_counts(census, q, g).tolist() == _naive_counts(census, q, g)
 
 
 def test_batched_point_counts_across_digit_blocks(monkeypatch):
@@ -86,7 +112,7 @@ def test_batched_point_counts_across_digit_blocks(monkeypatch):
     monkeypatch.setattr(curves, "DIGIT_BLOCK", 256)
     rng = np.random.default_rng(4)
     fs = [sample_curve(q, g, rng) for _ in range(12)]
-    assert point_counts(fs, q, g).tolist() == [_naive_counts(f, q, g) for f in fs]
+    assert point_counts(fs, q, g).tolist() == _naive_counts(fs, q, g)
 
 
 def test_drawn_curves_carry_their_point_counts(monkeypatch):
@@ -101,7 +127,7 @@ def test_drawn_curves_carry_their_point_counts(monkeypatch):
         for g, q in ((1, 3), (2, 5), (3, 7)):
             fs, counts = curves._draw_curves(q, g, list(worker_streams("t", g, 40, 3)))
             assert counts.tolist() == point_counts(fs, q, g).tolist()
-            assert counts[:4].tolist() == [_naive_counts(f, q, g) for f in fs[:4].tolist()]
+            assert counts[:4].tolist() == _naive_counts(fs[:4].tolist(), q, g)
 
 
 def test_orbit_table_dtype_switches_at_two_to_the_twenty():
@@ -116,6 +142,41 @@ def test_orbit_table_dtype_switches_at_two_to_the_twenty():
     assert _orbit_tables(257, 1, 15)[0].dtype == np.float64
 
 
+def test_one_orbit_pass_over_every_field(monkeypatch):
+    """The kernel evaluates all g fields F_{q^d}, d <= g, in one pass: a new
+    (q, g, degree) costs one table, whatever g is, and at g = 3 without the
+    squarefree test the kernel reduces once per row block, the digit block
+    shrunk so that 12 rows take three blocks of the 5 + 15 + 45
+    representatives' 3 digits each."""
+    import numpy as np
+
+    from cokernel_lab import curves
+
+    tables = functools.lru_cache(maxsize=None)(curves._orbit_tables.__wrapped__)
+    monkeypatch.setattr(curves, "_orbit_tables", tables)
+    q, rng = 5, np.random.default_rng(2)
+    for g in (1, 2, 3, 4):
+        rows = np.ones((12, 2 * g + 2), dtype=np.int64)
+        rows[:, :-1] = rng.integers(0, q, (12, 2 * g + 1))
+        curves._counts_and_squarefree(rows, q, g)
+        curves._counts_and_squarefree(rows[:5], q, g, test_squarefree=False)
+        assert tables.cache_info().misses == g, g
+    reduced, reduce = [], curves._reduce
+
+    def counted(x, l):
+        reduced.append(x.shape)
+        return reduce(x, l)
+
+    monkeypatch.setattr(curves, "_reduce", counted)
+    monkeypatch.setattr(curves, "DIGIT_BLOCK", 5 * 3 * (5 + 15 + 45))
+    rows = np.ones((12, 8), dtype=np.int64)
+    rows[:, :-1] = rng.integers(0, q, (12, 7))
+    counts, free = curves._counts_and_squarefree(rows, q, 3, test_squarefree=False)
+    assert free is None
+    assert reduced == [(5, 3 * 65), (5, 3 * 65), (2, 3 * 65)]
+    assert counts.tolist() == _naive_counts(rows.tolist(), q, 3)
+
+
 @pytest.mark.parametrize("q, g, dtype", [(28559, 1, "float64"), (13, 4, "float32")])
 def test_float_point_counts_exact_at_the_edges(q, g, dtype):
     """Seeded curves at the float64 edge, q^g = 28559 the largest prime
@@ -128,7 +189,7 @@ def test_float_point_counts_exact_at_the_edges(q, g, dtype):
     assert _orbit_tables(q, g, 2 * g + 1)[0].dtype == dtype
     fs = sample_curves(q, g, np.random.default_rng(q), 2).tolist()
     assert all(_is_squarefree(Poly(q, f)) for f in fs)
-    assert point_counts(fs, q, g).tolist() == [_naive_counts(f, q, g) for f in fs]
+    assert point_counts(fs, q, g).tolist() == _naive_counts(fs, q, g)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +203,12 @@ def test_frobenius_orbits_partition_the_field(q, d):
 
     from cokernel_lab.curves import _orbit_tables
 
-    _, sizes, chi = _orbit_tables(q, d, 1)
+    # field d's slice of the table that joins every field the cases reach at q
+    top = max(k for k in range(1, 7) if q**k <= 13**4)
+    _, sizes, bounds, roots, offsets = _orbit_tables(q, top, 1)
+    field = slice(bounds[d - 1], bounds[d])
+    sizes = sizes[field]
+    chi = roots[offsets[field][0] :][: q**d].astype(int) - 1
     assert sizes.sum() == q**d
     assert all(d % k == 0 for k in sizes)
     mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}

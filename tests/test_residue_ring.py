@@ -117,7 +117,9 @@ def test_pointwise_and_character_on_extension_field():
     for x in range(N):
         assert elems[got[x]] == poly_divmod(elems[codes[x]] * elems[x], modulus)[1]
     squares = {poly_divmod(x * x, modulus)[1].coeffs for x in elems[1:]}
-    _, _, chi = _orbit_tables(13, 2, 1)
+    # F_169's slice of the table joining F_13, F_169 and F_2197
+    _, _, bounds, roots, offsets = _orbit_tables(13, 3, 1)
+    chi = roots[offsets[bounds[1]] :][:N].astype(int) - 1
     for c, x in enumerate(elems):
         want = 0 if c == 0 else (1 if x.coeffs in squares else -1)
         assert chi[c] == want
