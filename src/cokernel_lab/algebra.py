@@ -10,7 +10,7 @@ Polynomials are stored as coefficient tuples, low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  All coefficients
 are canonical residues in [0, l).  One long division on such sequences,
 _divmod, with Euclid's gcd on top of it, serves Poly division and gcd,
-multiplicities, Rabin's test and the curve sampler's squarefree test.
+multiplicities, Rabin's test and the oracle of the curves' squarefree test.
 """
 
 from __future__ import annotations

@@ -138,16 +138,11 @@ class LocalTables:
     the subtraction: m terms, each a digit below l times a sum of m products
     of two digits, so below m^2 (l-1)^3; every term of every matmul is a
     product of nonnegative integers, so each partial sum is an integer no
-    larger than the whole.  The pivot weights are integers below (d+1)^e.
-    - float32 when m^2 (l-1)^3 < 2^20 and (d+1)^e <= 2^24: the sums then
-      lie inside the 2^20 that _reduce needs in float32 and the weights
-      inside the 2^24 of exact float32 integers, and the elimination moves
-      half the bytes.
-    - float64 otherwise, as for F_28559[X]/(p^4) or F_3[X]/(X^39): with
-      l <= 28559 (l^d <= MAX_RING_SIZE) and l^m < LOCAL_RING_CAP the sums
-      stay below 2^49, their largest value at l = 28559, m = 4, inside the
-      2^53 of exact float64 integers and the 2^49 that _reduce needs, and
-      the weights below 2^m < 2^53.
+    larger than the whole.  The dtype is float32 when m^2 (l-1)^3 < 2^20,
+    the bound that _reduce needs in float32, as for F_3[X]/(X^39), so that
+    the elimination moves half the bytes, and float64 otherwise, as for
+    F_103: with l <= 28559 and l^m < LOCAL_RING_CAP the sums stay below the
+    2^49 that _reduce needs in float64, their largest at l = 28559, m = 4.
     """
 
     def __init__(self, spec: LocalRingSpec):
@@ -160,8 +155,7 @@ class LocalTables:
             )
         self.l, self.d, self.e = l, d, e
         self.m = m = d * e
-        single = m * m * (l - 1) ** 3 < 2**20 and (d + 1) ** e <= 2**24
-        self.dtype = np.dtype(np.float32 if single else np.float64)
+        self.dtype = np.dtype(np.float32 if m * m * (l - 1) ** 3 < 2**20 else np.float64)
         # the products read the rows X^(a+b), a, b < d
         powers = _x_power_digits(spec.p, e, max(m, 2 * d - 1))
         self.to_chain = powers[:m]
@@ -229,32 +223,27 @@ class LocalTables:
         pivot's column, and drops row 0 and column 0, so the next matrix is
         read off the slice A[:, 1:, 1:]: scaling a row by the unit u leaves
         the cokernel unchanged, and the pivot row is then cleared by column
-        operations that touch nothing else.  The pivot's v is read off its
-        weight, and only a step in which some pivot has v > 0 divides u and
-        b by p^v.  b * (pivot row) is two products: the pivot row's entries
-        times every basis element, one 2-D matmul, which the draw's b then
-        combines in one batched matmul; those sums are reduced mod l only
-        after the subtraction."""
+        operations that touch nothing else.  Laid out digit-major, a draw's
+        first nonzero digit lies in the block of the least valuation v, at
+        an entry of valuation v (v = e if there is none), so one argmax
+        finds the pivot and its v; only a step in which some pivot has
+        v > 0 divides u and b by p^v.  b * (pivot row) is two products: the
+        pivot row's entries times every basis element, one 2-D matmul,
+        which the draw's b then combines in one batched matmul; those sums
+        are reduced mod l only after the subtraction."""
         l, d, e, m = self.l, self.d, self.e, self.m
         batch, n = A.shape[:2]
         draws = np.arange(batch)
-        digit = np.arange(m)
-        # a nonzero digit in block i weighs (d+1)^(e-1-i), more than all the
-        # later blocks together, so the heaviest entry has least valuation v,
-        # and its weight lies in [(d+1)^(e-1-v), (d+1)^(e-v)), or is 0 for
-        # v = e; every weight is an integer below (d+1)^e, exact in the
-        # dtype of the tables
-        weights = (float(d + 1) ** (e - 1 - digit // d)).astype(self.dtype)
-        floors = float(d + 1) ** np.arange(e)
         vals = []
         for r in range(n, 0, -1):
-            weight = ((A != 0).reshape(-1, m) @ weights).reshape(batch, r * r)
-            heaviest = weight.argmax(axis=1)
-            v = e - np.searchsorted(floors, weight[draws, heaviest], side="right")
+            digits = A.reshape(batch, r * r, m).transpose(0, 2, 1)
+            nonzero = np.not_equal(digits, 0, order="C").reshape(batch, -1)
+            first = nonzero.argmax(axis=1)
+            v = np.where(nonzero[draws, first], first // (r * r * d), e)
             vals.append(v)
             if r == 1:
                 break
-            pi, pj = np.divmod(heaviest, r)
+            pi, pj = np.divmod(first % (r * r), r)
             u = A[draws, pi, pj]
             column = A[draws, :, pj]
             A[draws, :, pj] = A[:, :, 0]
@@ -266,7 +255,7 @@ class LocalTables:
                 # x / p^v for x of valuation >= v: its digits below v d are
                 # zero, so a cyclic shift by v d digits brings zeros in at
                 # the top
-                down = (digit + v[:, None] * d) % m
+                down = (np.arange(m) + v[:, None] * d) % m
                 u = np.take_along_axis(u, down, axis=-1)
                 b = np.take_along_axis(b, down[:, None], axis=-1)
             times_u = _reduce(u @ self.times, l).reshape(batch, m, m)
@@ -332,15 +321,9 @@ def _vector_space_submodule_counts(Q: int, k: int) -> dict:
     (pivot column, later non-pivot column) pair."""
     counts = {}
     for r in range(k + 1):
-        total = 0
-        for pivots in combinations(range(k), r):
-            pivot_set = set(pivots)
-            free = sum(
-                sum(1 for c2 in range(c + 1, k) if c2 not in pivot_set)
-                for c in pivots
-            )
-            total += Q**free
-        counts[(1,) * r if r else ()] = total
+        # pivot i, at column c, has k - 1 - c later columns, r - 1 - i of them pivots
+        free = (sum(k - c - r + i for i, c in enumerate(p)) for p in combinations(range(k), r))
+        counts[(1,) * r] = sum(Q**f for f in free)
     return counts
 
 

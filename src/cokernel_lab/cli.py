@@ -32,6 +32,7 @@ from .measure import (
 )
 from .modules import ModuleType, Partition
 from .montecarlo import SampleConfig, sample_cokernels, tv_distance
+from .montecarlo import _check_matrix_size, _check_trials, _check_workers
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -188,12 +189,12 @@ def _csv_rows(path, header: list):
         raise ValueError(f"cannot write --emit-csv {path}: {ex.strerror}") from ex
 
 
-def _check_prime_power(Q: int) -> None:
-    """Refuse a --Q that is not a prime power, naming the flag."""
+def _check_flag(flag: str, value, check) -> None:
+    """check(value), its refusal named by the flag and the value."""
     try:
-        _prime_power(Q)
+        check(value)
     except ValueError as err:
-        raise ValueError(f"--Q {Q}: {err}") from err
+        raise ValueError(f"{flag} {value}: {err}") from err
 
 
 def _cmd_eta(args):
@@ -239,7 +240,7 @@ def _cmd_rank_dist(args):
     else:
         if args.a is not None:
             raise ValueError("--a names a root in --p and is not allowed with --Q")
-        _check_prime_power(args.Q)
+        _check_flag("--Q", args.Q, _prime_power)
         local = local_ring_with_residue_size(args.Q, args.e)
         if args.l is not None and args.l != local.l:
             raise ValueError(
@@ -263,7 +264,7 @@ def _cmd_moments(args):
         raise ValueError(f"--e {args.e}: exponent e = {args.e} must be >= 1")
     if args.k < 0:
         raise ValueError(f"--k {args.k}: moment order must be nonnegative")
-    _check_prime_power(args.Q)
+    _check_flag("--Q", args.Q, _prime_power)
     value = _printable(moment_rank(args.Q, args.e, args.k), f"moment at --k {args.k}")
     return (
         {"Q": args.Q, "e": args.e, "k": args.k},
@@ -308,6 +309,10 @@ def _cmd_density(args):
 
 def _cmd_simulate_cokernel(args):
     ring = parse_ring_json(args.ring)
+    _check_flag("--n", args.n, _check_matrix_size)
+    if not args.exhaustive:
+        _check_flag("--trials", args.trials, _check_trials)
+    _check_flag("--workers", args.workers, _check_workers)
     mode = "exhaustive" if args.exhaustive else "random"
     cfg = SampleConfig(ring, args.n, args.trials, args.seed, mode, args.workers)
     with _csv_rows(args.emit_csv, ["type", "empirical", "theoretical"]) as rows:
@@ -334,8 +339,12 @@ def _cmd_simulate_cokernel(args):
 
 
 def _cmd_simulate_curves(args):
-    from .curves import divisibility_stats
+    from .curves import _validate_q, divisibility_stats
 
+    _check_flag("--q", args.q, _validate_q)
+    if not args.exhaustive:
+        _check_flag("--trials", args.trials, _check_trials)
+    _check_flag("--workers", args.workers, _check_workers)
     conds, config = _parse_conditions(args)
     header = ["f", "char_poly", "char_poly_mod_l", "multiplicities"]
     with _csv_rows(args.emit_csv, header) as rows:

@@ -188,11 +188,8 @@ def _counts_and_squarefree(coeffs: np.ndarray, q: int, g: int, test_squarefree: 
     counts = np.empty((len(coeffs), g), dtype=np.int64)
     block = max(1, DIGIT_BLOCK // powers.shape[1])
     for start in range(0, len(coeffs), block):
-        # einsum's own loop: a float matmul goes to BLAS, whose threads
-        # stall on a loaded machine
         rows = coeffs[start : start + block].astype(powers.dtype)
-        values = _reduce(np.einsum("bk,kn->bn", rows, powers), q)
-        values = values.reshape(len(rows), g, -1)
+        values = _reduce(rows @ powers, q).reshape(len(rows), g, -1)
         codes = values[:, -1].copy()
         for j in range(g - 2, -1, -1):
             codes *= q

@@ -46,12 +46,7 @@ class SampleConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("matrix size must be positive")
-        if self.n > MAX_MATRIX_SIZE:
-            raise ValueError(
-                f"matrix size {self.n} exceeds MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}"
-            )
+        _check_matrix_size(self.n)
         if self.mode not in ("random", "exhaustive"):
             raise ValueError("mode must be random or exhaustive")
         _check_workers(self.workers)
@@ -70,6 +65,18 @@ class EmpiricalDist:
     config: SampleConfig = field(repr=False)
 
 
+def _check_matrix_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("matrix size must be positive")
+    if n > MAX_MATRIX_SIZE:
+        raise ValueError(f"matrix size {n} exceeds MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"random sampling needs trials >= 1, got {trials}")
+
+
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError("worker count must be positive")
@@ -81,8 +88,7 @@ def worker_streams(salt: str, seed: int, trials: int, workers: int):
     """(generator, draw count) per worker in index order: the trials split
     as evenly as possible, the first workers taking one more, each stream
     seeded from a hash of the salt, the seed and the worker index."""
-    if trials < 1:
-        raise ValueError(f"random sampling needs trials >= 1, got {trials}")
+    _check_trials(trials)
     _check_workers(workers)
     base, extra = divmod(trials, workers)
     for worker in range(workers):

@@ -391,6 +391,19 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("rank-dist", "--Q", "6", "--e", "1", "--m", "2"), "--Q 6: Q = 6 is not a prime power"),
         (("moments", "--Q", "6", "--e", "1", "--k", "1"), "--Q 6: Q = 6 is not a prime power"),
         (("eta", "--Q", "1"), "--Q 1: field size must be at least 2"),
+        # a simulation's sizes and base field name their flag
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "0", "--trials", "5"),
+         "--n 0: matrix size must be positive"),
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "17", "--trials", "1"),
+         "--n 17: matrix size 17 exceeds MAX_MATRIX_SIZE = 16"),
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2", "--trials", "5",
+          "--workers", "0"),
+         "--workers 0: worker count must be positive"),
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "2", "--trials", "-3"),
+         "--trials -3: random sampling needs trials >= 1, got -3"),
+        (("simulate", "curves", "--l", "3", "--q", "9", "--g", "1", "--cond", "X-1:0",
+          "--trials", "5"),
+         "--q 9: only odd prime base fields are supported"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

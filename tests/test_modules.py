@@ -681,7 +681,10 @@ def test_pivot_move_on_crafted_batches(l, p, e):
     v0 sit at (0, 0), in row 0 only, in column 0 only or at (n-1, n-1), all
     other entries of higher valuation; so in the first step some draws
     have a unit pivot and others not, and only those are shifted.  The
-    zero matrix and p times random matrices ride along."""
+    zero matrix and p times random matrices ride along.  So the pivot
+    search's argmax meets both its edges: no nonzero digit, so v = e at
+    every step, in the zero matrix, and a first nonzero digit at the last
+    entry, index n^2 - 1 of its digit block, at (n-1, n-1)."""
     spec = LocalRingSpec(l, Poly(l, p), e)
     tables = LocalTables(spec)
     code = _valued_codes(spec, 17)
@@ -755,17 +758,18 @@ def test_largest_prime_field_stays_exact(p):
 
 
 # (l, p low degree first, e) on either side of the float32 rule
-# m^2 (l-1)^3 < 2^20 and (d+1)^e <= 2^24: F_101, F_61[X]/(X^2) and
-# F_3[X]/(X^24) are the last rings inside it, F_103, F_67[X]/(X^2) and
-# F_3[X]/(X^25) the first past it
+# m^2 (l-1)^3 < 2^20: F_101 and F_61[X]/(X^2) are the last rings inside it,
+# F_103 and F_67[X]/(X^2) the first past it; F_3[X]/(X^24), with its 24
+# digits per entry, lies inside it, as every F_3[X]/(X^e) below
+# LOCAL_RING_CAP does
 SINGLE_EDGE = [(101, (0, 1), 1), (61, (0, 1), 2), (3, (0, 1), 24)]
-DOUBLE_EDGE = [(103, (0, 1), 1), (67, (0, 1), 2), (3, (0, 1), 25)]
+DOUBLE_EDGE = [(103, (0, 1), 1), (67, (0, 1), 2)]
 
 
 @pytest.mark.parametrize(
     "l, p, e, dtype",
     [ring + (np.float32,) for ring in SINGLE_EDGE] + [ring + (np.float64,) for ring in DOUBLE_EDGE],
-    ids=["F101", "F61[X]/(X^2)", "F3[X]/(X^24)", "F103", "F67[X]/(X^2)", "F3[X]/(X^25)"],
+    ids=["F101", "F61[X]/(X^2)", "F3[X]/(X^24)", "F103", "F67[X]/(X^2)"],
 )
 def test_dtype_rule_at_its_edges(l, p, e, dtype):
     """The product tensor and the chain digits, from which the elimination
@@ -779,10 +783,10 @@ def test_dtype_rule_at_its_edges(l, p, e, dtype):
 
 @pytest.mark.parametrize("e", [24, 39])
 def test_pivot_weights_stay_exact(e):
-    """Over F_3[X]/(X^e) the entry 2 (X^v + ... + X^(e-1)) has weight
-    2^(e-v) - 1, just below the floor of valuation v - 1: unless the dtype
-    holds it exactly, it rounds up and reads as valuation v - 1.  Its
-    1 x 1 matrix has cokernel type (v,), () for v = 0."""
+    """Over F_3[X]/(X^e) the entry 2 (X^v + ... + X^(e-1)) has valuation v
+    and a nonzero digit in every block from v on: the pivot search reads v
+    off the first of them, whatever follows.  Its 1 x 1 matrix has
+    cokernel type (v,), () for v = 0."""
     tables = LocalTables(LocalRingSpec(3, Poly(3, (0, 1)), e))
     codes = np.array([[[sum(2 * 3**i for i in range(v, e))]] for v in range(e)])
     assert tables.coker_partition(codes) == [(v,) if v else () for v in range(e)]
@@ -790,14 +794,15 @@ def test_pivot_weights_stay_exact(e):
 
 @pytest.mark.parametrize(
     "l, p, e",
-    SINGLE_EDGE + [(41, (3, 1, 1), 2)],
-    ids=["F101", "F61[X]/(X^2)", "F3[X]/(X^24)", "F41[X]/((X^2+X+3)^2)"],
+    SINGLE_EDGE + [(41, (3, 1, 1), 2), (3, (0, 1), 25)],
+    ids=["F101", "F61[X]/(X^2)", "F3[X]/(X^24)", "F41[X]/((X^2+X+3)^2)", "F3[X]/(X^25)"],
 )
 def test_single_precision_rings_stay_exact(l, p, e):
-    """On the float32 rings at the rule's edges, and on F_41[X]/(p^2) with
+    """On the float32 rings at the rule's edges, on F_41[X]/(p^2) with
     deg p = 2, whose product tensor holds more than 0 and 1 and whose bound
-    m^2 (l-1)^3 = 1024000 lies just below 2^20 = 1048576, the crafted
-    U D V products match the Smith form."""
+    m^2 (l-1)^3 = 1024000 lies just below 2^20 = 1048576, and on
+    F_3[X]/(X^25), whose entries hold 25 digits and whose bound is 5000,
+    the crafted U D V products match the Smith form."""
     spec = LocalRingSpec(l, Poly(l, p), e)
     assert LocalTables(spec).dtype == np.float32
     _assert_udv_batches_match_snf(spec, 37)
@@ -808,8 +813,8 @@ def test_single_precision_rings_stay_exact(l, p, e):
     [
         (3, (1, 0, 1), 4, 1, np.float32),
         (3, (1, 0, 1), 5, 2, np.float32),
-        (3, (0, 1), 39, 5, np.float64),
-        (3, (1, 1), 39, 5, np.float64),
+        (3, (0, 1), 39, 5, np.float32),
+        (3, (1, 1), 39, 5, np.float32),
     ],
     ids=["F9[t]/(t^4)", "F9[t]/(t^5)", "F3[X]/(X^39)", "F3[X]/((X+1)^39)"],
 )
