@@ -602,14 +602,16 @@ def brute_force_aut_order(l: int, lam: tuple) -> int:
     else:
         minors = [list(range(m))]
     # each minor as (sign, slots) terms: a term is nonzero only on the
-    # permutations that the slots fill
+    # permutations that the slots fill, and its sign is the parity of the
+    # permutation's inversions
     expansions = []
     for rows in minors:
         terms = []
         for p in permutations(range(len(rows))):
             entries = [(r, p[a]) for a, r in enumerate(rows)]
             if all(entry in slot_at for entry in entries):
-                terms.append((_perm_sign(p), [slot_at[entry] for entry in entries]))
+                sign = (-1) ** sum(a > b for a, b in combinations(p, 2))
+                terms.append((sign, [slot_at[entry] for entry in entries]))
         expansions.append(terms)
     walk = l ** (P - s)
     count = 0
@@ -627,19 +629,3 @@ def brute_force_aut_order(l: int, lam: tuple) -> int:
         count += int(np.count_nonzero(invertible))
     return count * (l**s - l ** (s - 1) if s else 1)
 
-
-def _perm_sign(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

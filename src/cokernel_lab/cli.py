@@ -15,12 +15,13 @@ import sys
 import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import __version__
 from .algebra import LocalRingSpec, Poly, RingSpec, _prime_power, check_degree
 from .measure import (
     MeasureValue,
+    _check_modulus,
     divisor_density,
     divisor_density_hypothesis,
     eta,
@@ -32,7 +33,7 @@ from .measure import (
 )
 from .modules import ModuleType, Partition
 from .montecarlo import SampleConfig, sample_cokernels, tv_distance
-from .montecarlo import _check_matrix_size, _check_trials, _check_workers
+from .montecarlo import _check_exhaustive, _check_matrix_size, _check_trials, _check_workers
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -275,7 +276,8 @@ def _cmd_moments(args):
 
 def _parse_conditions(args):
     """The --cond conditions as (polynomial, multiplicity) pairs, and their
-    config list."""
+    config list, once --l is an odd prime."""
+    _check_flag("--l", args.l, _check_modulus)
     conds = []
     for spec in args.cond:
         if ":" not in spec:
@@ -310,7 +312,9 @@ def _cmd_density(args):
 def _cmd_simulate_cokernel(args):
     ring = parse_ring_json(args.ring)
     _check_flag("--n", args.n, _check_matrix_size)
-    if not args.exhaustive:
+    if args.exhaustive:
+        _check_flag("--n", args.n, partial(_check_exhaustive, ring))
+    else:
         _check_flag("--trials", args.trials, _check_trials)
     _check_flag("--workers", args.workers, _check_workers)
     mode = "exhaustive" if args.exhaustive else "random"
@@ -339,13 +343,15 @@ def _cmd_simulate_cokernel(args):
 
 
 def _cmd_simulate_curves(args):
-    from .curves import _validate_q, divisibility_stats
+    from .curves import _check_base_field, _check_genus, divisibility_stats
 
-    _check_flag("--q", args.q, _validate_q)
+    # the conditions first: they check --l, which --q is checked against
+    conds, config = _parse_conditions(args)
+    _check_flag("--q", args.q, partial(_check_base_field, args.l))
+    _check_flag("--g", args.g, _check_genus)
     if not args.exhaustive:
         _check_flag("--trials", args.trials, _check_trials)
     _check_flag("--workers", args.workers, _check_workers)
-    conds, config = _parse_conditions(args)
     header = ["f", "char_poly", "char_poly_mod_l", "multiplicities"]
     with _csv_rows(args.emit_csv, header) as rows:
 

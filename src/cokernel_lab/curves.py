@@ -86,6 +86,18 @@ def _validate_q(q: int) -> None:
         raise ValueError("only odd prime base fields are supported")
 
 
+def _check_base_field(l: int, q: int) -> None:
+    """q an odd prime that the odd prime l does not divide."""
+    _validate_q(q)
+    if q % l == 0:
+        raise ValueError(f"l = {l} divides q = {q}")
+
+
+def _check_genus(g: int) -> None:
+    if g < 1:
+        raise ValueError(f"genus g = {g} must be >= 1")
+
+
 def _field_times(a, b, structure, q: int):
     """Row-wise products of two arrays of digit rows of F_{q^d}, given the
     structure constants of chainring.field_products."""
@@ -229,8 +241,7 @@ def _newton_constants(q: int, g: int):
     admits, and (-1)^i for i <= g; read-only, since they are shared.
     Memoized: computed once per chunk instead, they cost about 4 % of the
     throughput of small seeded requests at g = 1 to 4."""
-    if g < 1:
-        raise ValueError(f"genus g = {g} must be >= 1")
+    _check_genus(g)
     # q >= 2, so q^g >= 2^63 from g = 63 on, and the power is only computed
     # when it is small
     if g >= 63 or g * comb(3 * g - 1, g) * q**g >= 2**63:
@@ -428,9 +439,7 @@ def validate_conditions(l: int, q: int, conditions) -> list[tuple[Poly, int]]:
     P_i monic and irreducible over F_l among them), then q an odd prime
     coprime to l, and l not dividing P_i(q)."""
     conds = _validate_measure_conditions(l, conditions)
-    _validate_q(q)
-    if q % l == 0:
-        raise ValueError(f"l = {l} divides q = {q}")
+    _check_base_field(l, q)
     for p, _ in conds:
         if p(q % l) == 0:
             raise ValueError(
@@ -488,8 +497,7 @@ def _tally(
     counts (for a seeded chunk, those of the passes that tested its draws),
     one Newton pass to its P_C, and one Taylor table product per condition;
     on_sample sees the curves in stream order."""
-    if g < 1:
-        raise ValueError(f"genus g = {g} must be >= 1")
+    _check_genus(g)
     _check_workers(workers)
     # q >= 3, so q^g > MAX_RING_SIZE whenever g exceeds the cap's bit length,
     # and the power is only computed when it is small
@@ -564,9 +572,10 @@ def independence_stats(
     workers: int = 1,
     exhaustive: bool = False,
 ) -> dict:
-    """2x2 contingency of the two divisibility events, the chi-square
-    statistic, and the joint-vs-product gap with its delta-method standard
-    error."""
+    """The 2x2 contingency table of the two divisibility events (row 0 where
+    a holds, column 0 where b holds) with its total, the joint and the two
+    marginal frequencies, and the joint-vs-product gap with its
+    delta-method standard error."""
     conds = validate_conditions(l, q, [cond_a, cond_b])
     (pa, ma), (pb, mb) = conds
     table = [[0, 0], [0, 0]]
@@ -584,14 +593,6 @@ def independence_stats(
     mean_g = sum(gi * pi for gi, pi in zip(grads, probs))
     var = sum(gi * gi * pi for gi, pi in zip(grads, probs)) - mean_g * mean_g
     se = sqrt(max(var, 0.0) / total)
-    chi2 = 0.0
-    for i in range(2):
-        for j in range(2):
-            row = table[i][0] + table[i][1]
-            col = table[0][j] + table[1][j]
-            expected = row * col / total
-            if expected > 0:
-                chi2 += (table[i][j] - expected) ** 2 / expected
     return {
         "table": table,
         "trials": total,
@@ -600,5 +601,4 @@ def independence_stats(
         "marginal_b": p_b,
         "gap": gap,
         "gap_std_error": se,
-        "chi_square": chi2,
     }

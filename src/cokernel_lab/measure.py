@@ -180,19 +180,33 @@ def mu(t: ModuleType) -> MeasureValue:
     return c_constant(t.ring, j) * Fraction(1, aut_order(t))
 
 
-def rank_distribution(local: LocalRingSpec, m: int) -> MeasureValue:
-    """eta(Q) times the sum of 1/|Aut| over module types of F_l-dimension m
-    over the local ring, the partitions of m / residue_degree with parts
-    bounded by e, |Aut| by the run-index product of aut_order; zero when
-    the residue degree does not divide m."""
+def _rank_types(m: int, e: int, residue_degree: int):
+    """The module types of F_l-dimension m over a chain ring of exponent e
+    and the given residue degree: the partitions of m / residue_degree with
+    parts bounded by e, none when the residue degree does not divide m.  A
+    negative rank, and a length m / residue_degree above MAX_TYPE_LENGTH,
+    are refused."""
     if m < 0:
         raise ValueError("rank must be nonnegative")
+    if m % residue_degree:
+        return ()
+    length = m // residue_degree
+    if length > MAX_TYPE_LENGTH:
+        raise ValueError(
+            f"rank m = {m} over residue degree {residue_degree} lists modules of "
+            f"length {length}, above MAX_TYPE_LENGTH = {MAX_TYPE_LENGTH}"
+        )
+    return partitions_of(length, e)
+
+
+def rank_distribution(local: LocalRingSpec, m: int) -> MeasureValue:
+    """eta(Q) times the sum of 1/|Aut| over the module types of
+    F_l-dimension m over the local ring, as _rank_types lists them, |Aut|
+    by the run-index product of aut_order; zero when the residue degree
+    does not divide m."""
     Q = local.Q
-    if m % local.residue_degree:
-        return MeasureValue(Fraction(0), (Q,))
-    _refuse_long_rank(m, local.residue_degree)
     total = Fraction(0)
-    for lam in partitions_of(m // local.residue_degree, local.e):
+    for lam in _rank_types(m, local.e, local.residue_degree):
         total += Fraction(1, _local_aut_order(lam, Q))
     return MeasureValue(total, (Q,))
 
@@ -201,34 +215,19 @@ def rank_distribution_partition_form(
     Q: int, e: int, m: int, residue_degree: int = 1
 ) -> MeasureValue:
     """The partition-sum form of the rank distribution: 1/|Aut| summed over
-    the partitions lam of m / residue_degree with parts bounded by e, with
-    |Aut| from Macdonald's formula (Symmetric Functions and Hall
-    Polynomials, ch. II §1), not the run-index product of aut_order:
+    the module types that rank_distribution sums over, with |Aut| from
+    Macdonald's formula (Symmetric Functions and Hall Polynomials, ch. II
+    §1), not the run-index product of aut_order:
     Q^(sum_i lam'_i^2) prod_i prod_{k<=m_i} (1 - Q^-k), lam' the conjugate
     partition and m_i the number of parts equal to i."""
-    if m < 0:
-        raise ValueError("rank must be nonnegative")
-    if m % residue_degree:
-        return MeasureValue(Fraction(0), (Q,))
-    _refuse_long_rank(m, residue_degree)
     total = Fraction(0)
-    for lam in partitions_of(m // residue_degree, e):
+    for lam in _rank_types(m, e, residue_degree):
         aut = Q ** sum(c * c for c in Partition(lam).conjugate().parts)
         for i in set(lam):
             for k in range(1, lam.count(i) + 1):
                 aut = aut // Q**k * (Q**k - 1)
         total += Fraction(1, aut)
     return MeasureValue(total, (Q,))
-
-
-def _refuse_long_rank(m: int, residue_degree: int) -> None:
-    """Refuses a rank m, divisible by the residue degree, whose modules
-    have length m / residue_degree above MAX_TYPE_LENGTH."""
-    if m // residue_degree > MAX_TYPE_LENGTH:
-        raise ValueError(
-            f"rank m = {m} over residue degree {residue_degree} lists modules of "
-            f"length {m // residue_degree}, above MAX_TYPE_LENGTH = {MAX_TYPE_LENGTH}"
-        )
 
 
 def moment_rank(Q: int, e: int, k: int) -> int:
@@ -247,13 +246,17 @@ def moment_rank(Q: int, e: int, k: int) -> int:
     return sum(count for _, count in submodule_counts(Q, (e,) * k))
 
 
+def _check_modulus(l: int) -> None:
+    if l < 3 or not is_prime(l):
+        raise ValueError(f"modulus l = {l} must be an odd prime")
+
+
 def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
     """The conditions (P_i, m_i) as lists of pairs, once l is an odd prime and
     each P_i is a monic irreducible polynomial over F_l of degree 1 to
     MAX_POLY_DEGREE, with m_i >= 0 and no P_i repeated; otherwise
     ValueError, naming the failing condition."""
-    if l < 3 or not is_prime(l):
-        raise ValueError(f"l = {l} must be an odd prime")
+    _check_modulus(l)
     out = []
     seen = set()
     for p, m in conditions:

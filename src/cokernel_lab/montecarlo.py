@@ -51,11 +51,7 @@ class SampleConfig:
             raise ValueError("mode must be random or exhaustive")
         _check_workers(self.workers)
         if self.mode == "exhaustive":
-            if self.ring.size ** (self.n * self.n) > EXHAUSTIVE_CAP:
-                raise ValueError(
-                    "exhaustive enumeration exceeds the cap of "
-                    f"{EXHAUSTIVE_CAP} matrices"
-                )
+            _check_exhaustive(self.ring, self.n)
 
 
 @dataclass
@@ -70,6 +66,14 @@ def _check_matrix_size(n: int) -> None:
         raise ValueError("matrix size must be positive")
     if n > MAX_MATRIX_SIZE:
         raise ValueError(f"matrix size {n} exceeds MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}")
+
+
+def _check_exhaustive(ring: RingSpec, n: int) -> None:
+    if ring.size ** (n * n) > EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"exhaustive enumeration of {ring.size}^{n * n} matrices exceeds the "
+            f"cap of {EXHAUSTIVE_CAP}"
+        )
 
 
 def _check_trials(trials: int) -> None:
@@ -171,16 +175,15 @@ def sample_cokernels(cfg: SampleConfig) -> EmpiricalDist:
     return EmpiricalDist(counts, sum(raw.values()), cfg)
 
 
-def empirical_moment(cfg: SampleConfig, a: ModuleType):
-    """Mean of #Surj(coker, A) over the draws; exact rational in exhaustive
-    mode, float otherwise."""
+def empirical_moment(cfg: SampleConfig, a: ModuleType) -> Fraction:
+    """Mean of #Surj(coker, A) over the draws of cfg, exhaustive or random,
+    as an exact Fraction: the sum of count times #Surj over the types drawn,
+    over the number of draws."""
     if a.ring != cfg.ring:
         raise ValueError("ring mismatch")
     dist = sample_cokernels(cfg)
     total = sum(c * surj_count(t, a) for t, c in dist.counts.items())
-    if cfg.mode == "exhaustive":
-        return Fraction(total, dist.total)
-    return total / dist.total
+    return Fraction(total, dist.total)
 
 
 @lru_cache(maxsize=None)
@@ -222,11 +225,13 @@ def tv_distance(emp: EmpiricalDist):
 
 
 def finite_n_constant_demo(Q: int, j: int, n_range) -> list[dict]:
-    """Prelimit normalizing constants: the number of dimension-j subspaces
-    times |GL_{n-j}| over |M_{n x (n-j)}|, converging to the closed form."""
+    """Prelimit normalizing constants, one row per n of n_range: the
+    exact Fraction prelimit, the number of dimension-j subspaces of F_Q^n
+    times |GL_{n-j}(F_Q)| over |M_{n x (n-j)}(F_Q)|, and abs_diff, its
+    float distance from the closed form c_constant at j, to which it
+    converges as n grows."""
     ring = RingSpec((local_ring_with_residue_size(Q, 1),))
-    closed = c_constant(ring, (j,))
-    closed_num = closed.numeric(1e-12)
+    closed_num = c_constant(ring, (j,)).numeric(1e-12)
     rows = []
     for n in n_range:
         if n < j:
@@ -235,13 +240,5 @@ def finite_n_constant_demo(Q: int, j: int, n_range) -> list[dict]:
         for i in range(n - j):
             gl *= Q ** (n - j) - Q**i
         pre = Fraction(qbinom(n, j, Q) * gl, Q ** (n * (n - j)))
-        rows.append(
-            {
-                "n": n,
-                "prelimit": pre,
-                "prelimit_value": float(pre),
-                "closed_form_value": closed_num,
-                "abs_diff": abs(float(pre) - closed_num),
-            }
-        )
+        rows.append({"prelimit": pre, "abs_diff": abs(float(pre) - closed_num)})
     return rows

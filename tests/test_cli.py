@@ -404,6 +404,24 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         (("simulate", "curves", "--l", "3", "--q", "9", "--g", "1", "--cond", "X-1:0",
           "--trials", "5"),
          "--q 9: only odd prime base fields are supported"),
+        # the genus, the modulus, q against l and the exhaustive cap name
+        # their flag too
+        (("simulate", "curves", "--l", "3", "--q", "5", "--g", "0", "--cond", "X-1:0",
+          "--trials", "5"),
+         "--g 0: genus g = 0 must be >= 1"),
+        (("simulate", "curves", "--l", "0", "--q", "5", "--g", "1", "--cond", "X-1:0",
+          "--trials", "5"),
+         "--l 0: modulus l = 0 must be an odd prime"),
+        (("simulate", "curves", "--l", "4", "--q", "5", "--g", "1", "--cond", "X-1:0",
+          "--trials", "5"),
+         "--l 4: modulus l = 4 must be an odd prime"),
+        (("density", "--l", "4", "--cond", "X-1:0"),
+         "--l 4: modulus l = 4 must be an odd prime"),
+        (("simulate", "curves", "--l", "5", "--q", "5", "--g", "1", "--cond", "X-1:0",
+          "--trials", "5"),
+         "--q 5: l = 5 divides q = 5"),
+        (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "5", "--exhaustive"),
+         "--n 5: exhaustive enumeration of 9^25 matrices exceeds the cap of 10000000"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

@@ -311,3 +311,30 @@ def test_finite_n_constant_demo_converges():
         assert diffs[-1] < 1e-4
         assert diffs[-1] <= diffs[0]
         assert isinstance(rows[-1]["prelimit"], Fraction)
+
+
+def test_finite_n_prelimit_is_a_product_of_eta_factors():
+    """Each prelimit constant at stratum j and size n equals
+    prod_{k=j+1}^{n} (1 - Q^-k), exactly: the truncation of the eta product
+    that its closed form divides by."""
+    for Q in (3, 5, 7, 9, 25):
+        for j in range(5):
+            rows = finite_n_constant_demo(Q, j, range(j, 14))
+            for n, row in zip(range(j, 14), rows):
+                product = Fraction(1)
+                for k in range(j + 1, n + 1):
+                    product *= 1 - Fraction(1, Q**k)
+                assert row["prelimit"] == product, (Q, j, n)
+
+
+def test_random_moment_is_the_exact_mean_of_its_draws():
+    """A seeded random-mode moment is the Fraction sum over the drawn types
+    of count times #Surj, over the number of draws, as in exhaustive mode."""
+    ring = _ring(3, 1, 2)
+    a = ModuleType(ring, (Partition((1,)),))
+    cfg = SampleConfig(ring, 3, 500, 5, workers=2)
+    got = empirical_moment(cfg, a)
+    dist = sample_cokernels(cfg)
+    total = sum(c * surj_count(t, a) for t, c in dist.counts.items())
+    assert isinstance(got, Fraction)
+    assert got == Fraction(total, 500)
