@@ -82,6 +82,16 @@ def is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 
 
+def check_modulus(l: int) -> None:
+    if l < 3 or not is_prime(l):
+        raise ValueError(f"modulus l = {l} must be an odd prime")
+
+
+def check_exponent(e: int) -> None:
+    if e < 1:
+        raise ValueError(f"exponent e = {e} must be >= 1")
+
+
 def _prime_power(Q: int) -> tuple[int, int]:
     """The prime l and the exponent d >= 1 with Q = l^d."""
     primes = _prime_factors(Q)
@@ -338,6 +348,21 @@ def find_irreducible(l: int, d: int) -> Poly:
     )
 
 
+def check_monic_irreducible(what: str, l: int, p: Poly) -> None:
+    """Refuses, naming what and p, a p that is not a monic irreducible
+    polynomial over F_l of degree 1 to MAX_POLY_DEGREE: the base of a local
+    factor F_l[X]/(p^e) and a condition on P_C mod l alike."""
+    if not isinstance(p, Poly) or p.l != l:
+        raise ValueError(f"{what} {p!r} is not a polynomial over F_{l}")
+    if p.degree < 1:
+        raise ValueError(f"{what} {p} is constant; it must have positive degree")
+    if not p.is_monic():
+        raise ValueError(f"{what} {p} must be monic")
+    check_degree(f"{what} {p}", p.degree)
+    if not is_irreducible(p):
+        raise ValueError(f"{what} {p} is reducible over F_{l}")
+
+
 @dataclass(frozen=True)
 class LocalRingSpec:
     """The local ring F_l[X]/(p^e) with p monic irreducible."""
@@ -347,17 +372,9 @@ class LocalRingSpec:
     e: int
 
     def __post_init__(self) -> None:
-        if self.l < 3 or not is_prime(self.l):
-            raise ValueError(f"modulus must be an odd prime >= 3, got {self.l}")
-        if self.p.l != self.l:
-            raise ValueError("modulus mismatch between l and p")
-        if self.e < 1:
-            raise ValueError("exponent must be >= 1")
-        if not self.p.is_monic():
-            raise ValueError("p must be monic")
-        check_degree("p", self.p.degree)
-        if not is_irreducible(self.p):
-            raise ValueError(f"p = {self.p} is reducible over F_{self.l}")
+        check_modulus(self.l)
+        check_exponent(self.e)
+        check_monic_irreducible("p =", self.l, self.p)
 
     @property
     def residue_degree(self) -> int:

@@ -138,11 +138,10 @@ class LocalTables:
     the subtraction: m terms, each a digit below l times a sum of m products
     of two digits, so below m^2 (l-1)^3; every term of every matmul is a
     product of nonnegative integers, so each partial sum is an integer no
-    larger than the whole.  The dtype is float32 when m^2 (l-1)^3 < 2^20,
-    the bound that _reduce needs in float32, as for F_3[X]/(X^39), so that
-    the elimination moves half the bytes, and float64 otherwise, as for
-    F_103: with l <= 28559 and l^m < LOCAL_RING_CAP the sums stay below the
-    2^49 that _reduce needs in float64, their largest at l = 28559, m = 4.
+    larger than the whole.  The dtype is _float_dtype of that bound:
+    float32 for F_3[X]/(X^39), so that the elimination moves half the bytes,
+    and float64 for F_103; with l <= 28559 and l^m < LOCAL_RING_CAP the bound
+    is largest, below 2^49, at l = 28559, m = 4.
     """
 
     def __init__(self, spec: LocalRingSpec):
@@ -155,7 +154,7 @@ class LocalTables:
             )
         self.l, self.d, self.e = l, d, e
         self.m = m = d * e
-        self.dtype = np.dtype(np.float32 if m * m * (l - 1) ** 3 < 2**20 else np.float64)
+        self.dtype = _float_dtype(m * m * (l - 1) ** 3)
         # the products read the rows X^(a+b), a, b < d
         powers = _x_power_digits(spec.p, e, max(m, 2 * d - 1))
         self.to_chain = powers[:m]
@@ -283,6 +282,12 @@ def _reduce(x, l: int):
     q *= l
     x -= q
     return x
+
+
+def _float_dtype(bound: int) -> np.dtype:
+    """The dtype in which _reduce is exact on integers below bound: float32
+    below 2^20, float64 otherwise, whose callers keep bound below 2^49."""
+    return np.dtype(np.float32 if bound < 2**20 else np.float64)
 
 
 @lru_cache(maxsize=None)

@@ -18,10 +18,11 @@ from datetime import datetime, timezone
 from functools import lru_cache, partial
 
 from . import __version__
-from .algebra import LocalRingSpec, Poly, RingSpec, _prime_power, check_degree
+from .algebra import LocalRingSpec, Poly, RingSpec, _prime_power
+from .algebra import check_degree, check_exponent, check_modulus
 from .measure import (
     MeasureValue,
-    _check_modulus,
+    _check_tolerance,
     divisor_density,
     divisor_density_hypothesis,
     eta,
@@ -29,7 +30,6 @@ from .measure import (
     moment_rank,
     mu,
     rank_distribution,
-    rank_distribution_partition_form,
 )
 from .modules import ModuleType, Partition
 from .montecarlo import SampleConfig, sample_cokernels, tv_distance
@@ -47,12 +47,13 @@ MAX_PRINTED_DIGITS = 4300
 
 def parse_poly_text(text: str, l: int, a=None, source=None) -> Poly:
     """Parse human polynomial syntax like "X^2+2", "X-1", or "X-a" (with the
-    symbol a supplied separately). An empty text is refused naming source,
-    the flag and text it came from; a term above MAX_POLY_DEGREE is refused
-    before the coefficient list is built."""
+    symbol a supplied separately). A refusal names source, the flag and text
+    it came from: an empty text, a term that does not parse, and a term
+    above MAX_POLY_DEGREE, refused before the coefficient list is built."""
+    source = source or repr(text)
     s = text.replace(" ", "")
     if not s:
-        raise ValueError(f"{source or repr(text)}: empty polynomial")
+        raise ValueError(f"{source}: empty polynomial")
     if a is not None:
         s = re.sub(r"\ba\b", str(a), s)
     terms = re.findall(r"[+-]?[^+-]+", s)
@@ -60,7 +61,7 @@ def parse_poly_text(text: str, l: int, a=None, source=None) -> Poly:
     for term in terms:
         m = re.fullmatch(r"([+-]?)(\d+)?\*?(X(?:\^(\d+))?)?", term, re.IGNORECASE)
         if not m or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"cannot parse polynomial term {term!r}")
+            raise ValueError(f"{source}: cannot parse polynomial term {term!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) is not None else 1
         if m.group(3) is None:
@@ -70,7 +71,7 @@ def parse_poly_text(text: str, l: int, a=None, source=None) -> Poly:
         else:
             deg = 1
         coeffs[deg] = coeffs.get(deg, 0) + sign * coeff
-    check_degree(f"polynomial {text!r}", max(coeffs))
+    check_degree(f"{source}: polynomial {text!r}", max(coeffs))
     return Poly(l, [coeffs.get(deg, 0) for deg in range(max(coeffs) + 1)])
 
 
@@ -190,18 +191,17 @@ def _csv_rows(path, header: list):
         raise ValueError(f"cannot write --emit-csv {path}: {ex.strerror}") from ex
 
 
-def _check_flag(flag: str, value, check) -> None:
+def _check_flag(flag: str, value, check):
     """check(value), its refusal named by the flag and the value."""
     try:
-        check(value)
+        return check(value)
     except ValueError as err:
         raise ValueError(f"{flag} {value}: {err}") from err
 
 
 def _cmd_eta(args):
-    if args.Q < 2:
-        raise ValueError(f"--Q {args.Q}: field size must be at least 2")
-    ev = eta(args.Q, args.tol)
+    _check_flag("--tol", args.tol, _check_tolerance)
+    ev = _check_flag("--Q", args.Q, partial(eta, tol=args.tol))
     return (
         {"Q": args.Q, "tol": args.tol},
         {"value": ev.value, "depth": ev.depth, "tol": ev.tol},
@@ -231,28 +231,20 @@ def _cmd_measure(args):
 
 
 def _cmd_rank_dist(args):
-    if args.e < 1:
-        raise ValueError(f"--e {args.e}: exponent must be >= 1")
-    if args.m < 0:
-        raise ValueError(f"--m {args.m}: rank must be nonnegative")
+    _check_flag("--e", args.e, check_exponent)
     if args.p is not None:
         l = 3 if args.l is None else args.l
+        _check_flag("--l", l, check_modulus)
         local = LocalRingSpec(l, parse_poly_text(args.p, l, args.a, f"--p {args.p!r}"), args.e)
     else:
         if args.a is not None:
             raise ValueError("--a names a root in --p and is not allowed with --Q")
-        _check_flag("--Q", args.Q, _prime_power)
-        local = local_ring_with_residue_size(args.Q, args.e)
+        local = _check_flag("--Q", args.Q, partial(local_ring_with_residue_size, e=args.e))
         if args.l is not None and args.l != local.l:
             raise ValueError(
                 f"--l {args.l} is not the prime of --Q {args.Q}, which is {local.l}"
             )
-    v = rank_distribution(local, args.m)
-    pf = rank_distribution_partition_form(
-        local.Q, local.e, args.m, local.residue_degree
-    )
-    if v != pf:
-        raise AssertionError("partition form disagrees with the direct sum")
+    v = _check_flag("--m", args.m, partial(rank_distribution, local))
     return (
         {"l": local.l, "p": list(local.p.coeffs), "e": local.e, "m": args.m},
         measure_value_json(v, f"rank mass at --m {args.m}"),
@@ -261,12 +253,10 @@ def _cmd_rank_dist(args):
 
 
 def _cmd_moments(args):
-    if args.e < 1:
-        raise ValueError(f"--e {args.e}: exponent e = {args.e} must be >= 1")
-    if args.k < 0:
-        raise ValueError(f"--k {args.k}: moment order must be nonnegative")
     _check_flag("--Q", args.Q, _prime_power)
-    value = _printable(moment_rank(args.Q, args.e, args.k), f"moment at --k {args.k}")
+    _check_flag("--e", args.e, check_exponent)
+    value = _check_flag("--k", args.k, partial(moment_rank, args.Q, args.e))
+    value = _printable(value, f"moment at --k {args.k}")
     return (
         {"Q": args.Q, "e": args.e, "k": args.k},
         {"moment": value},
@@ -277,7 +267,7 @@ def _cmd_moments(args):
 def _parse_conditions(args):
     """The --cond conditions as (polynomial, multiplicity) pairs, and their
     config list, once --l is an odd prime."""
-    _check_flag("--l", args.l, _check_modulus)
+    _check_flag("--l", args.l, check_modulus)
     conds = []
     for spec in args.cond:
         if ":" not in spec:

@@ -22,7 +22,7 @@ from math import comb, isqrt, sqrt
 import numpy as np
 
 from .algebra import Poly, is_prime
-from .chainring import MAX_RING_SIZE, _reduce, _x_power_digits, field_products
+from .chainring import MAX_RING_SIZE, _float_dtype, _reduce, _x_power_digits, field_products
 from .measure import (
     MeasureValue,
     _validate_conditions as _validate_measure_conditions,
@@ -129,12 +129,10 @@ def _orbit_tables(q: int, g: int, degree: int):
     The powers are floats, for chainring._reduce: a value of a polynomial
     of this degree with coefficients below q is a sum of degree + 1
     products of two digits below q, so below (degree + 1)(q - 1)^2 in every
-    field.  They are float32 when that is below the 2^20 that _reduce needs
-    in float32, and float64 otherwise; at degree 2g + 1 with q^g <=
-    MAX_RING_SIZE, the largest bound, 4 * 28558^2 at g = 1, q = 28559, is
-    below the 2^49 that _reduce needs in float64.  Each field's powers are
-    written straight into its slice of the one table.  Read-only, since
-    they are shared."""
+    field.  Their dtype is chainring._float_dtype of that bound; at degree
+    2g + 1 with q^g <= MAX_RING_SIZE the bound is largest, 4 * 28558^2 <
+    2^49, at g = 1, q = 28559.  Each field's powers are written straight into its
+    slice of the one table.  Read-only, since they are shared."""
     fields = []
     for d in range(1, g + 1):
         digits, structure, frobenius = field_products(q, d)
@@ -152,7 +150,7 @@ def _orbit_tables(q: int, g: int, degree: int):
         roots[0] = 1
         fields.append((reps, structure, sizes, roots))
     bounds = np.array([0, *accumulate(len(sizes) for _, _, sizes, _ in fields)])
-    dtype = np.float32 if (degree + 1) * (q - 1) ** 2 < 2**20 else np.float64
+    dtype = _float_dtype((degree + 1) * (q - 1) ** 2)
     powers = np.zeros((degree + 1, g, bounds[-1]), dtype=dtype)
     offsets = np.empty(bounds[-1], dtype=np.intp)
     roots_starts = accumulate((len(roots) for *_, roots in fields), initial=0)

@@ -20,10 +20,10 @@ from .algebra import (
     Poly,
     RingSpec,
     _prime_power,
-    check_degree,
+    check_exponent,
+    check_modulus,
+    check_monic_irreducible,
     find_irreducible,
-    is_irreducible,
-    is_prime,
 )
 from .modules import (
     ModuleType,
@@ -134,12 +134,16 @@ class EtaEval:
     depth: int
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (tol > 0 and isfinite(tol)):
+        raise ValueError(f"tolerance tol = {tol} must be a positive finite number")
+
+
 @lru_cache(maxsize=None)
 def eta(Q: int, tol: float = DEFAULT_TOL) -> EtaEval:
     if Q < 2:
         raise ValueError("field size must be at least 2")
-    if not (tol > 0 and isfinite(tol)):
-        raise ValueError(f"tolerance tol = {tol} must be a positive finite number")
+    _check_tolerance(tol)
     # the truncated product is at most 1 and the tail takes off at most
     # 1 - prod_{u>depth} (1 - Q^-u) <= sum_{u>depth} Q^-u, which is
     # Q^-(depth+1) / (1 - 1/Q): that sum bounds the value error
@@ -234,8 +238,7 @@ def moment_rank(Q: int, e: int, k: int) -> int:
     """The k-th moment of Q^rank: the number of submodules of the rank-k free
     module over the chain quotient with exponent e."""
     _prime_power(Q)
-    if e < 1:
-        raise ValueError(f"exponent e = {e} must be >= 1")
+    check_exponent(e)
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     if e * k > MAX_TYPE_LENGTH:
@@ -246,31 +249,15 @@ def moment_rank(Q: int, e: int, k: int) -> int:
     return sum(count for _, count in submodule_counts(Q, (e,) * k))
 
 
-def _check_modulus(l: int) -> None:
-    if l < 3 or not is_prime(l):
-        raise ValueError(f"modulus l = {l} must be an odd prime")
-
-
 def _validate_conditions(l: int, conditions) -> list[tuple[Poly, int]]:
-    """The conditions (P_i, m_i) as lists of pairs, once l is an odd prime and
-    each P_i is a monic irreducible polynomial over F_l of degree 1 to
-    MAX_POLY_DEGREE, with m_i >= 0 and no P_i repeated; otherwise
-    ValueError, naming the failing condition."""
-    _check_modulus(l)
+    """The conditions (P_i, m_i) as lists of pairs, once check_modulus
+    passes l and check_monic_irreducible each P_i, with m_i >= 0 and no P_i
+    repeated; otherwise ValueError, naming the failing condition."""
+    check_modulus(l)
     out = []
     seen = set()
     for p, m in conditions:
-        if not isinstance(p, Poly):
-            raise ValueError("condition polynomials must be Poly values")
-        if p.l != l:
-            raise ValueError(f"condition {p} is not a polynomial over F_{l}")
-        if p.degree < 1:
-            raise ValueError(f"condition {p} is constant; it must have positive degree")
-        if not p.is_monic():
-            raise ValueError(f"condition {p} must be monic")
-        check_degree(f"condition {p}", p.degree)
-        if not is_irreducible(p):
-            raise ValueError(f"condition {p} is reducible over F_{l}")
+        check_monic_irreducible("condition", l, p)
         if m < 0:
             raise ValueError(f"multiplicities are nonnegative; condition {p} has {m}")
         if p.coeffs in seen:

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cokernel_lab import algebra
+from cokernel_lab import algebra, measure
 from cokernel_lab.algebra import (
     MAX_POLY_DEGREE,
     MAX_TRIAL_DIVISOR,
@@ -223,7 +225,9 @@ def test_degree_refused_above_its_bound(monkeypatch):
     assert MAX_POLY_DEGREE == 32
     monkeypatch.setattr(algebra, "is_irreducible", tested)
     long_p = Poly(3, (2, 1) + (0,) * 31 + (1,))
-    with pytest.raises(ValueError, match="p has degree 33, above MAX_POLY_DEGREE = 32"):
+    with pytest.raises(
+        ValueError, match=re.escape(f"p = {long_p} has degree 33, above MAX_POLY_DEGREE = 32")
+    ):
         LocalRingSpec(3, long_p, 1)
     with pytest.raises(ValueError, match="F_3\\^96 of F_3 has degree 96, above MAX_POLY_DEGREE"):
         find_irreducible(3, 96)
@@ -285,6 +289,25 @@ def test_local_ring_spec_validation():
         LocalRingSpec(3, Poly(3, (2, 0, 1)), 1)  # X^2+2 reducible
     with pytest.raises(ValueError):
         LocalRingSpec(4, Poly(3, (1, 1)), 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(), (1,), (2, 2), (1, 1, 1), (2, 1) + (0,) * 31 + (1,)],
+    ids=["zero", "constant", "not-monic", "reducible", "degree-33"],
+)
+def test_local_factor_and_condition_share_one_polynomial_check(coeffs):
+    """A p that is no monic irreducible of degree 1 to MAX_POLY_DEGREE over
+    F_3 is refused as the base of a local factor and as a condition in the
+    same words, after each caller's own prefix."""
+    p = Poly(3, coeffs)
+    with pytest.raises(ValueError) as local:
+        LocalRingSpec(3, p, 1)
+    with pytest.raises(ValueError) as condition:
+        measure._validate_conditions(3, [(p, 0)])
+    assert str(local.value).startswith(f"p = {p!r} ")
+    assert str(condition.value).startswith(f"condition {p!r} ")
+    assert str(local.value).removeprefix("p = ") == str(condition.value).removeprefix("condition ")
 
 
 def test_ring_spec_coprime_validation():

@@ -348,17 +348,17 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
          "the following arguments are required: --ring"),
         # a factor that makes no local ring is named by --ring and its index
         (("measure", "--ring", '{"l":3,"factors":[{"p":[],"e":1}]}', "--types", "[[1]]"),
-         "--ring factor 0: p must be monic"),
+         "--ring factor 0: p = Poly(l=3, coeffs=[]) is constant; it must have positive degree"),
         (("measure", "--ring", '{"l":3,"factors":[{"p":[1],"e":1}]}', "--types", "[[1]]"),
-         "--ring factor 0: irreducibility undefined for constants"),
+         "--ring factor 0: p = Poly(l=3, coeffs=[1]) is constant; it must have positive degree"),
         (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":0}]}', "--types", "[[1]]"),
-         "--ring factor 0: exponent must be >= 1"),
+         "--ring factor 0: exponent e = 0 must be >= 1"),
         (("measure", "--ring", '{"l":3,"factors":[{"p":[2,0,1],"e":1}]}', "--types", "[[1]]"),
          "--ring factor 0: p = Poly(l=3, coeffs=[2, 0, 1]) is reducible over F_3"),
         (("measure", "--ring", '{"l":3,"factors":[{"p":[0,1],"e":1},{"p":[1,1],"e":0}]}',
           "--types", "[[1], [1]]"),
-         "--ring factor 1: exponent must be >= 1"),
-        # measure's one condition check names a reducible condition
+         "--ring factor 1: exponent e = 0 must be >= 1"),
+        # the one polynomial check names a reducible condition
         (("density", "--l", "3", "--cond", "X^2+X+1:0"),
          "condition Poly(l=3, coeffs=[1, 1, 1]) is reducible over F_3"),
         (("simulate", "curves", "--l", "3", "--q", "5", "--g", "1",
@@ -382,7 +382,7 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
          "--types [[3]]: part 3 exceeds the factor exponent 2"),
         (("measure", "--ring", F3_LOCAL, "--types", "[]"),
          "--types []: one partition per local factor required"),
-        (("rank-dist", "--Q", "9", "--e", "0", "--m", "2"), "--e 0: exponent must be >= 1"),
+        (("rank-dist", "--Q", "9", "--e", "0", "--m", "2"), "--e 0: exponent e = 0 must be >= 1"),
         (("rank-dist", "--Q", "9", "--e", "1", "--m", "-2"), "--m -2: rank must be nonnegative"),
         (("moments", "--Q", "3", "--e", "1", "--k", "-1"),
          "--k -1: moment order must be nonnegative"),
@@ -422,6 +422,23 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
          "--q 5: l = 5 divides q = 5"),
         (("simulate", "cokernel", "--ring", F3_LOCAL, "--n", "5", "--exhaustive"),
          "--n 5: exhaustive enumeration of 9^25 matrices exceeds the cap of 10000000"),
+        # the library's rules, each refused once in its own words and named
+        # by the one flag that can break it
+        (("rank-dist", "--l", "0", "--p", "X", "--e", "2", "--m", "2"),
+         "--l 0: modulus l = 0 must be an odd prime"),
+        (("rank-dist", "--l", "4", "--p", "X", "--e", "2", "--m", "2"),
+         "--l 4: modulus l = 4 must be an odd prime"),
+        (("eta", "--Q", "3", "--tol", "nan"), "--tol nan: tolerance tol = nan"),
+        (("rank-dist", "--Q", "9", "--e", "1", "--m", "100"),
+         "--m 100: rank m = 100 over residue degree 2"),
+        (("moments", "--Q", "3", "--e", "2", "--k", "200"),
+         "--k 200: moment k = 200 with e = 2"),
+        # a term that does not parse names the flag and its text
+        (("rank-dist", "--p", "X-a", "--e", "2", "--m", "2"),
+         "--p 'X-a': cannot parse polynomial term '-a'"),
+        # with --e checked, only --Q can make the local ring fail
+        (("rank-dist", "--Q", str(3**33), "--e", "1", "--m", "0"),
+         f"--Q {3**33}: the extension F_3^33 of F_3 has degree 33, above MAX_POLY_DEGREE"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):
