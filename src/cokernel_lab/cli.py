@@ -235,7 +235,8 @@ def _cmd_rank_dist(args):
     if args.p is not None:
         l = 3 if args.l is None else args.l
         _check_flag("--l", l, check_modulus)
-        local = LocalRingSpec(l, parse_poly_text(args.p, l, args.a, f"--p {args.p!r}"), args.e)
+        p = parse_poly_text(args.p, l, args.a, f"--p {args.p!r}")
+        local = _check_flag("--p", args.p, lambda _: LocalRingSpec(l, p, args.e))
     else:
         if args.a is not None:
             raise ValueError("--a names a root in --p and is not allowed with --Q")

@@ -439,6 +439,11 @@ CURVES = ("simulate", "curves", "--l", "3", "--q", "5", "--g", "1", "--cond", "X
         # with --e checked, only --Q can make the local ring fail
         (("rank-dist", "--Q", str(3**33), "--e", "1", "--m", "0"),
          f"--Q {3**33}: the extension F_3^33 of F_3 has degree 33, above MAX_POLY_DEGREE"),
+        # and with --l and --e checked, only --p
+        (("rank-dist", "--l", "3", "--p", "X^2-1", "--e", "2", "--m", "2"),
+         "--p X^2-1: p = Poly(l=3, coeffs=[2, 0, 1]) is reducible over F_3"),
+        (("rank-dist", "--l", "3", "--p", "2X", "--e", "2", "--m", "2"),
+         "--p 2X: p = Poly(l=3, coeffs=[0, 2]) must be monic"),
     ],
 )
 def test_invalid_input_exits_1_naming_cause(capsys, argv, cause):

@@ -724,6 +724,112 @@ def test_stats_match_direct_census_count():
             assert seen == direct, (g, m)
 
 
+CENSUS_LAW_CASES = [(1, 5, 9), (2, 5, 81), (2, 7, 138), (3, 5, 1283)]
+
+
+@pytest.mark.parametrize("g, q, distinct", CENSUS_LAW_CASES)
+def test_census_law_tally_equals_streamed_tally(g, q, distinct):
+    """The memoized law of P_C holds each distinct P_C of the census once,
+    weighted by its number of curves, q^(2g+1) - q^(2g) in all; its tally
+    of every one- and two-condition request at l = 3 and 5 equals, key for
+    key, the tally of the census streamed to on_sample."""
+    from itertools import combinations
+
+    from cokernel_lab.curves import _census_law, _tally
+
+    char_polys, weights = _census_law(q, g)
+    assert char_polys.shape == (distinct, 2 * g + 1)
+    assert len({tuple(row) for row in char_polys.tolist()}) == distinct
+    assert int(weights.sum()) == q ** (2 * g + 1) - q ** (2 * g)
+    assert weights.min() >= 1
+    # X - 1, X and an irreducible quadratic over each F_l
+    polys = {3: [(2, 1), (0, 1), (1, 0, 1)], 5: [(4, 1), (0, 1), (2, 0, 1)]}
+    for l, coeffs in polys.items():
+        if q % l == 0:
+            continue
+        ps = [Poly(l, c) for c in coeffs]
+        for request in [[p] for p in ps] + [list(pair) for pair in combinations(ps, 2)]:
+            law = _tally(l, request, q, g, 0, 0, 1, True)
+            streamed = _tally(l, request, q, g, 0, 0, 1, True, on_sample=lambda *_: None)
+            assert law == streamed, (l, request)
+
+
+def test_census_law_arrays_are_read_only():
+    from cokernel_lab.curves import _census_law
+
+    for array in _census_law(5, 2):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_census_law_refuses_counts_outside_the_hasse_weil_window(monkeypatch):
+    """A count row past the Hasse-Weil window could share its mixed-radix
+    key with a row inside it: (N_1 + r_1, N_2 - 1) has the key of
+    (N_1, N_2) for the width r_1 of the window of N_1.  The law refuses such
+    a row, and one just below or above the window, with the error of
+    char_polys_from_counts instead of counting it under some key."""
+    import numpy as np
+
+    from cokernel_lab import curves
+
+    q, g = 5, 2
+    _, least, most, _ = curves._newton_constants(q, g)
+    (lo_1, lo_2), (hi_1, hi_2) = least.tolist(), most.tolist()
+    width = hi_1 - lo_1 + 1
+    counts = curves.point_counts
+
+    def key(n_1, n_2):
+        return n_1 - lo_1 + width * (n_2 - lo_2)
+
+    breaks = [
+        lambda n_1, n_2: (n_1 + width, n_2 - 1),
+        lambda n_1, n_2: (lo_1 - 1, n_2),
+        lambda n_1, n_2: (n_1, hi_2 + 1),
+    ]
+    seen = []
+    for broken in breaks:
+
+        def patched(fs, q, g):
+            out = counts(fs, q, g)
+            row = np.flatnonzero(out[:, 1] > lo_2)[0]
+            seen.append(tuple(out[row].tolist()))
+            out[row] = broken(*seen[-1])
+            return out
+
+        curves._census_law.cache_clear()
+        monkeypatch.setattr(curves, "point_counts", patched)
+        with pytest.raises(ValueError, match="break the Hasse-Weil bound"):
+            curves._census_law(q, g)
+        monkeypatch.undo()
+    assert key(*breaks[0](*seen[0])) == key(*seen[0])
+    assert curves._census_law(q, g)[1].sum() == q**5 - q**4
+
+
+def test_census_law_keys_fit_in_int64():
+    """The mixed-radix key of a count row ranges over the product of the
+    Hasse-Weil window widths, below 2^63 for every (g, q) whose census
+    CENSUS_CAP admits; the widest is (6, 3), at about 2^44.2."""
+    from math import log2, prod
+
+    from cokernel_lab.algebra import is_prime
+    from cokernel_lab.curves import _newton_constants
+
+    ranges = {}
+    for g in range(1, CENSUS_CAP.bit_length()):
+        for q in range(3, CENSUS_CAP, 2):
+            if q ** (2 * g + 1) > CENSUS_CAP:
+                break
+            if is_prime(q):
+                _, least, most, _ = _newton_constants(q, g)
+                ranges[g, q] = prod((most - least + 1).tolist())
+    assert (1, 211) in ranges and (6, 3) in ranges and (7, 3) not in ranges
+    widest = max(ranges, key=ranges.get)
+    assert widest == (6, 3)
+    assert ranges[widest] < 2**63
+    assert 44 < log2(ranges[widest]) < 44.5
+
+
 def test_reciprocal_partners_divide_equally_in_census():
     """X - 3 and X - 4 are partners at q = 7, l = 5 (3 * 4 = 7 mod 5), so
     every curve of the (g, q) = (1, 7) census has them to equal multiplicity,
